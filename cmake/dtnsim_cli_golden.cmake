@@ -12,12 +12,14 @@
 #     summary line (a new example cfg must ship
 #     tests/cli/expected/check_<name>.stdout alongside it);
 #   - `sweep --resume` diagnostics — the no-journal-path usage error, the
-#     missing-journal fresh-start note, the different-campaign refusal,
-#     and the corrupt-tail recovery warning (goldens sweep_resume_*);
+#     missing-journal fresh-start note, the different-campaign refusal (for
+#     one journal and for a --workers fleet's shard journals), and the
+#     corrupt-tail recovery warning (goldens sweep_resume_*);
 #   - nonsensical robustness knobs — negative --retries/--sync-every, a
 #     zero --point-timeout, a --shard selector with i >= N or N == 0,
-#     --shard combined with --workers, --workers without a journal anchor —
-#     every one exits 2 (usage/config) with its pinned one-line stderr;
+#     --shard combined with --workers, --workers without a journal anchor,
+#     --fault combined with --hosts — every one exits 2 (usage/config) with
+#     its pinned one-line stderr;
 #   - the exit-code contract the worker supervision loop depends on:
 #     0 = clean campaign, 1 = completed-with-failures (and runtime errors
 #     like a missing file), 2 = usage/config error — each pinned by at
@@ -145,6 +147,9 @@ golden_case("sweep --hosts without journal anchor" ${CLI_DIR} 2
 golden_case("sweep --shard with --hosts" ${CLI_DIR} 2
             "" sweep_shard_hosts_conflict.stderr
             sweep resume.cfg --shard 0/2 --hosts 127.0.0.1:19)
+golden_case("sweep --fault with --hosts" ${CLI_DIR} 2
+            "" sweep_fault_hosts_conflict.stderr
+            sweep resume.cfg --hosts 127.0.0.1:19 --fault kill@point=0)
 
 # ---- journal inspection ------------------------------------------------------
 # The committed torn-tail fixture: a real two-point campaign journal (one
@@ -194,6 +199,19 @@ golden_case("sweep --resume foreign journal" ${RESUME_DIR} 1
             - sweep_resume_stale.stderr
             sweep ${FIXTURE} --axis protocol.copies=2,8 --seeds 1 --quiet
             --journal stale.j --resume)
+
+# The same refusal on a --workers fleet: the scheduler audits every shard
+# journal before it starts a worker, and prints one refusal per foreign
+# journal. The stale shard journals survive their campaign because the
+# injected fault leaves a failed point behind.
+golden_case("sweep: seed stale fleet journals" ${RESUME_DIR} 1
+            - -
+            sweep ${FIXTURE} --axis protocol.copies=2,4 --seeds 1 --quiet
+            --journal fleet_stale.j --workers 2 --fault throw@point=1:fires=99)
+golden_case("sweep --workers --resume foreign journals" ${RESUME_DIR} 1
+            - sweep_resume_stale_fleet.stderr
+            sweep ${FIXTURE} --axis protocol.copies=2,8 --seeds 1 --quiet
+            --journal fleet_stale.j --workers 2 --resume)
 
 # A corrupt/truncated journal tail is dropped with a warning and the
 # affected points recomputed — recovery, not refusal. (7 garbage bytes so

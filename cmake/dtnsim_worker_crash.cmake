@@ -17,6 +17,9 @@
 #      retries completes the campaign with exit 1 and KEEPS the shard
 #      journals; rerunning the same fleet with `--resume` (fault gone)
 #      retries exactly the gap and converges to the same bytes
+#   5. stall: a worker that hangs with `--worker-timeout` set is killed,
+#      its shard restarts without the fault, and the campaign still ends
+#      with exit 0 and the same bytes
 #
 # Invoked by CTest with -DDTNSIM=... -DSOURCE_DIR=... -DWORK_DIR=...
 # (see CMakeLists.txt).
@@ -126,4 +129,32 @@ if(NOT clean STREQUAL degraded)
                       "single-process campaign\n--- clean ---\n${clean}\n"
                       "--- resumed ---\n${degraded}")
 endif()
-message(STATUS "worker-crash recovery and degrade-then-resume equivalence hold")
+# 5. Stall: the worker owning point 0 hangs for a minute at that point's
+#    first attempt and its journal stops growing. The driver must kill it
+#    after the 2 s --worker-timeout and restart the shard WITHOUT the fault
+#    (a restart that re-tripped it would stall until the shard gave up,
+#    exit 1). Each point takes about 30 ms, so 2 s leaves room under ASan;
+#    the TIMEOUT fails the case if the hung worker is waited out instead.
+execute_process(COMMAND ${DTNSIM} ${SWEEP_ARGS} --out stalled.json --workers 2
+                        --worker-timeout 2 --fault hang@point=0:ms=60000
+                WORKING_DIRECTORY ${SCRATCH}
+                TIMEOUT 45
+                RESULT_VARIABLE rv OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rv STREQUAL "0")
+  message(FATAL_ERROR "fleet campaign with a hung worker did not recover "
+                      "(exit ${rv}):\n${err}")
+endif()
+if(NOT err MATCHES "shard 0/2 on local: no journal progress")
+  message(FATAL_ERROR "driver never stopped the hung worker:\n${err}")
+endif()
+if(NOT err MATCHES "restarting shard 0/2")
+  message(FATAL_ERROR "driver never restarted the stalled shard:\n${err}")
+endif()
+read_filtered(${SCRATCH}/stalled.json stalled)
+if(NOT clean STREQUAL stalled)
+  message(FATAL_ERROR "stall-then-restart aggregates diverge from the "
+                      "single-process campaign\n--- clean ---\n${clean}\n"
+                      "--- stalled ---\n${stalled}")
+endif()
+message(STATUS "worker-crash recovery, degrade-then-resume and stall-restart "
+               "equivalence hold")

@@ -192,6 +192,17 @@ bool truncate_file(const std::string& path, std::uint64_t size) {
 #endif
 }
 
+std::uint64_t file_size(const std::string& path) {
+#if !defined(_WIN32)
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0 || st.st_size < 0) return 0;
+  return static_cast<std::uint64_t>(st.st_size);
+#else
+  (void)path;
+  return 0;
+#endif
+}
+
 bool durable_replace(const std::string& tmp_path, const std::string& final_path,
                      std::string* error) {
   const auto fail = [&](const std::string& what) {

@@ -126,4 +126,8 @@ bool flush_and_sync(std::FILE* file);
 /// reader's valid-prefix stop and silently lose them on the next resume.
 bool truncate_file(const std::string& path, std::uint64_t size);
 
+/// Length of `path` in bytes, 0 when it is missing. A journal only grows,
+/// so its length is the campaign fabric's progress probe.
+std::uint64_t file_size(const std::string& path);
+
 }  // namespace dtn::harness

@@ -407,10 +407,7 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
                " byte(s)); recomputing the full campaign");
         truncate_file(options.journal_path, 0);
       } else if (replay.records.front() != header) {
-        throw SweepJournalError(
-            "cannot resume: journal '" + options.journal_path +
-            "' was written by a different campaign (base spec, axes, seeds, or "
-            "seed base differ) — delete it or rerun without resume");
+        throw SweepJournalError(foreign_journal_refusal(options.journal_path));
       } else {
         if (replay.tail_dropped()) {
           notify("journal '" + options.journal_path +
@@ -497,6 +494,8 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
   }
 
   std::mutex book_mutex;  ///< guards PointState, the fold, and the journal
+  std::condition_variable recorded;  ///< a point was recorded, or the sweep aborts
+  bool aborting = false;  ///< a non-isolated failure is unwinding the sweep
   std::mutex progress_mutex;
   bool journal_sick = false;  ///< append failed (disk full) — noted once
 
@@ -552,6 +551,7 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
     st.samples.clear();
     st.samples.shrink_to_fit();
     st.error.clear();
+    recorded.notify_all();
   };
 
   /// One simulation attempt on the worker's runner, no timeout. Returns
@@ -650,7 +650,19 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
       int hang_ms = 0;
       if (fault_armed(p)) {
         switch (fault->action) {
-          case SweepFaultPlan::Action::kKill: std::raise(SIGKILL); break;
+          case SweepFaultPlan::Action::kKill: {
+            // Die only once every in-shard point below p is recorded, so the
+            // killed journal holds them at any thread count. Tasks are
+            // claimed in index order, so those points are already running.
+            std::unique_lock<std::mutex> lock(book_mutex);
+            recorded.wait(lock, [&] {
+              return aborting ||
+                     std::all_of(state.begin(), state.begin() + static_cast<std::ptrdiff_t>(p),
+                                 [](const PointState& st) { return st.remaining == 0; });
+            });
+            std::raise(SIGKILL);
+            break;
+          }
           case SweepFaultPlan::Action::kThrow:
             error = "injected fault: throw at point " + std::to_string(p);
             continue;
@@ -664,6 +676,11 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
     const double wall_ms = watch.elapsed_ms();
 
     if (!ok && !options.isolate_failures) {
+      {
+        const std::lock_guard<std::mutex> lock(book_mutex);
+        aborting = true;
+      }
+      recorded.notify_all();
       // The satellite fix: a failing point must name itself. Without this
       // the pool's first-exception propagation surfaces a bare what() with
       // no clue WHICH of ten thousand runs died.
@@ -700,6 +717,12 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
 
   if (journaling) journal.sync();
   return std::move(grid.points);
+}
+
+std::string foreign_journal_refusal(const std::string& journal_path) {
+  return "cannot resume: journal '" + journal_path +
+         "' was written by a different campaign (base spec, axes, seeds, or "
+         "seed base differ) — delete it or rerun without resume";
 }
 
 std::string sweep_campaign_fingerprint(const SpecSweepOptions& options) {

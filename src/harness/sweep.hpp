@@ -27,9 +27,9 @@
 // (point index modulo shard_count), each shard journaling into its own
 // file; merge_sweep_journals folds any non-overlapping set of shard
 // journals — validated against the shared campaign fingerprint — into
-// final aggregates bit-identical to a single-process run. The `dtnsim
-// sweep --workers N` driver (tools/dtnsim.cpp) builds the
-// spawn/supervise/restart/merge loop on top of these two primitives.
+// final aggregates bit-identical to a single-process run. The campaign
+// scheduler (harness/fleet.hpp) deals shards to local worker processes and
+// remote daemons on top of these two primitives.
 // Crash safety (PR 6): with SpecSweepOptions::journal_path set,
 // run_spec_sweep streams every COMPLETED grid point (all its seeds
 // finished) as one checksummed record into an append-only journal
@@ -85,8 +85,11 @@ struct SweepAxis {
 /// Deterministic fault-injection hook for the crash-recovery tests (and
 /// the hidden `dtnsim sweep --fault` flag). The plan fires on attempts of
 /// grid point `point` (at most `fires` times, counted in `fired`), or —
-/// for kKill — when the journal length reaches `journal_bytes`. Owned by
-/// the caller; the engine only mutates `fired`.
+/// for kKill — when the journal length reaches `journal_bytes`. kThrow
+/// and kHang fire at the start of the attempt; kKill at `point` first
+/// waits until every in-shard point below `point` is recorded, so the
+/// killed journal holds those points at any thread count. Owned by the
+/// caller; the engine only mutates `fired`.
 struct SweepFaultPlan {
   enum class Action {
     kThrow,  ///< the attempt throws std::runtime_error("injected fault ...")
@@ -205,6 +208,11 @@ class SweepJournalError : public std::runtime_error {
  public:
   explicit SweepJournalError(const std::string& what) : std::runtime_error(what) {}
 };
+
+/// The refusal a resume gives for a journal written by a different
+/// campaign — by run_spec_sweep, and by the campaign scheduler for each
+/// foreign shard journal (harness/fleet.hpp).
+std::string foreign_journal_refusal(const std::string& journal_path);
 
 /// The campaign identity used by journals, resume, merge — and the
 /// multi-host fabric's HELLO handshake (harness/remote.hpp): canonical

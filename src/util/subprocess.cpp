@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include <utility>
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -13,25 +12,6 @@
 #endif
 
 namespace dtn::util {
-
-Subprocess::Subprocess(Subprocess&& other) noexcept
-    : pid_(other.pid_), reaped_(other.reaped_), last_(other.last_) {
-  other.pid_ = -1;
-  other.reaped_ = false;
-  other.last_ = ProcessStatus{};
-}
-
-Subprocess& Subprocess::operator=(Subprocess&& other) noexcept {
-  if (this != &other) {
-    pid_ = other.pid_;
-    reaped_ = other.reaped_;
-    last_ = other.last_;
-    other.pid_ = -1;
-    other.reaped_ = false;
-    other.last_ = ProcessStatus{};
-  }
-  return *this;
-}
 
 #if !defined(_WIN32)
 

@@ -1,8 +1,8 @@
 // Minimal child-process supervision: fork/exec spawn, non-blocking status
 // polls, SIGKILL, and self-executable resolution — the process-management
-// substrate of the `dtnsim sweep --workers N` campaign fabric
-// (tools/dtnsim.cpp), which spawns one `dtnsim sweep --shard i/N` child
-// per shard and supervises it with a liveness timeout and
+// substrate of the `dtnsim sweep --workers N` campaign fabric, whose
+// scheduler (harness/fleet.hpp) runs one `dtnsim sweep --shard i/N` child
+// per local worker slot and supervises it with a liveness timeout and
 // exponential-backoff restarts.
 //
 // Deliberately tiny: no pipes, no ptys, no environment surgery. Children
@@ -32,17 +32,16 @@ struct ProcessStatus {
   int term_signal = 0;
 };
 
-/// One spawned child. Movable, not copyable; destroying a Subprocess with
-/// a still-running child does NOT kill or reap it (the campaign driver
-/// never abandons a live worker — it kills explicitly, then waits).
+/// One spawned child; neither copyable nor movable, and reusable once the
+/// child is reaped. Destroying a Subprocess with a still-running child
+/// does NOT kill or reap it (the campaign scheduler never abandons a live
+/// worker — it kills explicitly, then waits).
 class Subprocess {
  public:
   Subprocess() = default;
   ~Subprocess() = default;
   Subprocess(const Subprocess&) = delete;
   Subprocess& operator=(const Subprocess&) = delete;
-  Subprocess(Subprocess&& other) noexcept;
-  Subprocess& operator=(Subprocess&& other) noexcept;
 
   /// fork/execs `argv` (argv[0] = executable path, PATH is not searched).
   /// `discard_stdout` redirects the child's stdout to /dev/null; stderr is
@@ -62,9 +61,6 @@ class Subprocess {
   /// SIGKILL — the supervision path for a worker whose journal stopped
   /// growing (liveness timeout). The caller still polls/waits to reap.
   void kill_hard();
-
-  [[nodiscard]] long pid() const noexcept { return pid_; }
-  [[nodiscard]] bool running() { return poll().running; }
 
  private:
   long pid_ = -1;

@@ -11,7 +11,9 @@
 //      kept, and a later `--resume` against restarted daemons closes
 //      exactly the gap — same bytes again;
 //   4. a daemon refuses an ASSIGN whose campaign does not match the HELLO
-//      fingerprint digest (foreign campaign), loudly, with an ERROR frame.
+//      fingerprint digest (foreign campaign), loudly, with an ERROR frame;
+//   5. a local worker and a daemon share one campaign, each shard's points
+//      labelled with the slot that computed it, with identical bytes.
 //
 // Compiled only when CMake bakes in DTNSIM_BINARY (the dtnsim tool path).
 
@@ -159,6 +161,27 @@ TEST_F(ServeLoopbackTest, TwoDaemonCampaignMatchesSingleProcessBytes) {
   EXPECT_NE(raw.find("\"origin\": \"127.0.0.1:"), std::string::npos);
   a.stop();
   b.stop();
+}
+
+TEST_F(ServeLoopbackTest, LocalWorkerAndDaemonShareOneCampaign) {
+  Daemon a;
+  ASSERT_TRUE(a.start(dir_ + "s_mix", dir_ + "p_mix"));
+  const std::string out = dir_ + "mixed.json";
+  EXPECT_EQ(run_driver({"--out", out, "--workers", "1", "--hosts", hosts_arg({&a})}), 0);
+  EXPECT_EQ(filter_exec_lines(read_file(out)), clean_);
+  // Shard 0 goes to the local worker slot, shard 1 to the daemon.
+  const std::string raw = read_file(out);
+  const auto count = [&raw](const std::string& needle) {
+    std::size_t n = 0;
+    for (std::size_t at = raw.find(needle); at != std::string::npos;
+         at = raw.find(needle, at + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("\"origin\": \"local\""), 1u) << raw;
+  EXPECT_EQ(count("\"origin\": \"" + hosts_arg({&a}) + "\""), 1u) << raw;
+  a.stop();
 }
 
 TEST_F(ServeLoopbackTest, SigkilledDaemonShardIsReassigned) {

@@ -6,8 +6,9 @@
 //                             --axis scenario.nodes=40,80 [--seeds N] [--threads T]
 //                             [--out results.json] [--resume] [--journal J]
 //                             [--retries N] [--point-timeout S] [--sync-every N]
-//                             [--shard i/N | --workers N [--worker-retries R]
-//                                                        [--worker-timeout S]]
+//                             [--shard i/N | --workers N and/or --hosts h:p,...
+//                                            [--worker-retries R] [--worker-timeout S]]
+//   dtnsim serve --port P [--bind ADDR] [--scratch DIR] [--threads T]
 //   dtnsim journal <file>                            # inspect a campaign journal
 //   dtnsim print scenario.cfg [--set key=value]...   # resolved canonical config
 //   dtnsim check scenario.cfg                        # parse + validate, report diagnostics
@@ -32,46 +33,42 @@
 // `--fault action@trigger` is the deterministic crash-injection hook the
 // recovery tests drive (e.g. kill@point=2, kill@bytes=800,
 // hang@point=0:ms=2000, throw@point=1:fires=3) — test-only, not for ops.
+// throw and hang fire at the start of the point's attempt; kill@point=N
+// fires once every in-shard point below N is journaled, at any --threads.
 //
-// Multi-process fabric: `--workers N` shards the point cross-product
-// across N child `dtnsim sweep --shard i/N` processes (one journal per
-// shard under `<journal>.shards/`), supervises them with a journal-growth
-// liveness timeout and exponential-backoff restarts (`--worker-retries`,
-// each restart resuming its own shard journal), then merges the shard
-// journals into final aggregates bit-identical to a single-process run.
-// A shard that exhausts its retries degrades the campaign instead of
-// killing it: the merge reports its points failed-with-reason, exit is 1,
-// and the journals are kept so `--resume` retries exactly the gap.
-// `--shard i/N` also works standalone for manual/remote sharding, and
-// `dtnsim journal <file>` diagnoses any campaign journal offline.
+// Fleets: `--workers N` and `--hosts host:port[,...]` run the campaign as
+// one shard per slot — a fork/exec'd `dtnsim sweep --shard i/N` child per
+// worker, a `dtnsim serve` daemon per host (src/net/, harness/remote.hpp)
+// — with one journal per shard under `<journal>.shards/`. One scheduler
+// (harness/fleet.hpp) deals the shards and owns every retry, backoff,
+// stall (`--worker-timeout`) and give-up (`--worker-retries`) decision for
+// both kinds of slot; this file only builds the slots and merges the shard
+// journals into aggregates bit-identical to a single-process run. A shard
+// that exhausts its attempts degrades the campaign instead of killing it:
+// the merge reports its points failed-with-reason, exit is 1, and the
+// journals are kept so `--resume` retries exactly the gap; a foreign shard
+// journal refuses the resume (exit 1) before any slot starts. `--fault`
+// reaches local workers only, so it is refused with `--hosts`. `--shard
+// i/N` also works standalone for manual sharding, and `dtnsim journal
+// <file>` diagnoses any campaign journal offline.
 //
-// Multi-host fabric: `dtnsim serve --port P` is a resident worker daemon
-// (src/net/, harness/remote.hpp) — it accepts one campaign at a time over
-// a checksummed TCP framing, runs the assigned shard through the same
-// journaled run_spec_sweep path (journal in a per-campaign scratch dir,
-// resumed on reassignment), streams journal-growth heartbeats, and ships
-// the journal bytes back. The driver side is `sweep --hosts
-// host:port[,...]`: remote shards are dealt round-robin to hosts and
-// supervised with the same liveness/backoff policy as local workers
-// (heartbeat stall => reassign to another live host, dead host =>
-// exponential-backoff reconnect, retries exhausted => degrade to exit 1
-// with received journals kept). Received journals land under
-// `<journal>.shards/` and flow through the same merge — aggregates are
-// bit-identical to a single-process run. `--hosts` composes with local
-// `--workers` (local shards fork, remote shards stream). No auth, no TLS:
-// bind daemons to loopback or trusted networks only (see README).
+// `dtnsim serve --port P` is the resident worker daemon: it accepts one
+// campaign at a time over a checksummed TCP framing, runs the assigned
+// shard through the same journaled run_spec_sweep path (journal in a
+// per-campaign scratch dir, resumed on reassignment), streams
+// journal-growth heartbeats, and ships the journal bytes back. No auth, no
+// TLS: bind daemons to loopback or trusted networks only (see README).
 //
-// Exit codes are pinned (the supervision loop depends on them): 0 = clean
+// Exit codes are pinned (the scheduler depends on them): 0 = clean
 // campaign, 1 = completed with failed points (or a runtime error), 2 =
 // usage/config error. `serve` exits 2 on usage/config errors and 1 when
 // the listener fails at runtime; it never exits 0 (it runs until killed).
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <mutex>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -83,6 +80,7 @@
 #include <sys/types.h>
 #endif
 
+#include "harness/fleet.hpp"
 #include "harness/journal.hpp"
 #include "harness/remote.hpp"
 #include "harness/spec_io.hpp"
@@ -253,20 +251,6 @@ bool parse_shard_spec(const std::string& text, std::size_t& index, std::size_t& 
   return true;
 }
 
-/// Size of `path` in bytes, 0 when missing — the fleet's liveness probe.
-/// A shard journal only grows (one record per completed point), so "the
-/// journal stopped growing" is the observable form of "the worker hung".
-std::uint64_t file_size_of(const std::string& path) {
-#if !defined(_WIN32)
-  struct stat st {};
-  if (::stat(path.c_str(), &st) != 0 || st.st_size < 0) return 0;
-  return static_cast<std::uint64_t>(st.st_size);
-#else
-  (void)path;
-  return 0;
-#endif
-}
-
 bool make_dir(const std::string& path) {
 #if !defined(_WIN32)
   return ::mkdir(path.c_str(), 0777) == 0 || errno == EEXIST;
@@ -276,213 +260,35 @@ bool make_dir(const std::string& path) {
 #endif
 }
 
-/// Spawns and supervises one `dtnsim sweep --shard i/N` child per shard,
-/// each journaling into `work_dir`/shard-i.journal. Supervision policy:
-///   - child exit 0 or 1  -> shard done (1 = it already retried per-point
-///                           failures itself; a restart cannot help)
-///   - child exit 2       -> config error; restarting is pointless, give up
-///   - killed by a signal, exec failure, or a journal that stops growing
-///     for > worker_timeout_s -> crash; restart with exponential backoff
-///     (0.25 s doubling, capped at 5 s) up to `worker_retries` extra
-///     attempts, every restart resuming the shard's own journal so only
-///     in-flight points are recomputed
-/// A shard that exhausts its attempts is abandoned; the caller's merge
-/// reports its unrecorded points failed-with-reason (graceful degradation,
-/// never a refusal to publish the survivors). The `--fault` plan is
-/// forwarded only to each shard's FIRST spawn: restarted workers must not
-/// re-trip the very fault they are recovering from. Fills `journals_out`
-/// with every shard's journal path; returns 0 once supervision ends, 2 on
-/// setup errors (unusable work dir).
-/// `total_shards` >= `workers`: with `--hosts` the local fork/exec slots
-/// cover shards [0, workers) of a larger selector whose tail shards
-/// stream to remote daemons (run_remote_shard).
-int run_worker_fleet(const std::string& cfg_path, const util::Flags& flags,
-                     const harness::SpecSweepOptions& options, std::size_t workers,
-                     std::size_t total_shards, int worker_retries,
-                     double worker_timeout_s, const std::string& work_dir,
-                     const std::string& argv0,
-                     std::vector<std::string>& journals_out) {
-  using Clock = std::chrono::steady_clock;
-  if (!make_dir(work_dir)) {
-    std::fprintf(stderr, "dtnsim: cannot create shard work dir '%s'\n",
-                 work_dir.c_str());
-    return 2;
-  }
+/// The `dtnsim sweep` command line of every local worker slot, minus the
+/// per-attempt `--journal`, `--shard`, `--resume` and `--fault` that the
+/// scheduler's process runner appends.
+std::vector<std::string> worker_argv(const std::string& cfg_path, const util::Flags& flags,
+                                     const harness::SpecSweepOptions& options,
+                                     const std::string& argv0) {
   // /proc/self/exe with an argv[0] fallback: the fleet must respawn the
   // binary that is running it even where procfs is absent.
-  const std::string exe_resolved = util::self_exe_path(argv0);
-  const std::string exe = exe_resolved.empty() ? argv0 : exe_resolved;
-  const std::string fault_raw = flags.get_string("fault", "");
-
-  struct Slot {
-    std::size_t shard = 0;
-    std::string journal;
-    util::Subprocess proc;
-    int spawns = 0;        ///< launch attempts so far (max 1 + worker_retries)
-    bool running = false;
-    bool done = false;     ///< child completed its shard (exit 0 or 1)
-    bool gave_up = false;  ///< retries exhausted or config error
-    bool pending_restart = false;
-    Clock::time_point restart_at{};
-    std::uint64_t last_size = 0;       ///< journal size at last growth
-    Clock::time_point last_growth{};   ///< when the journal last grew
-  };
-  std::vector<Slot> slots(workers);
-  journals_out.clear();
-  for (std::size_t i = 0; i < workers; ++i) {
-    slots[i].shard = i;
-    slots[i].journal = work_dir + "/shard-" + std::to_string(i) + ".journal";
-    journals_out.push_back(slots[i].journal);
+  const std::string exe = util::self_exe_path(argv0);
+  std::vector<std::string> argv = {exe.empty() ? argv0 : exe, "sweep", cfg_path};
+  for (const auto& kv : flags.get_list("set")) argv.insert(argv.end(), {"--set", kv});
+  for (const auto& axis : flags.get_list("axis")) argv.insert(argv.end(), {"--axis", axis});
+  argv.insert(argv.end(), {"--seeds", std::to_string(options.seeds), "--seed-base",
+                           util::format_value(options.seed_base)});
+  // Campaign parallelism comes from the worker count; each worker is
+  // single-threaded unless the user sized --threads explicitly.
+  argv.insert(argv.end(),
+              {"--threads", std::to_string(flags.has("threads") ? options.threads : 1)});
+  if (options.retries > 0) {
+    argv.insert(argv.end(), {"--retries", std::to_string(options.retries)});
   }
-
-  const auto build_argv = [&](const Slot& slot) {
-    std::vector<std::string> argv = {exe, "sweep", cfg_path};
-    for (const auto& kv : flags.get_list("set")) {
-      argv.push_back("--set");
-      argv.push_back(kv);
-    }
-    for (const auto& axis : flags.get_list("axis")) {
-      argv.push_back("--axis");
-      argv.push_back(axis);
-    }
-    argv.push_back("--seeds");
-    argv.push_back(std::to_string(options.seeds));
-    argv.push_back("--seed-base");
-    argv.push_back(util::format_value(options.seed_base));
-    // Campaign parallelism comes from the worker count; each worker is
-    // single-threaded unless the user sized --threads explicitly.
-    argv.push_back("--threads");
-    argv.push_back(std::to_string(flags.has("threads") ? options.threads : 1));
-    if (options.retries > 0) {
-      argv.push_back("--retries");
-      argv.push_back(std::to_string(options.retries));
-    }
-    if (options.point_timeout_s > 0) {
-      argv.push_back("--point-timeout");
-      argv.push_back(util::format_value(options.point_timeout_s));
-    }
-    if (flags.has("sync-every")) {
-      argv.push_back("--sync-every");
-      argv.push_back(std::to_string(options.sync_every));
-    }
-    argv.push_back("--quiet");
-    argv.push_back("--journal");
-    argv.push_back(slot.journal);
-    argv.push_back("--shard");
-    argv.push_back(std::to_string(slot.shard) + "/" + std::to_string(total_shards));
-    // Restarts ALWAYS resume (that is the point of the per-shard journal);
-    // first spawns resume only when the whole campaign does.
-    if (options.resume || slot.spawns > 0) argv.push_back("--resume");
-    if (!fault_raw.empty() && slot.spawns == 0) {
-      argv.push_back("--fault");
-      argv.push_back(fault_raw);
-    }
-    return argv;
-  };
-
-  const auto schedule_or_give_up = [&](Slot& slot) {
-    if (slot.spawns <= worker_retries) {
-      const int exponent = std::min(slot.spawns - 1, 10);
-      const double delay_s = std::min(5.0, 0.25 * static_cast<double>(1 << exponent));
-      slot.pending_restart = true;
-      slot.restart_at =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(delay_s));
-      std::fprintf(stderr,
-                   "dtnsim: restarting shard %zu/%zu in %.2f s (attempt %d of %d)\n",
-                   slot.shard, total_shards, delay_s, slot.spawns + 1, 1 + worker_retries);
-    } else {
-      slot.gave_up = true;
-      std::fprintf(stderr,
-                   "dtnsim: shard %zu/%zu gave up after %d attempt(s); its "
-                   "unrecorded points will be reported failed\n",
-                   slot.shard, total_shards, slot.spawns);
-    }
-  };
-
-  const auto launch = [&](Slot& slot) {
-    slot.pending_restart = false;
-    const std::vector<std::string> argv = build_argv(slot);
-    ++slot.spawns;
-    std::string error;
-    slot.proc = util::Subprocess();
-    // Workers' stdout (their own tables) would corrupt the driver's output;
-    // stderr stays inherited so worker diagnostics reach the operator.
-    if (!slot.proc.spawn(argv, /*discard_stdout=*/true, &error)) {
-      std::fprintf(stderr, "dtnsim: cannot spawn worker for shard %zu/%zu: %s\n",
-                   slot.shard, total_shards, error.c_str());
-      schedule_or_give_up(slot);
-      return;
-    }
-    slot.running = true;
-    slot.last_size = file_size_of(slot.journal);
-    slot.last_growth = Clock::now();
-  };
-
-  for (auto& slot : slots) launch(slot);
-  bool active = true;
-  while (active) {
-    active = false;
-    const Clock::time_point now = Clock::now();
-    for (auto& slot : slots) {
-      if (slot.pending_restart) {
-        if (now >= slot.restart_at) launch(slot);
-        if (slot.pending_restart) {  // still waiting (or respawn failed again)
-          active = true;
-          continue;
-        }
-      }
-      if (!slot.running) continue;
-      const util::ProcessStatus status = slot.proc.poll();
-      if (status.running) {
-        active = true;
-        if (worker_timeout_s > 0) {
-          const std::uint64_t size = file_size_of(slot.journal);
-          if (size != slot.last_size) {
-            slot.last_size = size;
-            slot.last_growth = now;
-          } else if (std::chrono::duration<double>(now - slot.last_growth).count() >
-                     worker_timeout_s) {
-            std::fprintf(stderr,
-                         "dtnsim: shard %zu/%zu made no journal progress for "
-                         "%.1f s; killing the worker\n",
-                         slot.shard, total_shards, worker_timeout_s);
-            slot.proc.kill_hard();
-            slot.proc.wait();
-            slot.running = false;
-            schedule_or_give_up(slot);
-            if (slot.pending_restart) active = true;
-          }
-        }
-        continue;
-      }
-      slot.running = false;
-      if (status.exited && (status.exit_code == 0 || status.exit_code == 1)) {
-        slot.done = true;
-      } else if (status.exited && status.exit_code == 2) {
-        slot.gave_up = true;
-        std::fprintf(stderr,
-                     "dtnsim: worker for shard %zu/%zu exited with a "
-                     "configuration error (exit 2); not restarting\n",
-                     slot.shard, total_shards);
-      } else {
-        if (status.signaled) {
-          std::fprintf(stderr, "dtnsim: worker for shard %zu/%zu died on signal %d\n",
-                       slot.shard, total_shards, status.term_signal);
-        } else {
-          std::fprintf(stderr,
-                       "dtnsim: worker for shard %zu/%zu exited abnormally "
-                       "(code %d%s)\n",
-                       slot.shard, total_shards, status.exit_code,
-                       status.exit_code == 127 ? ", exec failed" : "");
-        }
-        schedule_or_give_up(slot);
-        if (slot.pending_restart) active = true;
-      }
-    }
-    if (active) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  if (options.point_timeout_s > 0) {
+    argv.insert(argv.end(), {"--point-timeout", util::format_value(options.point_timeout_s)});
   }
-  return 0;
+  if (flags.has("sync-every")) {
+    argv.insert(argv.end(), {"--sync-every", std::to_string(options.sync_every)});
+  }
+  argv.push_back("--quiet");
+  return argv;
 }
 
 // ---- multi-host fabric ------------------------------------------------------
@@ -540,267 +346,6 @@ bool parse_hosts_spec(const std::string& csv, std::vector<HostSpec>& out) {
     return false;
   }
   return true;
-}
-
-/// Shared health book of the remote hosts: a failed connect, handshake,
-/// or mid-campaign disconnect marks the host dead for an exponentially
-/// growing window (the same 0.25 s doubling capped at 5 s as local worker
-/// restarts), so every shard thread's round-robin rotation skips it until
-/// the backoff expires.
-class HostBook {
- public:
-  explicit HostBook(const std::vector<HostSpec>& hosts) {
-    entries_.reserve(hosts.size());
-    for (const auto& h : hosts) entries_.push_back(Entry{h, {}, 0});
-  }
-
-  /// First live host at or after `preferred` (round-robin). -1 when every
-  /// host is inside its backoff window.
-  int pick(std::size_t preferred) {
-    const auto now = std::chrono::steady_clock::now();
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (std::size_t k = 0; k < entries_.size(); ++k) {
-      const std::size_t i = (preferred + k) % entries_.size();
-      if (entries_[i].dead_until <= now) return static_cast<int>(i);
-    }
-    return -1;
-  }
-
-  void mark_dead(int index) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    Entry& e = entries_[static_cast<std::size_t>(index)];
-    const int exponent = std::min(e.failures, 10);
-    ++e.failures;
-    const double delay_s =
-        std::min(5.0, 0.25 * static_cast<double>(1 << exponent));
-    e.dead_until = std::chrono::steady_clock::now() +
-                   std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                       std::chrono::duration<double>(delay_s));
-  }
-
-  void mark_alive(int index) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    entries_[static_cast<std::size_t>(index)].failures = 0;
-    entries_[static_cast<std::size_t>(index)].dead_until = {};
-  }
-
-  HostSpec spec(int index) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return entries_[static_cast<std::size_t>(index)].spec;
-  }
-
- private:
-  struct Entry {
-    HostSpec spec;
-    std::chrono::steady_clock::time_point dead_until{};
-    int failures = 0;
-  };
-  std::vector<Entry> entries_;
-  std::mutex mutex_;
-};
-
-/// Outcome of one remote shard's supervision.
-struct RemoteShardOutcome {
-  bool journal_received = false;
-  std::string origin;  ///< "host:port" that completed the shard
-};
-
-/// Drives ONE remote shard to completion: deal it to a live host (round
-/// -robin from `remote_index`), stream the handshake + assignment, watch
-/// the journal-growth heartbeat, and land the shipped journal under the
-/// shard dir via the same tmp + durable_replace publish as `--out`.
-/// Mirrors the local supervision policy exactly: heartbeat stall or a
-/// dead connection => reattempt on the next live host with backoff, up to
-/// 1 + worker_retries attempts, then give up (the merge degrades the
-/// shard's unrecorded points to failed-with-reason). Reassignments ALWAYS
-/// set resume: a shard that lands back on a daemon that already journaled
-/// part of it recomputes only the gap.
-void run_remote_shard(const harness::SpecSweepOptions& campaign,
-                      std::size_t shard, std::size_t total_shards,
-                      std::size_t remote_index, HostBook& book,
-                      int worker_retries, double worker_timeout_s,
-                      const std::string& journal_path,
-                      RemoteShardOutcome& outcome) {
-  using Clock = std::chrono::steady_clock;
-  harness::SpecSweepOptions assigned = campaign;
-  assigned.shard_index = shard;
-  assigned.shard_count = total_shards;
-  assigned.journal_path.clear();  // daemon-local choices stay the daemon's
-  assigned.threads = 0;
-  assigned.progress = nullptr;
-  assigned.note = nullptr;
-  assigned.fault_plan = nullptr;
-  const std::string fingerprint = harness::sweep_campaign_fingerprint(assigned);
-  const std::string hello = harness::serialize_sweep_hello(fingerprint);
-
-  int spawns = 0;
-  while (spawns <= worker_retries) {
-    const int host_index =
-        book.pick(remote_index + static_cast<std::size_t>(spawns));
-    if (host_index < 0) {
-      // Every host is inside its backoff window; waiting it out costs
-      // nothing and does not consume an attempt.
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      continue;
-    }
-    if (spawns > 0) {
-      const int exponent = std::min(spawns - 1, 10);
-      const double delay_s =
-          std::min(5.0, 0.25 * static_cast<double>(1 << exponent));
-      std::fprintf(
-          stderr,
-          "dtnsim: reassigning shard %zu/%zu in %.2f s (attempt %d of %d)\n",
-          shard, total_shards, delay_s, spawns + 1, 1 + worker_retries);
-      std::this_thread::sleep_for(std::chrono::duration<double>(delay_s));
-    }
-    ++spawns;
-    const HostSpec host = book.spec(host_index);
-    const std::string where = host.host + ":" + std::to_string(host.port);
-    std::string error;
-    net::Stream conn = net::Stream::connect(host.host, host.port, 5000, &error);
-    if (!conn.open()) {
-      std::fprintf(stderr, "dtnsim: shard %zu/%zu: %s\n", shard, total_shards,
-                   error.c_str());
-      book.mark_dead(host_index);
-      continue;
-    }
-    net::FrameDecoder decoder;
-    net::Message msg;
-    // The echo wait is generous on purpose: a busy daemon (one campaign
-    // at a time) parks this connection in its listen backlog until its
-    // current shard completes.
-    const bool handshake_ok =
-        net::send_message(conn, net::MessageType::kHello, hello) &&
-        net::recv_message(conn, decoder, 30000, &msg, &error) ==
-            net::WireRecvStatus::kMessage &&
-        msg.type == net::MessageType::kHello && msg.payload == hello;
-    if (!handshake_ok) {
-      std::fprintf(stderr,
-                   "dtnsim: shard %zu/%zu: handshake with %s failed%s%s\n",
-                   shard, total_shards, where.c_str(), error.empty() ? "" : ": ",
-                   error.c_str());
-      book.mark_dead(host_index);
-      continue;
-    }
-    assigned.resume = campaign.resume || spawns > 1;
-    if (!net::send_message(conn, net::MessageType::kAssign,
-                           harness::serialize_sweep_assignment(assigned))) {
-      book.mark_dead(host_index);
-      continue;
-    }
-    book.mark_alive(host_index);  // spoke the protocol; clear its backoff
-
-    std::string journal_bytes;
-    bool have_journal = false;
-    std::uint64_t last_bytes = 0;
-    Clock::time_point last_growth = Clock::now();
-    bool attempt_failed = false;
-    bool shard_done = false;
-    bool daemon_refused = false;
-    while (!attempt_failed && !shard_done) {
-      switch (net::recv_message(conn, decoder, 500, &msg, &error)) {
-        case net::WireRecvStatus::kMessage:
-          switch (msg.type) {
-            case net::MessageType::kProgress: {
-              std::uint64_t records = 0;
-              std::uint64_t bytes = 0;
-              if (harness::parse_sweep_progress(msg.payload, &records, &bytes) &&
-                  bytes != last_bytes) {
-                last_bytes = bytes;
-                last_growth = Clock::now();
-              }
-              break;
-            }
-            case net::MessageType::kJournal:
-              journal_bytes = std::move(msg.payload);
-              have_journal = true;
-              break;
-            case net::MessageType::kDone:
-              shard_done = true;
-              break;
-            case net::MessageType::kError:
-              // The daemon refused or failed the assignment in a way a
-              // reassignment cannot fix (foreign fingerprint, unusable
-              // scratch, structural spec error): mirror the local
-              // exit-2 no-restart policy and give the shard up.
-              std::fprintf(stderr, "dtnsim: shard %zu/%zu: %s reported: %s\n",
-                           shard, total_shards, where.c_str(),
-                           msg.payload.c_str());
-              daemon_refused = true;
-              shard_done = true;
-              break;
-            default:
-              std::fprintf(stderr,
-                           "dtnsim: shard %zu/%zu: unexpected %s message "
-                           "from %s\n",
-                           shard, total_shards,
-                           net::message_type_token(msg.type), where.c_str());
-              book.mark_dead(host_index);
-              attempt_failed = true;
-              break;
-          }
-          break;
-        case net::WireRecvStatus::kTimeout:
-          // The liveness probe is the REPORTED journal length, exactly
-          // like the local fleet's stat() of the shard journal: a daemon
-          // that heartbeats without growing its journal is a hung worker.
-          if (worker_timeout_s > 0 &&
-              std::chrono::duration<double>(Clock::now() - last_growth).count() >
-                  worker_timeout_s) {
-            std::fprintf(stderr,
-                         "dtnsim: shard %zu/%zu on %s made no journal "
-                         "progress for %.1f s; reassigning\n",
-                         shard, total_shards, where.c_str(), worker_timeout_s);
-            book.mark_dead(host_index);
-            attempt_failed = true;
-          }
-          break;
-        case net::WireRecvStatus::kEof:
-        case net::WireRecvStatus::kCorrupt:
-        case net::WireRecvStatus::kError:
-          std::fprintf(stderr,
-                       "dtnsim: shard %zu/%zu: connection to %s lost%s%s\n",
-                       shard, total_shards, where.c_str(),
-                       error.empty() ? "" : ": ", error.c_str());
-          book.mark_dead(host_index);
-          attempt_failed = true;
-          break;
-      }
-    }
-    if (attempt_failed) continue;
-    if (daemon_refused) return;
-    if (!have_journal) {
-      std::fprintf(stderr,
-                   "dtnsim: shard %zu/%zu: %s sent DONE without a journal\n",
-                   shard, total_shards, where.c_str());
-      book.mark_dead(host_index);
-      continue;
-    }
-    const std::string tmp = journal_path + ".tmp";
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    bool wrote = f != nullptr &&
-                 std::fwrite(journal_bytes.data(), 1, journal_bytes.size(), f) ==
-                     journal_bytes.size();
-    if (f != nullptr && std::fclose(f) != 0) wrote = false;
-    std::string publish_error;
-    if (!wrote ||
-        !harness::durable_replace(tmp, journal_path, &publish_error)) {
-      std::fprintf(stderr,
-                   "dtnsim: shard %zu/%zu: cannot store received journal "
-                   "'%s'%s%s\n",
-                   shard, total_shards, journal_path.c_str(),
-                   publish_error.empty() ? "" : ": ", publish_error.c_str());
-      std::remove(tmp.c_str());
-      return;  // local disk problem; another remote attempt cannot help
-    }
-    outcome.journal_received = true;
-    outcome.origin = where;
-    return;
-  }
-  std::fprintf(stderr,
-               "dtnsim: shard %zu/%zu gave up after %d attempt(s); its "
-               "unrecorded points will be reported failed\n",
-               shard, total_shards, spawns);
 }
 
 /// Serves ONE accepted campaign connection end-to-end. Never throws; every
@@ -894,7 +439,7 @@ void serve_one_campaign(net::Stream conn, const std::string& scratch,
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     if (!driver_alive) continue;
     const std::string beat = harness::serialize_sweep_progress(
-        points_done.load(), file_size_of(options.journal_path));
+        points_done.load(), harness::file_size(options.journal_path));
     if (!net::send_message(conn, net::MessageType::kProgress, beat)) {
       driver_alive = false;
       log("driver connection lost; finishing the shard for a future resume");
@@ -1137,13 +682,16 @@ int cmd_sweep(const std::string& path, const util::Flags& flags,
       return 2;
     }
   }
+  if (flags.has("fault") && flags.has("hosts")) {
+    std::fprintf(stderr, "dtnsim: --fault cannot be combined with --hosts (daemons "
+                         "never receive the fault plan)\n");
+    return 2;
+  }
   const bool fleet = flags.has("workers") || !hosts.empty();
-  // --workers and --hosts compose into ONE shard selector: local fork/exec
-  // slots take the leading shards, each remote daemon takes one trailing
-  // shard. total_shards is what every worker's --shard i/N denominates.
+  // --workers and --hosts compose into ONE shard selector: one shard per
+  // slot, local worker slots first.
   const std::size_t local_workers =
       flags.has("workers") ? static_cast<std::size_t>(workers) : 0;
-  const std::size_t total_shards = local_workers + hosts.size();
   options.seeds = static_cast<int>(seeds);
   options.seed_base = static_cast<std::uint64_t>(seed_base);
   options.threads = static_cast<std::size_t>(threads);
@@ -1163,9 +711,9 @@ int cmd_sweep(const std::string& path, const util::Flags& flags,
   harness::SweepFaultPlan fault_plan;
   if (flags.has("fault")) {
     if (!parse_fault_spec(flags.get_string("fault", ""), fault_plan)) return 2;
-    // In fleet mode the plan is validated here but EXECUTED by the workers:
-    // the raw spec is forwarded to each shard's first spawn (restarts omit
-    // it — a restarted worker must not re-trip the fault it is recovering
+    // In fleet mode the plan is validated here but EXECUTED by the local
+    // workers: the scheduler forwards the raw spec to each shard's first
+    // attempt only (a retry must not re-trip the fault it is recovering
     // from), and the driver itself never simulates.
     if (!fleet) options.fault_plan = &fault_plan;
   }
@@ -1222,103 +770,49 @@ int cmd_sweep(const std::string& path, const util::Flags& flags,
     std::printf("shard %zu/%zu: executing %zu of %zu point(s)\n", shard_index,
                 shard_count, mine, grid);
   }
+  // Drops the unpublished results file on every early exit.
+  const auto discard_out = [&] {
+    if (out_file == nullptr) return;
+    std::fclose(out_file);
+    std::remove(tmp_path.c_str());
+  };
   const std::string shard_dir = journal_base + ".shards";
-  if (local_workers > 0) {
-    std::printf("workers: %lld (shard journals under '%s')\n",
-                static_cast<long long>(workers), shard_dir.c_str());
-  }
-  if (!hosts.empty()) {
-    std::printf("hosts: %zu daemon(s) covering shards %zu..%zu (shard "
-                "journals under '%s')\n",
-                hosts.size(), local_workers, total_shards - 1,
-                shard_dir.c_str());
+  if (fleet) {
+    std::printf("fleet: %zu worker(s), %zu daemon(s) (shard journals under '%s')\n",
+                local_workers, hosts.size(), shard_dir.c_str());
   }
   std::vector<harness::SpecPointResult> results;
   harness::SweepMergeStats merge_stats;
-  std::vector<std::string> shard_journals;
+  harness::FleetResult fleet_result;
   try {
     if (fleet) {
       if (!make_dir(shard_dir)) {
         std::fprintf(stderr, "dtnsim: cannot create shard work dir '%s'\n",
                      shard_dir.c_str());
-        if (out_file != nullptr) {
-          std::fclose(out_file);
-          std::remove(tmp_path.c_str());
-        }
+        discard_out();
         return 2;
       }
-      shard_journals.clear();
-      for (std::size_t s = 0; s < total_shards; ++s) {
-        shard_journals.push_back(shard_dir + "/shard-" + std::to_string(s) +
-                                 ".journal");
+      // One slot per local worker, then one per daemon; shard i is first
+      // dealt to slot i.
+      std::vector<std::unique_ptr<harness::ShardRunner>> slots;
+      const std::vector<std::string> argv = worker_argv(path, flags, options, argv0);
+      for (std::size_t w = 0; w < local_workers; ++w) {
+        slots.push_back(harness::make_process_runner(argv, flags.get_string("fault", "")));
       }
-      // Remote supervision threads run alongside the local fork/exec
-      // fleet; both write into the same shard dir, one journal per shard.
-      std::vector<std::string> origins(total_shards);
-      std::vector<RemoteShardOutcome> outcomes(hosts.size());
-      HostBook book(hosts);
-      std::vector<std::thread> remote_threads;
-      for (std::size_t r = 0; r < hosts.size(); ++r) {
-        const std::size_t s = local_workers + r;
-        const std::string& shard_journal = shard_journals[s];
-        if (options.resume) {
-          // Audit before (re)assigning: a shard whose journal already
-          // records every point ok has nothing left to compute.
-          switch (harness::audit_shard_journal(options, s, total_shards,
-                                               shard_journal)) {
-            case harness::ShardJournalState::kComplete:
-              std::fprintf(stderr,
-                           "dtnsim: shard %zu/%zu is already complete in "
-                           "'%s'; not reassigning\n",
-                           s, total_shards, shard_journal.c_str());
-              continue;
-            case harness::ShardJournalState::kForeign:
-              std::fprintf(stderr,
-                           "dtnsim: shard journal '%s' belongs to a "
-                           "different campaign; recomputing shard %zu/%zu\n",
-                           shard_journal.c_str(), s, total_shards);
-              std::remove(shard_journal.c_str());
-              break;
-            case harness::ShardJournalState::kPartial:
-              break;
-          }
-        } else {
-          // Fresh campaign: a stale journal from an older campaign must
-          // not leak into the merge (local workers truncate theirs the
-          // same way when spawned without --resume).
-          std::remove(shard_journal.c_str());
-        }
-        remote_threads.emplace_back([&options, s, total_shards, r, &book,
-                                     worker_retries, worker_timeout,
-                                     &shard_journal, &outcomes] {
-          run_remote_shard(options, s, total_shards, r, book,
-                           static_cast<int>(worker_retries), worker_timeout,
-                           shard_journal, outcomes[r]);
-        });
+      for (const HostSpec& host : hosts) {
+        slots.push_back(harness::make_daemon_runner(host.host, host.port, options));
       }
-      int fleet_rc = 0;
-      if (local_workers > 0) {
-        std::vector<std::string> local_journals;
-        fleet_rc = run_worker_fleet(path, flags, options, local_workers,
-                                    total_shards, static_cast<int>(worker_retries),
-                                    worker_timeout, shard_dir, argv0,
-                                    local_journals);
+      harness::FleetOptions fleet_options;
+      fleet_options.shard_dir = shard_dir;
+      fleet_options.worker_retries = static_cast<int>(worker_retries);
+      fleet_options.worker_timeout_s = worker_timeout;
+      fleet_result = harness::run_fleet(options, fleet_options, slots);
+      if (fleet_result.refused) {
+        discard_out();
+        return 1;
       }
-      for (auto& thread : remote_threads) thread.join();
-      if (fleet_rc != 0) {
-        if (out_file != nullptr) {
-          std::fclose(out_file);
-          std::remove(tmp_path.c_str());
-        }
-        return fleet_rc;
-      }
-      for (std::size_t r = 0; r < outcomes.size(); ++r) {
-        if (outcomes[r].journal_received) {
-          origins[local_workers + r] = outcomes[r].origin;
-        }
-      }
-      results = harness::merge_sweep_journals(options, shard_journals,
-                                              &merge_stats, origins);
+      results = harness::merge_sweep_journals(options, fleet_result.journals,
+                                              &merge_stats, fleet_result.origins);
       std::printf("merged %zu shard journal(s): %zu ok, %zu failed, %zu missing\n",
                   merge_stats.journals_read, merge_stats.points_ok,
                   merge_stats.points_failed, merge_stats.points_missing);
@@ -1326,10 +820,7 @@ int cmd_sweep(const std::string& path, const util::Flags& flags,
       results = harness::run_spec_sweep(options);
     }
   } catch (...) {
-    if (out_file != nullptr) {
-      std::fclose(out_file);
-      std::remove(tmp_path.c_str());
-    }
+    discard_out();
     throw;
   }
   std::size_t resumed_points = 0;
@@ -1396,7 +887,7 @@ int cmd_sweep(const std::string& path, const util::Flags& flags,
   }
   // Fully clean campaign: the results file supersedes the journals.
   if (fleet) {
-    for (const auto& journal : shard_journals) std::remove(journal.c_str());
+    for (const auto& journal : fleet_result.journals) std::remove(journal.c_str());
     std::remove(shard_dir.c_str());
   } else if (shard_count > 1) {
     // A standalone shard's journal is an INPUT to the campaign merge —
