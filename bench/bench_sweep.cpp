@@ -1,17 +1,11 @@
 // Campaign-throughput benchmark: the perf trajectory for the experiment
-// EXECUTION layer (harness::run_sweep), complementing bench_world_step's
-// single-run kernel numbers. One binary A/B-times the same
-// (protocol x node-count x seed) screening campaign through:
-//   legacy — the pre-PR3 stack: throwaway ThreadPool per sweep, one heap
-//            task + future per run, fresh World per run, per-object
-//            virtual movement (WorldConfig::legacy_movement_path), mutex-
-//            serialized merge;
-//   reused — the current stack: persistent shared pool with chunked
-//            atomic-counter dispatch, one reusable World per worker
-//            (World::reset capacity retention), SoA batched-RNG movement,
-//            per-task samples folded deterministically after the loop.
-// Both sides must produce bit-identical sweep aggregates (cross-checked
-// fatally) — the speedup is pure execution-layer engineering.
+// EXECUTION layer (harness::run_spec_sweep), complementing
+// bench_world_step's single-run kernel numbers. It times a (protocol x
+// node-count x seed) screening campaign — the axes {protocol.name,
+// scenario.nodes} over the bus spec — at one thread (per-core campaign
+// throughput), then reruns it on three threads and FATALs unless the
+// aggregates are bit-identical: the thread count is a product choice
+// that must not change a result bit.
 //
 // A second section measures the cross-seed reuse contract directly:
 // heap allocations per seed for a World::reseed()-driven campaign vs
@@ -22,9 +16,10 @@
 // matrix entries + on-off profile), with a fatal bit-identical replay
 // cross-check between executions.
 //
-// Results land in BENCH_sweep.json (committed at the repo root).
+// Results land in BENCH_sweep.json (committed at the repo root); a change
+// is judged against that history.
 //
-// Flags: --trials N (A/B repetitions, default 3; best-of wins),
+// Flags: --trials N (timed repetitions, default 3; best-of wins),
 //        --seeds N (seeds per grid point, default 6),
 //        --duration S (simulated seconds per run, default 600),
 //        --out PATH (default BENCH_sweep.json),
@@ -74,27 +69,28 @@ namespace dtn::bench {
 /// worlds with short runs — the shape of ablation grids and CI suites,
 /// where per-run setup and movement dominate and campaign throughput (not
 /// single-run latency) is the metric that matters.
-harness::SweepOptions campaign(bool smoke, int seeds, double duration_s) {
-  harness::SweepOptions opt;
-  opt.protocols = smoke ? std::vector<std::string>{"Epidemic", "SprayAndWait"}
-                        : std::vector<std::string>{"Epidemic", "SprayAndWait",
-                                                   "DirectDelivery"};
-  opt.node_counts = smoke ? std::vector<int>{24} : std::vector<int>{40, 80};
+harness::SpecSweepOptions campaign(bool smoke, int seeds, double duration_s) {
+  harness::BusScenarioParams base;
+  base.duration_s = smoke ? 200.0 : duration_s;
+  base.map.rows = 6;
+  base.map.cols = 8;
+  base.map.districts = 2;
+  base.map.routes_per_district = 2;
+  base.traffic.ttl = smoke ? 100.0 : 150.0;
+  base.traffic.interval_min = 10.0;
+  base.traffic.interval_max = 20.0;
+  harness::SpecSweepOptions opt;
+  opt.base = harness::to_spec(base);
+  opt.axes = {
+      harness::SweepAxis{"protocol.name",
+                         smoke ? std::vector<std::string>{"Epidemic", "SprayAndWait"}
+                               : std::vector<std::string>{"Epidemic", "SprayAndWait",
+                                                          "DirectDelivery"}},
+      harness::SweepAxis{"scenario.nodes", smoke ? std::vector<std::string>{"24"}
+                                                 : std::vector<std::string>{"40", "80"}}};
   opt.seeds = smoke ? 2 : seeds;
   opt.seed_base = 1000;
-  // threads = 1: per-core campaign throughput, and it keeps the legacy
-  // mutex-merge accumulation in task order so aggregates are comparable
-  // bit for bit (multi-threaded legacy merges in completion order).
-  opt.threads = 1;
-  opt.base.duration_s = smoke ? 200.0 : duration_s;
-  opt.base.node_count = 0;  // overlaid per point
-  opt.base.map.rows = 6;
-  opt.base.map.cols = 8;
-  opt.base.map.districts = 2;
-  opt.base.map.routes_per_district = 2;
-  opt.base.traffic.ttl = smoke ? 100.0 : 150.0;
-  opt.base.traffic.interval_min = 10.0;
-  opt.base.traffic.interval_max = 20.0;
+  opt.threads = 1;  // per-core campaign throughput
   return opt;
 }
 
@@ -145,11 +141,14 @@ harness::SpecSweepOptions hub_campaign(bool smoke, int seeds, double duration_s)
   return opt;
 }
 
-bool identical_spec_aggregates(const std::vector<harness::SpecPointResult>& a,
-                               const std::vector<harness::SpecPointResult>& b) {
+bool identical_aggregates(const std::vector<harness::SpecPointResult>& a,
+                          const std::vector<harness::SpecPointResult>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].overrides != b[i].overrides) return false;
+    if (a[i].overrides != b[i].overrides ||
+        a[i].result.delivery_ratio.count() != b[i].result.delivery_ratio.count()) {
+      return false;
+    }
     for (const auto metric :
          {harness::Metric::kDeliveryRatio, harness::Metric::kLatency,
           harness::Metric::kGoodput, harness::Metric::kControlMb,
@@ -164,33 +163,13 @@ bool identical_spec_aggregates(const std::vector<harness::SpecPointResult>& a,
   return true;
 }
 
-double run_campaign(const harness::SweepOptions& opt,
-                    std::vector<harness::PointResult>& results) {
+/// Runs the sweep once; returns wall seconds.
+double run_campaign(const harness::SpecSweepOptions& opt,
+                    std::vector<harness::SpecPointResult>& results) {
   const auto t0 = std::chrono::steady_clock::now();
-  results = harness::run_sweep(opt);
+  results = harness::run_spec_sweep(opt);
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count();
-}
-
-bool identical_aggregates(const std::vector<harness::PointResult>& a,
-                          const std::vector<harness::PointResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].protocol != b[i].protocol || a[i].node_count != b[i].node_count ||
-        a[i].delivery_ratio.count() != b[i].delivery_ratio.count()) {
-      return false;
-    }
-    for (const auto metric :
-         {harness::Metric::kDeliveryRatio, harness::Metric::kLatency,
-          harness::Metric::kGoodput, harness::Metric::kControlMb,
-          harness::Metric::kRelayed}) {
-      if (harness::metric_value(a[i], metric) != harness::metric_value(b[i], metric)) {
-        return false;
-      }
-    }
-    if (a[i].contacts.mean() != b[i].contacts.mean()) return false;
-  }
-  return true;
 }
 
 /// Allocation cost of one additional seed, reused world vs fresh world.
@@ -268,49 +247,34 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  harness::SweepOptions reused_opt = bench::campaign(smoke, seeds, duration);
-  harness::SweepOptions legacy_opt = reused_opt;
-  // The full pre-PR3 stack: old execution engine + per-object virtual
-  // movement + full-storage pair sweep (each flag keeps the predecessor
-  // implementation alive in this binary; observable behavior is identical
-  // on every axis, enforced by the aggregate cross-check below).
-  legacy_opt.exec = harness::SweepOptions::Exec::kLegacy;
-  legacy_opt.base.world.legacy_movement_path = true;
-  legacy_opt.base.world.legacy_pair_sweep = true;
-
-  const std::size_t runs = reused_opt.protocols.size() *
-                           reused_opt.node_counts.size() *
-                           static_cast<std::size_t>(reused_opt.seeds);
-  const std::size_t points =
-      reused_opt.protocols.size() * reused_opt.node_counts.size();
+  harness::SpecSweepOptions opt = bench::campaign(smoke, seeds, duration);
+  const std::size_t protocols = opt.axes[0].values.size();
+  const std::size_t node_counts = opt.axes[1].values.size();
+  const std::size_t points = protocols * node_counts;
+  const std::size_t runs = points * static_cast<std::size_t>(opt.seeds);
   std::printf("campaign: %zu points x %d seeds = %zu runs, %.0f s sim each\n",
-              points, reused_opt.seeds, runs, reused_opt.base.duration_s);
+              points, opt.seeds, runs, opt.base.duration_s);
   std::fflush(stdout);
 
-  // Interleaved A/B trials (shared-vCPU hosts drift over minutes); the
-  // best segment of each side wins.
-  double legacy_best = 1e300;
-  double reused_best = 1e300;
-  std::vector<harness::PointResult> legacy_results;
-  std::vector<harness::PointResult> reused_results;
-  for (int t = 0; t < trials; ++t) {
-    legacy_best = std::min(legacy_best, bench::run_campaign(legacy_opt, legacy_results));
-    reused_best = std::min(reused_best, bench::run_campaign(reused_opt, reused_results));
-  }
-  if (!bench::identical_aggregates(legacy_results, reused_results)) {
+  // Best of `trials` single-thread executions (filters scheduler noise).
+  double best = 1e300;
+  std::vector<harness::SpecPointResult> results;
+  for (int t = 0; t < trials; ++t) best = std::min(best, bench::run_campaign(opt, results));
+  // The thread count must not change a result bit.
+  std::vector<harness::SpecPointResult> threaded;
+  opt.threads = 3;
+  bench::run_campaign(opt, threaded);
+  if (!bench::identical_aggregates(results, threaded)) {
     std::fprintf(stderr,
-                 "FATAL: legacy and reused sweep aggregates diverged — the "
-                 "execution engines are not observably equivalent\n");
+                 "FATAL: 1- and 3-thread sweep aggregates diverged — the "
+                 "campaign result depends on the thread count\n");
     return 1;
   }
-  const double legacy_rps = static_cast<double>(runs) / legacy_best;
-  const double reused_rps = static_cast<double>(runs) / reused_best;
-  const double speedup = reused_rps / legacy_rps;
-  std::printf(
-      "legacy  %7.2f runs/s (%6.2f points/s)\nreused  %7.2f runs/s "
-      "(%6.2f points/s)\nspeedup %.2fx | aggregates bit-identical\n",
-      legacy_rps, static_cast<double>(points) / legacy_best, reused_rps,
-      static_cast<double>(points) / reused_best, speedup);
+  const double rps = static_cast<double>(runs) / best;
+  const double pps = static_cast<double>(points) / best;
+  std::printf("%7.2f runs/s (%6.2f points/s) at 1 thread | 3-thread aggregates "
+              "bit-identical\n",
+              rps, pps);
   std::fflush(stdout);
 
   // Cross-seed allocation contract.
@@ -346,7 +310,7 @@ int main(int argc, char** argv) {
       hub_again = std::move(results);
     }
   }
-  if (!bench::identical_spec_aggregates(hub_first, hub_again)) {
+  if (!bench::identical_aggregates(hub_first, hub_again)) {
     std::fprintf(stderr,
                  "FATAL: hub-load campaign aggregates diverged between "
                  "executions — the matrix workload is not deterministic\n");
@@ -366,11 +330,8 @@ int main(int argc, char** argv) {
       "  \"campaign\": \"bus-map screening sweep: %zu protocols x %zu node "
       "counts x %d seeds, %.0f s sim/run, threads=1\",\n"
       "  \"runs\": %zu, \"trials\": %d,\n"
-      "  \"legacy_runs_per_sec\": %.3f,\n"
-      "  \"reused_runs_per_sec\": %.3f,\n"
-      "  \"legacy_points_per_sec\": %.3f,\n"
-      "  \"reused_points_per_sec\": %.3f,\n"
-      "  \"speedup\": %.2f,\n"
+      "  \"runs_per_sec\": %.3f,\n"
+      "  \"points_per_sec\": %.3f,\n"
       "  \"aggregates_identical\": true,\n"
       "  \"allocs_per_reused_seed\": {\"nodes\": %d, \"steps\": %d, "
       "\"reused\": %.1f, \"reused_per_step\": %.4f, \"fresh\": %.0f},\n"
@@ -379,10 +340,8 @@ int main(int argc, char** argv) {
       "    \"hub_runs_per_sec\": %.3f, \"hub_points_per_sec\": %.3f, "
       "\"replay_identical\": true}\n"
       "}\n",
-      reused_opt.protocols.size(), reused_opt.node_counts.size(),
-      reused_opt.seeds, reused_opt.base.duration_s, runs, trials, legacy_rps,
-      reused_rps, static_cast<double>(points) / legacy_best,
-      static_cast<double>(points) / reused_best, speedup, alloc_nodes, alloc_steps,
+      protocols, node_counts, opt.seeds, opt.base.duration_s, runs, trials, rps,
+      pps, alloc_nodes, alloc_steps,
       alloc.reused_allocs_per_seed, reused_allocs_per_step,
       alloc.fresh_allocs_per_seed, hub_runs, hub_rps, hub_pps);
 

@@ -1,33 +1,30 @@
 // World-step throughput benchmark: the perf trajectory for the simulation
-// kernel. Runs the same random-waypoint + epidemic workload through the
-// current engine and through the seed's algorithms — full-rescan contact
-// detection (WorldConfig::legacy_contact_path) and the list+map message
-// store (WorldConfig::legacy_buffer_path) — in one binary, and reports
-// steps/sec and contact-events/sec at n in {100, 500, 2000} plus their
-// speedup. Results land in BENCH_world_step.json (committed at the repo
-// root) so successive PRs have a comparable perf history.
+// kernel. Times the engine's fixed-dt step() on a random-waypoint +
+// epidemic workload and reports steps/sec and contact-events/sec at n in
+// {100, 500, 2000}. Results land in BENCH_world_step.json (committed at
+// the repo root), so a change is judged against the committed history
+// rather than against an older engine kept in the binary; whether it is
+// bit-neutral is the metrics golden's job (harness_metrics_golden_test).
 //
-// A second, buffer-pressure workload isolates the message store: small
-// buffers (a few packets) under dense traffic force constant insert /
-// evict / scan churn, both worlds use the incremental contact engine, and
-// only the store implementation differs (slab vs seed list+map). The two
-// runs must produce identical metrics — the store swap is observably
-// inert (also enforced by sim_buffer_equivalence_test).
+// A second, buffer-pressure workload loads the message store: small
+// packets under dense traffic keep every buffer full, forcing constant
+// insert / evict / scan churn.
 //
 // The binary also verifies the allocation contract: a global operator new
 // counter measures heap allocations per step after warm-up, (a) on a
 // traffic-free run where step() == move + detect_contacts, and (b) on the
-// buffer-pressure workload where the store churns every step. The current
-// engine must report ~0 for both (residuals: rare spatial-grid cell
-// discovery and per-first-delivery metrics bookkeeping).
+// buffer-pressure workload where the store churns every step. Both must
+// stay ~0 (residuals: rare spatial-grid cell discovery and
+// per-first-delivery metrics bookkeeping).
 //
-// A third, sparse-field workload times the kinetic event kernel
-// (WorldConfig::event_kernel) against the fixed-dt loop it replaces: a
-// large open field (50 000 m^2/node, 10 m range) where contacts are rare
-// events and almost every fixed step is dead time. Both sides execute
-// run() end to end from the same seed and must produce bit-identical
-// metrics — the kernel's contract (also enforced by sim_event_kernel_test)
-// — cross-checked FATALly before any number is reported.
+// A third, sparse-field workload A/Bs the two time engines a user picks
+// between: the kinetic event kernel (WorldConfig::event_kernel) against
+// the fixed-dt loop, on a large open field (50 000 m^2/node, 10 m range)
+// where contacts are rare events and almost every fixed step is dead
+// time. Both sides execute run() end to end from the same seed and must
+// produce bit-identical metrics — the kernel's contract (also enforced by
+// sim_event_kernel_test) — cross-checked FATALly before any number is
+// reported.
 //
 // Flags: --steps N (timed steps, default 1500), --warmup N (default 300),
 //        --out PATH (default BENCH_world_step.json), --smoke (tiny sizes
@@ -74,115 +71,29 @@ namespace dtn::bench {
 struct RunResult {
   double steps_per_sec = 0.0;
   double contact_events_per_sec = 0.0;
-  std::int64_t contact_events = 0;
 };
 
-/// Extra knobs for the buffer-pressure workload; defaults reproduce the
-/// original contact-layer workload (paper traffic, 1 MB buffers).
+/// Workload knobs; the defaults are the paper's traffic and 1 MB buffers
+/// on the fixed-dt engine.
 struct WorkloadTuning {
   std::int64_t buffer_bytes = 1 << 20;
   double traffic_interval_min = 25.0;
   double traffic_interval_max = 35.0;
   std::int64_t traffic_size_bytes = 25 * 1024;
+  bool event_kernel = false;
 };
 
 /// Random-waypoint world at constant density (`area_per_node` m^2 per node,
-/// 10 m radio range: a DTN with steady link churn). `with_traffic` adds the
-/// paper's 25 KB message stream over epidemic routers so the contact layer
-/// is exercised by real neighbor queries and transfers. `legacy_contact`
-/// and `legacy_buffer` select the seed implementations independently so
-/// each subsystem can be A/B-timed in isolation or together.
-std::unique_ptr<sim::World> build_world(int nodes, bool legacy_contact,
-                                        bool legacy_buffer, bool with_traffic,
+/// 10 m radio range: a DTN with steady link churn). `with_traffic` adds a
+/// message stream over epidemic routers so the contact layer is exercised
+/// by real neighbor queries and transfers.
+std::unique_ptr<sim::World> build_world(int nodes, bool with_traffic,
                                         double area_per_node,
                                         const WorkloadTuning& tuning = {}) {
   sim::WorldConfig config;
   config.seed = 42;
-  config.legacy_contact_path = legacy_contact;
-  config.legacy_buffer_path = legacy_buffer;
   config.buffer_bytes = tuning.buffer_bytes;
-  auto world = std::make_unique<sim::World>(config);
-  const double side = std::sqrt(area_per_node * nodes);
-  mobility::RandomWaypointParams move;
-  move.world_min = {0.0, 0.0};
-  move.world_max = {side, side};
-  move.speed_min = 2.0;
-  move.speed_max = 14.0;
-  for (int i = 0; i < nodes; ++i) {
-    world->add_node(std::make_unique<mobility::RandomWaypoint>(move),
-                    std::make_unique<routing::EpidemicRouter>());
-  }
-  if (with_traffic) {
-    sim::TrafficParams traffic;  // paper defaults: 25 KB, TTL 1200 s
-    traffic.interval_min = tuning.traffic_interval_min;
-    traffic.interval_max = tuning.traffic_interval_max;
-    traffic.size_bytes = tuning.traffic_size_bytes;
-    world->set_traffic(traffic);
-  }
-  return world;
-}
-
-/// One timed segment of `steps` steps; returns wall seconds.
-double time_segment(sim::World& world, int steps) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int i = 0; i < steps; ++i) world.step();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/// Benchmarks the legacy and incremental engines on identical worlds with
-/// INTERLEAVED trial segments — the host is a shared vCPU whose speed
-/// drifts over minutes, so back-to-back A/B segments see the same
-/// conditions and best-of-`trials` filters scheduler noise. Both worlds
-/// step the same schedule from the same seed, so their total contact-event
-/// counts must match exactly (cross-checked by the caller).
-std::pair<RunResult, RunResult> timed_ab_run(sim::World& legacy_world,
-                                             sim::World& incr_world, int warmup,
-                                             int steps, int trials) {
-  for (int i = 0; i < warmup; ++i) legacy_world.step();
-  for (int i = 0; i < warmup; ++i) incr_world.step();
-  const std::int64_t legacy_before = legacy_world.contact_events();
-  const std::int64_t incr_before = incr_world.contact_events();
-  double legacy_best = 1e300;
-  double incr_best = 1e300;
-  std::int64_t legacy_best_events = 0;
-  std::int64_t incr_best_events = 0;
-  for (int t = 0; t < trials; ++t) {
-    std::int64_t seg = legacy_world.contact_events();
-    double secs = time_segment(legacy_world, steps);
-    if (secs < legacy_best) {
-      legacy_best = secs;
-      legacy_best_events = legacy_world.contact_events() - seg;
-    }
-    seg = incr_world.contact_events();
-    secs = time_segment(incr_world, steps);
-    if (secs < incr_best) {
-      incr_best = secs;
-      incr_best_events = incr_world.contact_events() - seg;
-    }
-  }
-  // Rates come from the best segment alone (time AND events of that same
-  // segment) so steps_per_sec and contact_events_per_sec stay consistent.
-  RunResult legacy;
-  legacy.contact_events = legacy_world.contact_events() - legacy_before;
-  legacy.steps_per_sec = steps / legacy_best;
-  legacy.contact_events_per_sec = static_cast<double>(legacy_best_events) / legacy_best;
-  RunResult incr;
-  incr.contact_events = incr_world.contact_events() - incr_before;
-  incr.steps_per_sec = steps / incr_best;
-  incr.contact_events_per_sec = static_cast<double>(incr_best_events) / incr_best;
-  return {legacy, incr};
-}
-
-/// Sparse open-field world for the event-kernel A/B: random waypoint at
-/// `area_per_node` m^2/node (orders of magnitude sparser than the contact
-/// workload), paper traffic, epidemic routers. SoA registration keeps the
-/// lanes closed-form so the kernel can engage.
-std::unique_ptr<sim::World> build_sparse_world(int nodes, bool event_kernel,
-                                               double area_per_node) {
-  sim::WorldConfig config;
-  config.seed = 42;
-  config.event_kernel = event_kernel;
+  config.event_kernel = tuning.event_kernel;
   auto world = std::make_unique<sim::World>(config);
   const double side = std::sqrt(area_per_node * nodes);
   mobility::RandomWaypointParams move;
@@ -193,16 +104,47 @@ std::unique_ptr<sim::World> build_sparse_world(int nodes, bool event_kernel,
   for (int i = 0; i < nodes; ++i) {
     world->add_node(move, std::make_unique<routing::EpidemicRouter>());
   }
-  sim::TrafficParams traffic;  // paper defaults: 25 KB, TTL 1200 s
-  world->set_traffic(traffic);
+  if (with_traffic) {
+    sim::TrafficParams traffic;  // 25 KB, TTL 1200 s unless tuned
+    traffic.interval_min = tuning.traffic_interval_min;
+    traffic.interval_max = tuning.traffic_interval_max;
+    traffic.size_bytes = tuning.traffic_size_bytes;
+    world->set_traffic(traffic);
+  }
   return world;
+}
+
+/// Warms `world` up, then times `trials` segments of `steps` steps and
+/// keeps the best one (filters scheduler noise on a shared host). Rates
+/// come from that segment alone — its time AND its contact events — so
+/// steps_per_sec and contact_events_per_sec stay consistent.
+RunResult timed_run(sim::World& world, int warmup, int steps, int trials) {
+  for (int i = 0; i < warmup; ++i) world.step();
+  double best = 1e300;
+  std::int64_t best_events = 0;
+  for (int t = 0; t < trials; ++t) {
+    const std::int64_t before = world.contact_events();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < steps; ++i) world.step();
+    const auto t1 = std::chrono::steady_clock::now();
+    const double secs = std::chrono::duration<double>(t1 - t0).count();
+    if (secs < best) {
+      best = secs;
+      best_events = world.contact_events() - before;
+    }
+  }
+  RunResult result;
+  result.steps_per_sec = steps / best;
+  result.contact_events_per_sec = static_cast<double>(best_events) / best;
+  return result;
 }
 
 /// Times run(duration) end to end for both worlds (the kernel dispatches
 /// inside run(), so calendar construction is part of the measured cost).
-/// Trials are INTERLEAVED like timed_ab_run, with reseed(seed) restoring
-/// bit-identical state between trials; returns {fixed_best, event_best}
-/// wall seconds.
+/// Trials are INTERLEAVED — the host's speed drifts over minutes, so
+/// back-to-back A/B segments see the same conditions — with reseed(seed)
+/// restoring bit-identical state between trials; returns {fixed_best,
+/// event_best} wall seconds.
 std::pair<double, double> timed_kernel_ab(sim::World& fixed_world,
                                           sim::World& event_world,
                                           double duration, int trials) {
@@ -228,11 +170,9 @@ std::pair<double, double> timed_kernel_ab(sim::World& fixed_world,
 /// Heap allocations per step, after warm-up. Traffic-free isolates the
 /// contact layer (step() == move + detect_contacts); with traffic and
 /// pressure tuning it measures the full transfer + store churn path.
-double allocs_per_step(int nodes, bool legacy_contact, bool legacy_buffer,
-                       bool with_traffic, int warmup, int steps,
+double allocs_per_step(int nodes, bool with_traffic, int warmup, int steps,
                        double area_per_node, const WorkloadTuning& tuning = {}) {
-  auto world = build_world(nodes, legacy_contact, legacy_buffer, with_traffic,
-                           area_per_node, tuning);
+  auto world = build_world(nodes, with_traffic, area_per_node, tuning);
   for (int i = 0; i < warmup; ++i) world->step();
   g_allocs.store(0);
   g_count_allocs = true;
@@ -279,53 +219,26 @@ int main(int argc, char** argv) {
 
   for (std::size_t i = 0; i < node_counts.size(); ++i) {
     const int n = node_counts[i];
-    std::printf("n=%d ...\n", n);
+    auto world = bench::build_world(n, /*with_traffic=*/true, density);
+    const bench::RunResult run = bench::timed_run(*world, warmup, steps, trials);
+    std::printf("n=%-5d %9.1f steps/s | %.0f contact-events/s\n", n,
+                run.steps_per_sec, run.contact_events_per_sec);
     std::fflush(stdout);
-    // Legacy = the seed's cost profile end to end: full-rescan contact
-    // detection AND the list+map message store.
-    auto legacy_world = bench::build_world(n, /*legacy_contact=*/true,
-                                           /*legacy_buffer=*/true,
-                                           /*with_traffic=*/true, density);
-    auto incr_world = bench::build_world(n, /*legacy_contact=*/false,
-                                         /*legacy_buffer=*/false,
-                                         /*with_traffic=*/true, density);
-    const auto [legacy, incr] =
-        bench::timed_ab_run(*legacy_world, *incr_world, warmup, steps, trials);
-    if (incr.contact_events != legacy.contact_events) {
-      std::fprintf(stderr,
-                   "FATAL: contact-event mismatch at n=%d (legacy %lld, "
-                   "incremental %lld) — the two paths diverged\n",
-                   n, static_cast<long long>(legacy.contact_events),
-                   static_cast<long long>(incr.contact_events));
-      return 1;
-    }
-    const double speedup = incr.steps_per_sec / legacy.steps_per_sec;
-    std::printf(
-        "n=%-5d legacy %9.1f steps/s | incremental %9.1f steps/s | "
-        "%.2fx | %.0f contact-events/s\n",
-        n, legacy.steps_per_sec, incr.steps_per_sec, speedup,
-        incr.contact_events_per_sec);
-    std::fflush(stdout);
-    char buf[512];
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "    {\"nodes\": %d, \"legacy_steps_per_sec\": %.1f, "
-                  "\"incremental_steps_per_sec\": %.1f, \"speedup\": %.2f, "
+                  "    {\"nodes\": %d, \"steps_per_sec\": %.1f, "
                   "\"contact_events_per_sec\": %.1f}%s\n",
-                  n, legacy.steps_per_sec, incr.steps_per_sec, speedup,
-                  incr.contact_events_per_sec,
+                  n, run.steps_per_sec, run.contact_events_per_sec,
                   i + 1 < node_counts.size() ? "," : "");
     json += buf;
   }
   json += "  ],\n";
 
-  // ---- buffer-pressure workload: isolate the message store ----
+  // ---- buffer-pressure workload: load the message store ----
   // Small packets (2 KB, telemetry-style) under dense traffic saturate
   // every node's 1 MB buffer at ~512 stored copies, so each contact-up
   // walks a big store (the epidemic-family hot loop) and every admitted
-  // copy evicts another (forced drops). Both worlds run the incremental
-  // contact engine; only the store differs (slab vs seed list+map), so
-  // the speedup is attributable to the Buffer rework alone. Both must
-  // produce identical simulations — cross-checked below.
+  // copy evicts another (forced drops).
   bench::WorkloadTuning pressure;
   pressure.buffer_bytes = 1 << 20;  // 512 x 2 KB
   pressure.traffic_interval_min = 0.5;
@@ -336,64 +249,38 @@ int main(int argc, char** argv) {
                                                 : std::vector<int>{100, 500};
   json += "  \"buffer_pressure\": {\n"
           "    \"workload\": \"1 MB buffers saturated at ~512 x 2 KB packets "
-          "(message every 0.5-1 s), forced drops; incremental contact engine "
-          "on both sides\",\n    \"points\": [\n";
+          "(message every 0.5-1 s), forced drops\",\n    \"points\": [\n";
   for (std::size_t i = 0; i < pressure_nodes.size(); ++i) {
     const int n = pressure_nodes[i];
-    std::printf("buffer pressure n=%d ...\n", n);
+    auto world = bench::build_world(n, /*with_traffic=*/true, density, pressure);
+    const bench::RunResult run =
+        bench::timed_run(*world, pressure_warmup, steps, trials);
+    const long long dropped = static_cast<long long>(world->metrics().dropped());
+    std::printf("buffer pressure n=%-5d %9.1f steps/s | %lld drops\n", n,
+                run.steps_per_sec, dropped);
     std::fflush(stdout);
-    auto list_world = bench::build_world(n, /*legacy_contact=*/false,
-                                         /*legacy_buffer=*/true,
-                                         /*with_traffic=*/true, density, pressure);
-    auto slab_world = bench::build_world(n, /*legacy_contact=*/false,
-                                         /*legacy_buffer=*/false,
-                                         /*with_traffic=*/true, density, pressure);
-    const auto [list_run, slab_run] = bench::timed_ab_run(
-        *list_world, *slab_world, pressure_warmup, steps, trials);
-    const bool same_sim =
-        list_run.contact_events == slab_run.contact_events &&
-        list_world->metrics().created() == slab_world->metrics().created() &&
-        list_world->metrics().delivered() == slab_world->metrics().delivered() &&
-        list_world->metrics().relayed() == slab_world->metrics().relayed() &&
-        list_world->metrics().dropped() == slab_world->metrics().dropped();
-    if (!same_sim) {
-      std::fprintf(stderr,
-                   "FATAL: buffer-pressure mismatch at n=%d — the slab and "
-                   "list stores diverged\n", n);
-      return 1;
-    }
-    const double speedup = slab_run.steps_per_sec / list_run.steps_per_sec;
-    std::printf("n=%-5d list %9.1f steps/s | slab %9.1f steps/s | %.2fx | "
-                "%lld drops\n",
-                n, list_run.steps_per_sec, slab_run.steps_per_sec, speedup,
-                static_cast<long long>(slab_world->metrics().dropped()));
-    std::fflush(stdout);
-    char buf[384];
+    char buf[256];
     std::snprintf(buf, sizeof(buf),
-                  "      {\"nodes\": %d, \"list_steps_per_sec\": %.1f, "
-                  "\"slab_steps_per_sec\": %.1f, \"speedup\": %.2f}%s\n",
-                  n, list_run.steps_per_sec, slab_run.steps_per_sec, speedup,
+                  "      {\"nodes\": %d, \"steps_per_sec\": %.1f, "
+                  "\"dropped\": %lld}%s\n",
+                  n, run.steps_per_sec, dropped,
                   i + 1 < pressure_nodes.size() ? "," : "");
     json += buf;
   }
 
-  // Store churn allocation contract under pressure: the slab must stay
-  // ~0 allocs/step while the seed store pays per insert and per transfer.
+  // Store churn allocation contract under pressure: ~0 allocs/step.
   const int pressure_alloc_nodes = smoke ? 60 : 100;
-  const double slab_pressure_allocs = bench::allocs_per_step(
-      pressure_alloc_nodes, /*legacy_contact=*/false, /*legacy_buffer=*/false,
-      /*with_traffic=*/true, pressure_warmup, steps, density, pressure);
-  const double list_pressure_allocs = bench::allocs_per_step(
-      pressure_alloc_nodes, /*legacy_contact=*/false, /*legacy_buffer=*/true,
-      /*with_traffic=*/true, pressure_warmup, steps, density, pressure);
-  std::printf("buffer-pressure allocs/step (n=%d): slab %.4f, list %.2f\n",
-              pressure_alloc_nodes, slab_pressure_allocs, list_pressure_allocs);
+  const double pressure_allocs =
+      bench::allocs_per_step(pressure_alloc_nodes, /*with_traffic=*/true,
+                             pressure_warmup, steps, density, pressure);
+  std::printf("buffer-pressure allocs/step (n=%d): %.4f\n", pressure_alloc_nodes,
+              pressure_allocs);
   {
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "    ],\n    \"allocs_per_step\": {\"nodes\": %d, "
-                  "\"slab\": %.4f, \"list\": %.2f}\n  },\n",
-                  pressure_alloc_nodes, slab_pressure_allocs, list_pressure_allocs);
+                  "\"engine\": %.4f}\n  },\n",
+                  pressure_alloc_nodes, pressure_allocs);
     json += buf;
   }
 
@@ -404,6 +291,8 @@ int main(int argc, char** argv) {
   // to calendar-entry. Same seed, same grid semantics: the metric bits
   // must be IDENTICAL before the timing means anything.
   const double sparse_density = flags.get_double("sparse-density", 50000.0);
+  bench::WorkloadTuning kinetic;
+  kinetic.event_kernel = true;
   const std::vector<int> kernel_nodes = smoke ? std::vector<int>{300}
                                               : std::vector<int>{2000, 4000};
   const double kernel_duration = smoke ? 60.0 : 600.0;
@@ -416,10 +305,9 @@ int main(int argc, char** argv) {
     const int n = kernel_nodes[i];
     std::printf("event kernel n=%d ...\n", n);
     std::fflush(stdout);
-    auto fixed_world = bench::build_sparse_world(n, /*event_kernel=*/false,
-                                                 sparse_density);
-    auto event_world = bench::build_sparse_world(n, /*event_kernel=*/true,
-                                                 sparse_density);
+    auto fixed_world = bench::build_world(n, /*with_traffic=*/true, sparse_density);
+    auto event_world =
+        bench::build_world(n, /*with_traffic=*/true, sparse_density, kinetic);
     const auto [fixed_secs, event_secs] =
         bench::timed_kernel_ab(*fixed_world, *event_world, kernel_duration, trials);
     if (!event_world->event_kernel_used()) {
@@ -468,20 +356,14 @@ int main(int argc, char** argv) {
   // grid cell of the bounded arena, or first-visit cell creation shows up.
   const int alloc_nodes = smoke ? 200 : 1000;
   const int alloc_warmup = std::max(warmup, smoke ? 500 : 4000);
-  const double incr_allocs = bench::allocs_per_step(
-      alloc_nodes, /*legacy_contact=*/false, /*legacy_buffer=*/false,
-      /*with_traffic=*/false, alloc_warmup, steps, density);
-  const double legacy_allocs = bench::allocs_per_step(
-      alloc_nodes, /*legacy_contact=*/true, /*legacy_buffer=*/true,
-      /*with_traffic=*/false, alloc_warmup, steps, density);
-  std::printf("allocs/step after warm-up (n=%d, no traffic): incremental %.4f, "
-              "legacy %.1f\n",
-              alloc_nodes, incr_allocs, legacy_allocs);
+  const double allocs = bench::allocs_per_step(alloc_nodes, /*with_traffic=*/false,
+                                               alloc_warmup, steps, density);
+  std::printf("allocs/step after warm-up (n=%d, no traffic): %.4f\n", alloc_nodes,
+              allocs);
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "  \"allocs_per_step\": {\"nodes\": %d, \"incremental\": %.4f, "
-                "\"legacy\": %.1f}\n}\n",
-                alloc_nodes, incr_allocs, legacy_allocs);
+                "  \"allocs_per_step\": {\"nodes\": %d, \"engine\": %.4f}\n}\n",
+                alloc_nodes, allocs);
   json += buf;
 
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {

@@ -1,7 +1,8 @@
 # bench_smoke driver (ctest target `bench_smoke`, label `slow`).
 #
 # 1. Smoke-runs every tracked bench binary at tiny sizes into WORK_DIR so
-#    the benches cannot bit-rot (their A/B equivalence cross-checks run).
+#    the benches cannot bit-rot (their FATAL cross-checks run: fixed-dt vs
+#    event-kernel metrics, 1- vs 3-thread sweep aggregates, hub replay).
 # 2. Validates the COMMITTED perf history at the repo root: each
 #    BENCH_*.json must exist and carry its required fields, so a bench
 #    refactor cannot silently stop emitting a tracked number.
@@ -38,12 +39,11 @@ run_bench(bench_sweep ${BENCH_SWEEP} --smoke
           --out ${WORK_DIR}/BENCH_sweep.smoke.json)
 
 require_fields(BENCH_world_step.json
-               bench workload steps points legacy_steps_per_sec
-               incremental_steps_per_sec speedup buffer_pressure
-               event_kernel fixed_steps_per_sec event_steps_per_sec
-               allocs_per_step)
+               bench workload steps points steps_per_sec
+               contact_events_per_sec buffer_pressure dropped
+               event_kernel fixed_steps_per_sec event_steps_per_sec speedup
+               allocs_per_step engine)
 require_fields(BENCH_sweep.json
-               bench campaign runs legacy_runs_per_sec reused_runs_per_sec
-               legacy_points_per_sec reused_points_per_sec
-               speedup aggregates_identical allocs_per_reused_seed
+               bench campaign runs runs_per_sec points_per_sec
+               aggregates_identical allocs_per_reused_seed
                hub_load hub_runs_per_sec hub_points_per_sec)

@@ -1,7 +1,7 @@
 // Uniform hash grid for O(1) neighbor queries, with two maintenance modes:
 //
-//  - Rebuild mode (seed behavior): clear() + insert() every pass. Kept for
-//    small clouds, tests, and as the benchmark baseline.
+//  - Rebuild mode: clear() + insert() every pass. Kept for small clouds and
+//    as the reference the tests compare the incremental mode against.
 //  - Incremental mode: update(id, pos) moves a point between cells only
 //    when it actually crosses a cell boundary (a ~10 m cell at vehicular
 //    speeds and 0.1 s steps means ~90% of updates touch nothing but the
@@ -23,8 +23,8 @@
 // everywhere any node has recently been — easily 10-30x the cells occupied
 // at one instant (and periodic route revisits keep them from pruning), so
 // the sweep was dominated by streaming empty cells at campaign-sized node
-// counts. `walk_all_cells` restores the PR2-era full-storage sweep as an
-// in-binary benchmark baseline (identical pair sets, seed cost profile).
+// counts. When most tracked cells ARE occupied, the sweep walks the storage
+// sequentially instead; it picks the cheaper order from what it observes.
 #pragma once
 
 #include <cstdint>
@@ -38,9 +38,7 @@ namespace dtn::geo {
 
 class SpatialGrid {
  public:
-  /// `walk_all_cells` selects the pre-occupied-index pair sweep (bench
-  /// baseline only; pair sets are identical either way).
-  explicit SpatialGrid(double cell_size, bool walk_all_cells = false);
+  explicit SpatialGrid(double cell_size);
 
   /// Removes every point (cell structure and capacities are retained).
   void clear();
@@ -74,9 +72,9 @@ class SpatialGrid {
                   std::int32_t exclude_id = -1) const;
 
   /// All unordered pairs (a < b) within `radius` of each other, via hash
-  /// lookups per neighbor cell and a freshly allocated result (the seed
-  /// algorithm — kept as the benchmark baseline; all_pairs_into is the
-  /// fast path). Precondition: radius <= cell_size() (the detector
+  /// lookups per neighbor cell and a freshly allocated result (the simple
+  /// reference the tests check all_pairs_into against; all_pairs_into is
+  /// the fast path). Precondition: radius <= cell_size() (the detector
   /// constructs the grid with cell == radio range, so this always holds).
   [[nodiscard]] std::vector<std::pair<std::int32_t, std::int32_t>> all_pairs(
       double radius) const;
@@ -152,7 +150,6 @@ class SpatialGrid {
 
   double cell_;
   double inv_cell_;  // multiply instead of divide in the per-point hot path
-  bool walk_all_cells_ = false;  // bench baseline: sweep the whole storage
   std::size_t count_ = 0;
   std::uint64_t epoch_ = 0;
   std::size_t created_since_compact_ = 0;

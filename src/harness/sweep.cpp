@@ -7,7 +7,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -304,52 +303,6 @@ std::function<bool(std::size_t)> shard_filter(const SpecSweepOptions& options) {
   const std::size_t index = options.shard_index;
   const std::size_t count = options.shard_count;
   return [index, count](std::size_t point) { return point % count == index; };
-}
-
-// ---- legacy engine ----------------------------------------------------------
-
-struct LegacyTask {
-  std::size_t point;
-  std::string protocol;
-  int nodes;
-  std::uint64_t seed;
-};
-
-BusScenarioParams legacy_task_params(const SweepOptions& options, const LegacyTask& task) {
-  BusScenarioParams params = options.base;
-  params.protocol.name = task.protocol;
-  params.node_count = task.nodes;
-  params.seed = task.seed;
-  return params;
-}
-
-std::string legacy_task_label(const LegacyTask& task) {
-  return task.protocol + "/n=" + std::to_string(task.nodes) +
-         "/seed=" + std::to_string(task.seed);
-}
-
-/// The pre-PR3 engine, kept verbatim as the bench_sweep baseline: a
-/// throwaway pool per call, one heap task + future per run, a fresh World
-/// per run, and a single merge mutex that also serializes the progress
-/// callback (the contention bug fixed in the reused engine).
-void run_sweep_legacy(const SweepOptions& options, const std::vector<LegacyTask>& tasks,
-                      std::vector<PointResult>& results) {
-  std::mutex merge_mutex;
-  util::ThreadPool pool(options.threads);
-  std::vector<std::future<void>> futures;
-  futures.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    futures.push_back(pool.submit([&options, &tasks, &results, &merge_mutex, i] {
-      const LegacyTask& task = tasks[i];
-      const ScenarioResult run = run_bus_scenario(legacy_task_params(options, task));
-
-      const std::lock_guard<std::mutex> lock(merge_mutex);
-      PointResult& point = results[task.point];
-      fold_sample(point, sample_of(run));
-      if (options.progress) options.progress(legacy_task_label(task));
-    }));
-  }
-  for (auto& f : futures) f.get();
 }
 
 }  // namespace
@@ -882,53 +835,6 @@ JournalInspection inspect_sweep_journal(const std::string& path) {
     out.shard_residue = min_idx % modulus;
   }
   return out;
-}
-
-std::vector<PointResult> run_sweep(const SweepOptions& options) {
-  if (options.exec == SweepOptions::Exec::kLegacy) {
-    std::vector<PointResult> results;
-    std::vector<LegacyTask> tasks;
-    for (const auto& protocol : options.protocols) {
-      for (const int nodes : options.node_counts) {
-        PointResult point;
-        point.protocol = protocol;
-        point.node_count = nodes;
-        point.copies = options.base.protocol.copies;
-        point.alpha = options.base.protocol.alpha;
-        const std::size_t idx = results.size();
-        results.push_back(std::move(point));
-        for (int s = 0; s < options.seeds; ++s) {
-          tasks.push_back(LegacyTask{idx, protocol, nodes,
-                                     options.seed_base + static_cast<std::uint64_t>(s)});
-        }
-      }
-    }
-    run_sweep_legacy(options, tasks, results);
-    return results;
-  }
-
-  // The protocol × node-count grid is just two declarative axes over the
-  // bus spec; task order (point-major, seeds inner) matches the legacy
-  // enumeration, so aggregates stay bit-identical.
-  SpecSweepOptions spec_options;
-  spec_options.base = to_spec(options.base);
-  SweepAxis protocol_axis{"protocol.name", options.protocols};
-  SweepAxis node_axis{"scenario.nodes", {}};
-  node_axis.values.reserve(options.node_counts.size());
-  for (const int n : options.node_counts) {
-    node_axis.values.push_back(util::format_value(n));
-  }
-  spec_options.axes = {std::move(protocol_axis), std::move(node_axis)};
-  spec_options.seeds = options.seeds;
-  spec_options.seed_base = options.seed_base;
-  spec_options.threads = options.threads;
-  spec_options.progress = options.progress;
-
-  std::vector<SpecPointResult> spec_results = run_spec_sweep(spec_options);
-  std::vector<PointResult> results;
-  results.reserve(spec_results.size());
-  for (auto& r : spec_results) results.push_back(std::move(r.result));
-  return results;
 }
 
 std::string metric_name(Metric metric) {

@@ -1,14 +1,12 @@
 // Sweep runner: executes a grid of scenarios and aggregates per-point
 // means across seeds.
 //
-// Since the ScenarioSpec redesign the grid is DECLARATIVE: a sweep is a
-// base ScenarioSpec plus axes of `key = value` overrides (SweepAxis), so
-// ANY spec parameter — protocol, node count, buffer size, TTL, mobility
-// speeds, map shape — can be swept or ablated through the same engine
-// (run_spec_sweep). The original protocol × node-count SweepOptions
-// survives as a thin adapter that expands into the axes
-// {protocol.name, scenario.nodes} (bit-identical aggregates, enforced by
-// integration_sweep_test).
+// The grid is DECLARATIVE: a sweep is a base ScenarioSpec plus axes of
+// `key = value` overrides (SweepAxis), so ANY spec parameter — protocol,
+// node count, buffer size, TTL, mobility speeds, map shape — can be swept
+// or ablated through the one engine, run_spec_sweep. The paper's protocol
+// × node-count grid is the axes {protocol.name, scenario.nodes} over
+// to_spec(BusScenarioParams).
 //
 // Execution engine (PR 3): runs fan out over the persistent shared thread
 // pool with chunked dispatch — no per-run task/future allocations — and
@@ -18,10 +16,7 @@
 // serially in task order after the loop, so sweep aggregates are
 // BIT-IDENTICAL for any thread count, any scheduling, and fresh- vs
 // reused-world execution. The progress callback fires outside any merge
-// path, serialized only against itself. SweepOptions::exec = kLegacy keeps
-// the pre-PR3 engine (throwaway pool, one heap task + future per run,
-// fresh World per run, mutex-serialized merge + progress) in the same
-// binary as the bench baseline.
+// path, serialized only against itself.
 // Multi-process fabric (PR 8): shard_index/shard_count restrict one
 // engine invocation to a deterministic slice of the point cross-product
 // (point index modulo shard_count), each shard journaling into its own
@@ -303,29 +298,6 @@ struct JournalInspection {
   }
 };
 JournalInspection inspect_sweep_journal(const std::string& path);
-
-struct SweepOptions {
-  std::vector<std::string> protocols;
-  std::vector<int> node_counts;
-  int seeds = 2;
-  std::uint64_t seed_base = 1000;
-  std::size_t threads = 0;  ///< 0 = hardware concurrency
-  /// kReused (default): the spec-sweep engine (persistent pool, chunked
-  /// dispatch, reusable per-worker Worlds, deterministic task-order fold).
-  /// kLegacy: the pre-PR3 execution path, kept for A/B benchmarking
-  /// (bench_sweep).
-  enum class Exec { kReused, kLegacy };
-  Exec exec = Exec::kReused;
-  /// Applied to every point before protocol/node count are overlaid.
-  BusScenarioParams base;
-  /// Optional progress callback (point label) invoked as runs finish.
-  std::function<void(const std::string&)> progress;
-};
-
-/// Adapter: expands into run_spec_sweep over axes
-/// {protocol.name = protocols, scenario.nodes = node_counts}. Results
-/// ordered by (protocol, node_count) as given.
-std::vector<PointResult> run_sweep(const SweepOptions& options);
 
 /// Renders one metric across the grid as a table: rows = node counts,
 /// columns = protocols. `metric` selects the accumulator.

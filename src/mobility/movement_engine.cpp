@@ -116,9 +116,6 @@ int MovementEngine::add(MovementModelPtr model) {
   if (const auto* bus = dynamic_cast<const BusMovement*>(model.get())) {
     return add_bus(bus->route(), bus->params());
   }
-  if (const auto* st = dynamic_cast<const StationaryNode*>(model.get())) {
-    return add_stationary(st->spec());
-  }
   if (const auto* pin = dynamic_cast<const Stationary*>(model.get())) {
     StationaryNodeSpec spec;
     spec.pos = pin->position();
@@ -231,8 +228,7 @@ void MovementEngine::init_node(int node, util::Pcg32 rng, double start_time) {
       init_bus(lane, node, start_time);
       break;
     case Kind::kStationary: {
-      // Same draw block as StationaryNode::init (legacy path): two
-      // uniforms (x, y) for per-seed placement, no draws for fixed.
+      // Two uniforms (x, y) for per-seed placement, no draws for fixed.
       const StationaryNodeSpec& sp = st_spec_[lane];
       if (sp.uniform) {
         double u[2];

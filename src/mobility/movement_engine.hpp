@@ -17,11 +17,11 @@
 // virtual step().
 //
 // Equivalence contract: for the three lane models the kernel performs the
-// exact arithmetic of the legacy classes (mobility/random_waypoint.cpp,
+// exact arithmetic of the heap model classes (mobility/random_waypoint.cpp,
 // community_movement.cpp, bus_movement.cpp) in the exact stream order, so
-// trajectories are bit-identical to the per-object path
-// (sim_movement_engine_test enforces this; WorldConfig::legacy_movement_path
-// keeps the per-object path alive in the same binary for A/B benchmarks).
+// trajectories are bit-identical to stepping those objects
+// (sim_movement_engine_test enforces this). The classes stay as the
+// reference model and as the public MovementModel form that add() unpacks.
 //
 // clear() drops all nodes but retains every lane's capacity, so a World
 // rebuilt across sweep seeds re-registers its nodes without allocating.
@@ -67,7 +67,7 @@ class MovementEngine {
   /// Fallback lane: keeps the model object, steps it virtually.
   int add_custom(MovementModelPtr model);
   /// Routes known model types (RandomWaypoint / CommunityMovement /
-  /// BusMovement / StationaryNode / Stationary) into their lanes,
+  /// BusMovement / Stationary) into their lanes,
   /// extracting their parameters and discarding the object; anything else
   /// goes to the custom lane.
   int add(MovementModelPtr model);

@@ -5,13 +5,13 @@
 // resolved per-node placement the engine executes. Stationary nodes cost
 // nothing in the movement step loop: the MovementEngine gives them a
 // dedicated lane that step_all() never visits (their position is written
-// once at init and on reseed).
+// once at init and on reseed). There is no heap MovementModel form; a node
+// pinned through the MovementModel API uses mobility::Stationary.
 #pragma once
 
 #include <string>
 
 #include "geo/vec2.hpp"
-#include "mobility/movement_model.hpp"
 
 namespace dtn::mobility {
 
@@ -39,34 +39,6 @@ struct StationaryNodeSpec {
   bool uniform = false;
   geo::Vec2 area_min{0.0, 0.0};
   geo::Vec2 area_max{0.0, 0.0};
-};
-
-/// Legacy-path model form (WorldConfig::legacy_movement_path A/B): same
-/// draw block as the engine's stationary lane — two uniforms (x, y) when
-/// placement is per-seed uniform, no draws otherwise — so trajectories are
-/// bit-identical between the lane and the per-object path.
-class StationaryNode final : public MovementModel {
- public:
-  explicit StationaryNode(const StationaryNodeSpec& spec) : spec_(spec), pos_(spec.pos) {}
-
-  void init(util::Pcg32 rng, double /*start_time*/) override {
-    if (spec_.uniform) {
-      const double x = rng.uniform(spec_.area_min.x, spec_.area_max.x);
-      const double y = rng.uniform(spec_.area_min.y, spec_.area_max.y);
-      pos_ = {x, y};
-    } else {
-      pos_ = spec_.pos;
-    }
-  }
-  void step(double /*now*/, double /*dt*/) override {}
-  [[nodiscard]] geo::Vec2 position() const override { return pos_; }
-
-  /// Placement block (MovementEngine extracts it into the stationary lane).
-  [[nodiscard]] const StationaryNodeSpec& spec() const noexcept { return spec_; }
-
- private:
-  StationaryNodeSpec spec_;
-  geo::Vec2 pos_;
 };
 
 }  // namespace dtn::mobility

@@ -2,16 +2,12 @@
 
 namespace dtn::sim {
 
-Buffer::Buffer(std::int64_t capacity_bytes, bool legacy_store)
-    : capacity_(capacity_bytes), legacy_(legacy_store) {}
+Buffer::Buffer(std::int64_t capacity_bytes) : capacity_(capacity_bytes) {}
 
-void Buffer::reset(std::int64_t capacity_bytes, bool legacy_store) {
+void Buffer::reset(std::int64_t capacity_bytes) {
   capacity_ = capacity_bytes;
   used_ = 0;
   count_ = 0;
-  legacy_ = legacy_store;
-  legacy_store_.clear();
-  legacy_index_.clear();
   // Thread every existing slot (live or vacant) onto the free list so the
   // slab is recycled rather than freed.
   head_ = tail_ = kNoHandle;
@@ -26,16 +22,9 @@ void Buffer::reset(std::int64_t capacity_bytes, bool legacy_store) {
   index_.clear();
 }
 
-bool Buffer::contains(MsgId id) const noexcept {
-  if (legacy_) return legacy_index_.count(id) > 0;
-  return index_find(id) != kNoHandle;
-}
+bool Buffer::contains(MsgId id) const noexcept { return index_find(id) != kNoHandle; }
 
 StoredMessage* Buffer::find(MsgId id) {
-  if (legacy_) {
-    const auto it = legacy_index_.find(id);
-    return it == legacy_index_.end() ? nullptr : &*it->second;
-  }
   const Handle h = index_find(id);
   return h == kNoHandle ? nullptr : &slots_[static_cast<std::size_t>(h)].sm;
 }
@@ -50,12 +39,6 @@ void Buffer::insert(StoredMessage sm) {
   assert(fits(sm.msg));
   used_ += sm.msg.size_bytes;
   ++count_;
-  if (legacy_) {
-    const MsgId id = sm.msg.id;
-    legacy_store_.push_back(std::move(sm));
-    legacy_index_.emplace(id, std::prev(legacy_store_.end()));
-    return;
-  }
   Handle h;
   if (free_head_ != kNoHandle) {
     h = free_head_;
@@ -78,15 +61,6 @@ void Buffer::insert(StoredMessage sm) {
 }
 
 bool Buffer::erase(MsgId id) {
-  if (legacy_) {
-    const auto it = legacy_index_.find(id);
-    if (it == legacy_index_.end()) return false;
-    used_ -= it->second->msg.size_bytes;
-    --count_;
-    legacy_store_.erase(it->second);
-    legacy_index_.erase(it);
-    return true;
-  }
   const Handle h = index_find(id);
   if (h == kNoHandle) return false;
   Slot& slot = slots_[static_cast<std::size_t>(h)];
@@ -111,39 +85,28 @@ bool Buffer::erase(MsgId id) {
 }
 
 MsgId Buffer::oldest() const noexcept {
-  if (legacy_) return legacy_store_.empty() ? kInvalidMsg : legacy_store_.front().msg.id;
   return head_ == kNoHandle ? kInvalidMsg
                             : slots_[static_cast<std::size_t>(head_)].sm.msg.id;
 }
 
 MsgId Buffer::newest() const noexcept {
-  if (legacy_) return legacy_store_.empty() ? kInvalidMsg : legacy_store_.back().msg.id;
   return tail_ == kNoHandle ? kInvalidMsg
                             : slots_[static_cast<std::size_t>(tail_)].sm.msg.id;
 }
 
-Buffer::Handle Buffer::handle_of(MsgId id) const noexcept {
-  assert(!legacy_ && "handles are slab-mode only");
-  return index_find(id);
-}
+Buffer::Handle Buffer::handle_of(MsgId id) const noexcept { return index_find(id); }
 
-Buffer::Handle Buffer::front_handle() const noexcept {
-  assert(!legacy_ && "handles are slab-mode only");
-  return head_;
-}
+Buffer::Handle Buffer::front_handle() const noexcept { return head_; }
 
 Buffer::Handle Buffer::next_handle(Handle h) const noexcept {
-  assert(!legacy_ && "handles are slab-mode only");
   return slots_[static_cast<std::size_t>(h)].next;
 }
 
 const StoredMessage& Buffer::get(Handle h) const noexcept {
-  assert(!legacy_ && "handles are slab-mode only");
   return slots_[static_cast<std::size_t>(h)].sm;
 }
 
 StoredMessage& Buffer::get(Handle h) noexcept {
-  assert(!legacy_ && "handles are slab-mode only");
   return slots_[static_cast<std::size_t>(h)].sm;
 }
 

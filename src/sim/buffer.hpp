@@ -23,18 +23,13 @@
 // protocols with custom policies (MaxProp) pick victims through the
 // Router::choose_drop_victim hook instead.
 //
-// `legacy_store` mode keeps the seed's std::list + std::unordered_map
-// implementation alive in the same binary (same observable behavior, seed
-// cost profile) so bench_world_step can A/B the slab against its
-// predecessor; tests assert both modes are bit-identical. The handle API
-// is slab-only; iteration, lookups, and mutation work in both modes.
+// sim_buffer_equivalence_test checks the slab against a plain reference
+// store over randomized operation sequences.
 #pragma once
 
 #include <cassert>
 #include <cstdint>
-#include <list>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/flat_id_table.hpp"
@@ -50,15 +45,15 @@ class Buffer {
   static constexpr Handle kNoHandle = -1;
   static constexpr MsgId kInvalidMsg = -1;
 
-  explicit Buffer(std::int64_t capacity_bytes, bool legacy_store = false);
+  explicit Buffer(std::int64_t capacity_bytes);
 
-  /// Empties the store and applies a (possibly new) capacity/mode, while
+  /// Empties the store and applies a (possibly new) capacity, while
   /// RETAINING the slab and index storage: every existing slot goes back on
   /// the free list, so a buffer reused across simulation runs re-reaches
   /// its high-water message count without a single heap allocation. All
   /// handles and iterators are invalidated. Observable behavior afterwards
   /// is identical to a freshly constructed Buffer.
-  void reset(std::int64_t capacity_bytes, bool legacy_store = false);
+  void reset(std::int64_t capacity_bytes);
 
   [[nodiscard]] std::int64_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::int64_t used() const noexcept { return used_; }
@@ -95,7 +90,7 @@ class Buffer {
   [[nodiscard]] MsgId oldest() const noexcept;
   [[nodiscard]] MsgId newest() const noexcept;
 
-  // ---- handle API (slab mode only) ----
+  // ---- handle API ----
   /// Handle of a stored copy; kNoHandle when absent.
   [[nodiscard]] Handle handle_of(MsgId id) const noexcept;
   /// Handle of the oldest copy; kNoHandle when empty.
@@ -109,8 +104,6 @@ class Buffer {
   template <bool Const>
   class BasicIterator {
     using BufPtr = std::conditional_t<Const, const Buffer*, Buffer*>;
-    using ListIter = std::conditional_t<Const, std::list<StoredMessage>::const_iterator,
-                                        std::list<StoredMessage>::iterator>;
 
    public:
     using value_type = StoredMessage;
@@ -122,17 +115,12 @@ class Buffer {
     BasicIterator() = default;
 
     reference operator*() const noexcept {
-      return h_ != kNoHandle ? buf_->slots_[static_cast<std::size_t>(h_)].sm
-                             : *list_it_;
+      return buf_->slots_[static_cast<std::size_t>(h_)].sm;
     }
     pointer operator->() const noexcept { return &**this; }
 
     BasicIterator& operator++() noexcept {
-      if (h_ != kNoHandle) {
-        h_ = buf_->slots_[static_cast<std::size_t>(h_)].next;
-      } else {
-        ++list_it_;
-      }
+      h_ = buf_->slots_[static_cast<std::size_t>(h_)].next;
       return *this;
     }
     BasicIterator operator++(int) noexcept {
@@ -142,40 +130,31 @@ class Buffer {
     }
 
     [[nodiscard]] bool operator==(const BasicIterator& o) const noexcept {
-      return h_ == o.h_ && list_it_ == o.list_it_;
+      return h_ == o.h_;
     }
     [[nodiscard]] bool operator!=(const BasicIterator& o) const noexcept {
       return !(*this == o);
     }
 
-    /// The slot handle this iterator is at (slab mode; kNoHandle in legacy
-    /// mode or at end()). Lets callers remember a position cheaply.
+    /// The slot handle this iterator is at (kNoHandle at end()). Lets
+    /// callers remember a position cheaply.
     [[nodiscard]] Handle handle() const noexcept { return h_; }
 
    private:
     friend class Buffer;
-    BasicIterator(BufPtr buf, Handle h, ListIter it) : buf_(buf), h_(h), list_it_(it) {}
+    BasicIterator(BufPtr buf, Handle h) : buf_(buf), h_(h) {}
 
     BufPtr buf_ = nullptr;
     Handle h_ = kNoHandle;
-    ListIter list_it_{};
   };
 
   using iterator = BasicIterator<false>;
   using const_iterator = BasicIterator<true>;
 
-  [[nodiscard]] iterator begin() noexcept {
-    return {this, legacy_ ? kNoHandle : head_, legacy_store_.begin()};
-  }
-  [[nodiscard]] iterator end() noexcept {
-    return {this, kNoHandle, legacy_store_.end()};
-  }
-  [[nodiscard]] const_iterator begin() const noexcept {
-    return {this, legacy_ ? kNoHandle : head_, legacy_store_.begin()};
-  }
-  [[nodiscard]] const_iterator end() const noexcept {
-    return {this, kNoHandle, legacy_store_.end()};
-  }
+  [[nodiscard]] iterator begin() noexcept { return {this, head_}; }
+  [[nodiscard]] iterator end() noexcept { return {this, kNoHandle}; }
+  [[nodiscard]] const_iterator begin() const noexcept { return {this, head_}; }
+  [[nodiscard]] const_iterator end() const noexcept { return {this, kNoHandle}; }
   [[nodiscard]] const_iterator cbegin() const noexcept { return begin(); }
   [[nodiscard]] const_iterator cend() const noexcept { return end(); }
 
@@ -187,7 +166,6 @@ class Buffer {
   // ---- introspection for tests / diagnostics ----
   /// Slab high-water mark: slots ever created (live + recyclable).
   [[nodiscard]] std::size_t slot_capacity() const noexcept { return slots_.size(); }
-  [[nodiscard]] bool legacy_store() const noexcept { return legacy_; }
 
  private:
   struct Slot {
@@ -205,17 +183,11 @@ class Buffer {
   std::int64_t used_ = 0;
   std::size_t count_ = 0;
 
-  // ---- slab storage (production path) ----
   std::vector<Slot> slots_;
   Handle head_ = kNoHandle;       ///< oldest (front of insertion order)
   Handle tail_ = kNoHandle;       ///< newest
   Handle free_head_ = kNoHandle;  ///< free-list of vacant slots
   FlatIdTable<Handle> index_;     ///< id -> slot
-
-  // ---- seed store (legacy_store mode: std::list + unordered_map) ----
-  bool legacy_ = false;
-  std::list<StoredMessage> legacy_store_;
-  std::unordered_map<MsgId, std::list<StoredMessage>::iterator> legacy_index_;
 };
 
 }  // namespace dtn::sim

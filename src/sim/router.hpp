@@ -90,9 +90,7 @@ class Router {
   /// Peers currently in contact with this node, ascending. Zero-copy view
   /// of the World's adjacency index; valid for the whole callback (contact
   /// churn only happens between router callbacks) and not invalidated by
-  /// send_copy() / peer_has(). With WorldConfig::legacy_contact_path (the
-  /// bench baseline) the view is a shared scratch that the next contacts()
-  /// call overwrites — do not nest calls in that mode.
+  /// send_copy() / peer_has().
   [[nodiscard]] const std::vector<NodeIdx>& contacts() const;
   /// Charges protocol control traffic (routing-table exchange) to metrics.
   void charge_control_bytes(std::int64_t bytes);

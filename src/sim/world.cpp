@@ -9,55 +9,34 @@
 
 namespace dtn::sim {
 
-World::World(WorldConfig config)
-    : config_(config), grid_(config.radio_range, config.legacy_pair_sweep) {}
+World::World(WorldConfig config) : config_(config), grid_(config.radio_range) {}
 
 World::~World() = default;
 
 NodeIdx World::add_node(mobility::MovementModelPtr movement,
                         std::unique_ptr<Router> router) {
-  const int engine_node = config_.legacy_movement_path
-                              ? engine_.add_custom(std::move(movement))
-                              : engine_.add(std::move(movement));
-  return add_node_common(engine_node, std::move(router));
+  return add_node_common(engine_.add(std::move(movement)), std::move(router));
 }
 
 NodeIdx World::add_node(const mobility::RandomWaypointParams& movement,
                         std::unique_ptr<Router> router) {
-  const int engine_node =
-      config_.legacy_movement_path
-          ? engine_.add_custom(std::make_unique<mobility::RandomWaypoint>(movement))
-          : engine_.add_waypoint(movement);
-  return add_node_common(engine_node, std::move(router));
+  return add_node_common(engine_.add_waypoint(movement), std::move(router));
 }
 
 NodeIdx World::add_node(const mobility::CommunityMovementParams& movement,
                         std::unique_ptr<Router> router) {
-  const int engine_node =
-      config_.legacy_movement_path
-          ? engine_.add_custom(std::make_unique<mobility::CommunityMovement>(movement))
-          : engine_.add_community(movement);
-  return add_node_common(engine_node, std::move(router));
+  return add_node_common(engine_.add_community(movement), std::move(router));
 }
 
 NodeIdx World::add_node(std::shared_ptr<const geo::Polyline> route,
                         const mobility::BusParams& movement,
                         std::unique_ptr<Router> router) {
-  const int engine_node =
-      config_.legacy_movement_path
-          ? engine_.add_custom(
-                std::make_unique<mobility::BusMovement>(std::move(route), movement))
-          : engine_.add_bus(std::move(route), movement);
-  return add_node_common(engine_node, std::move(router));
+  return add_node_common(engine_.add_bus(std::move(route), movement), std::move(router));
 }
 
 NodeIdx World::add_node(const mobility::StationaryNodeSpec& movement,
                         std::unique_ptr<Router> router) {
-  const int engine_node =
-      config_.legacy_movement_path
-          ? engine_.add_custom(std::make_unique<mobility::StationaryNode>(movement))
-          : engine_.add_stationary(movement);
-  return add_node_common(engine_node, std::move(router));
+  return add_node_common(engine_.add_stationary(movement), std::move(router));
 }
 
 NodeIdx World::add_node_common(int engine_node, std::unique_ptr<Router> router) {
@@ -70,15 +49,14 @@ NodeIdx World::add_node_common(int engine_node, std::unique_ptr<Router> router) 
     // place (buffer slab, adjacency, inbound bag all keep their capacity).
     Node& node = nodes_[static_cast<std::size_t>(idx)];
     node.router = std::move(router);
-    node.buffer.reset(config_.buffer_bytes, config_.legacy_buffer_path);
+    node.buffer.reset(config_.buffer_bytes);
     node.routing_rng = rng;
     Adjacency& adj = adjacency_[static_cast<std::size_t>(idx)];
     adj.peers.clear();
     adj.slots.clear();
     inbound_queued_[static_cast<std::size_t>(idx)].clear();
   } else {
-    nodes_.emplace_back(std::move(router), config_.buffer_bytes,
-                        config_.legacy_buffer_path, rng);
+    nodes_.emplace_back(std::move(router), config_.buffer_bytes, rng);
     adjacency_.emplace_back();
     inbound_queued_.emplace_back();
   }
@@ -132,13 +110,10 @@ void World::clear_sim_state() {
 
 void World::reset(const WorldConfig& config) {
   const double old_range = config_.radio_range;
-  const bool old_sweep = config_.legacy_pair_sweep;
   config_ = config;
-  if (config_.radio_range != old_range ||
-      config_.legacy_pair_sweep != old_sweep) {
-    // Cell size must match the radio range (and the sweep mode is fixed at
-    // grid construction).
-    grid_ = geo::SpatialGrid(config_.radio_range, config_.legacy_pair_sweep);
+  if (config_.radio_range != old_range) {
+    // Cell size must match the radio range.
+    grid_ = geo::SpatialGrid(config_.radio_range);
   } else {
     // Full cell reset: the rebuilt scenario's map (and thus its occupied
     // region) may differ, and clear()-retained foreign cells would slow
@@ -164,7 +139,7 @@ void World::reseed(std::uint64_t seed) {
   clear_sim_state();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& node = nodes_[i];
-    node.buffer.reset(config_.buffer_bytes, config_.legacy_buffer_path);
+    node.buffer.reset(config_.buffer_bytes);
     node.routing_rng = util::derive_stream(seed, static_cast<std::uint64_t>(i),
                                            util::StreamPurpose::kRouting);
     node.router->reset();
@@ -238,22 +213,7 @@ bool World::in_contact(NodeIdx a, NodeIdx b) const {
 }
 
 const std::vector<NodeIdx>& World::neighbors_of(NodeIdx node) const {
-  if (config_.legacy_contact_path) {
-    // Seed cost profile: scan every active connection, then sort.
-    legacy_contacts_scratch_.clear();
-    for (const Connection& conn : conn_pool_) {
-      if (!conn.alive) continue;
-      if (conn.a == node) legacy_contacts_scratch_.push_back(conn.b);
-      else if (conn.b == node) legacy_contacts_scratch_.push_back(conn.a);
-    }
-    std::sort(legacy_contacts_scratch_.begin(), legacy_contacts_scratch_.end());
-    return legacy_contacts_scratch_;
-  }
   return adjacency_.at(static_cast<std::size_t>(node)).peers;
-}
-
-std::vector<NodeIdx> World::contacts_of(NodeIdx node) const {
-  return neighbors_of(node);
 }
 
 bool World::peer_has(NodeIdx peer, MsgId id) const {
@@ -368,11 +328,8 @@ void World::run(double duration) {
   started_ = true;
   const std::int64_t steps = step_count_for(duration, config_.step_dt);
   if (steps <= 0) return;
-  // Kinetic advance needs every trajectory in closed form; legacy bench
-  // paths opt into seed cost profiles that the calendar does not model.
-  if (config_.event_kernel && engine_.kinetic_capable() &&
-      !config_.legacy_contact_path && !config_.legacy_movement_path &&
-      !config_.legacy_pair_sweep) {
+  // Kinetic advance needs every trajectory in closed form.
+  if (config_.event_kernel && engine_.kinetic_capable()) {
     event_kernel_used_ = true;
     EventKernel(*this).run(step_count_, step_count_ + steps);
     return;
@@ -387,11 +344,7 @@ void World::step() {
   // Time grid contract: step k happens at exactly k * step_dt.
   now_ = static_cast<double>(step_count_) * config_.step_dt;
   move_nodes();
-  if (config_.legacy_contact_path) {
-    detect_contacts_legacy();
-  } else {
-    detect_contacts();
-  }
+  detect_contacts();
   generate_traffic();
   progress_transfers();
   if (now_ >= static_cast<double>(sweeps_done_ + 1) * config_.ttl_sweep_interval) {
@@ -483,8 +436,8 @@ void World::detect_contacts() {
   grid_.all_pairs_into(config_.radio_range, pair_scratch_);
   curr_pairs_.clear();
   for (const auto& [a, b] : pair_scratch_) curr_pairs_.push_back(pair_key(a, b));
-  // Key order == ascending (a, b), so sorting reproduces the deterministic
-  // callback order the full-rescan path produced by sorting pairs.
+  // Key order == ascending (a, b): link callbacks fire in a deterministic
+  // pair order whatever order the grid enumerated the pairs in.
   sort_pair_keys(curr_pairs_);
 
   // Link-down: in range last step, out of range now.
@@ -506,44 +459,6 @@ void World::detect_contacts() {
   std::swap(prev_pairs_, curr_pairs_);
 }
 
-void World::detect_contacts_legacy() {
-  // The seed algorithm: fresh pair vector, sort, fresh unordered_set, full
-  // scan of every connection — kept as the benchmark baseline. Link events
-  // are applied through the same link_up/link_down helpers in the same
-  // order as the incremental path, so both paths are behaviorally identical.
-  grid_.clear();
-  const std::vector<geo::Vec2>& pos = engine_.positions();
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    grid_.insert(static_cast<NodeIdx>(i), pos[i]);
-  }
-  auto pairs = grid_.all_pairs(config_.radio_range);
-  std::sort(pairs.begin(), pairs.end());  // deterministic callback order
-
-  std::unordered_set<std::uint64_t> current;
-  current.reserve(pairs.size() * 2);
-  for (const auto& [a, b] : pairs) current.insert(pair_key(a, b));
-
-  std::vector<std::uint64_t> gone;
-  for (const Connection& conn : conn_pool_) {
-    if (conn.alive && current.count(pair_key(conn.a, conn.b)) == 0) {
-      gone.push_back(pair_key(conn.a, conn.b));
-    }
-  }
-  std::sort(gone.begin(), gone.end());
-  for (const std::uint64_t key : gone) {
-    link_down(static_cast<NodeIdx>(key >> 32), static_cast<NodeIdx>(key & 0xffffffffu));
-  }
-
-  for (const auto& [a, b] : pairs) {
-    if (slot_of(a, b) != kNoSlot) continue;
-    link_up(a, b);
-  }
-
-  // Keep prev_pairs_ coherent (pairs are (a, b)-sorted, i.e. key-sorted).
-  prev_pairs_.clear();
-  for (const auto& [a, b] : pairs) prev_pairs_.push_back(pair_key(a, b));
-}
-
 void World::abort_connection_queue(Connection& conn) {
   for (const Transfer& tr : conn.queue) {
     if (tr.started) metrics_.on_transfer_aborted();
@@ -555,33 +470,23 @@ void World::abort_connection_queue(Connection& conn) {
 void World::progress_transfers() {
   const double bytes_per_step = config_.bitrate_bps / 8.0 * config_.step_dt;
   progress_scratch_.clear();
-  // Both paths snapshot the connections that have queued work when the
-  // phase starts (ascending pair key): transfers enqueued by completion
-  // callbacks during the phase first receive bandwidth next step. The legacy
-  // path pays the seed's cost — a scan over every live connection.
-  if (config_.legacy_contact_path) {
-    for (std::uint32_t slot = 0; slot < conn_pool_.size(); ++slot) {
-      const Connection& conn = conn_pool_[slot];
-      if (conn.alive && !conn.queue.empty()) {
-        progress_scratch_.emplace_back(pair_key(conn.a, conn.b), slot);
-      }
+  // Snapshot the connections that have queued work when the phase starts
+  // (ascending pair key): transfers enqueued by completion callbacks during
+  // the phase first receive bandwidth next step. The active-transfers index
+  // lists only connections with queued work; compact out the ones that
+  // drained since the last step.
+  for (const std::uint32_t slot : active_slots_) {
+    Connection& conn = conn_pool_[slot];
+    if (conn.queue.empty()) {
+      conn.active_idx = kNoSlot;
+      continue;
     }
-  } else {
-    // Active-transfers index: only connections with queued work, compacting
-    // out the ones that drained since the last step.
-    for (const std::uint32_t slot : active_slots_) {
-      Connection& conn = conn_pool_[slot];
-      if (conn.queue.empty()) {
-        conn.active_idx = kNoSlot;
-        continue;
-      }
-      progress_scratch_.emplace_back(pair_key(conn.a, conn.b), slot);
-    }
-    active_slots_.clear();
-    for (const auto& [key, slot] : progress_scratch_) {
-      conn_pool_[slot].active_idx = static_cast<std::uint32_t>(active_slots_.size());
-      active_slots_.push_back(slot);
-    }
+    progress_scratch_.emplace_back(pair_key(conn.a, conn.b), slot);
+  }
+  active_slots_.clear();
+  for (const auto& [key, slot] : progress_scratch_) {
+    conn_pool_[slot].active_idx = static_cast<std::uint32_t>(active_slots_.size());
+    active_slots_.push_back(slot);
   }
   std::sort(progress_scratch_.begin(), progress_scratch_.end());
 

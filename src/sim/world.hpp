@@ -18,16 +18,11 @@
 //    inbound-queued index, and a reused TTL-sweep scratch, so the
 //    traffic-bearing hot path recycles instead of allocating.
 // After warm-up the whole step loop is allocation-free in steady state.
-// `WorldConfig::legacy_contact_path` re-enables the seed's full-rescan
-// algorithm (same observable behavior, seed cost profile) so benchmarks can
-// measure both in one binary.
 //
 // Movement (SoA since PR 3): node trajectories execute inside a
 // mobility::MovementEngine — positions and per-model state in dense
 // structure-of-arrays lanes, batched RNG draws per waypoint event, and no
 // per-node virtual dispatch for the waypoint/community/bus models.
-// `WorldConfig::legacy_movement_path` keeps the per-object virtual path in
-// the same binary (bit-identical trajectories, seed cost profile).
 //
 // Cross-run reuse (PR 3): one World can execute many simulation runs while
 // RETAINING its allocated capacity — buffer slabs, spatial-grid cells,
@@ -41,11 +36,14 @@
 //     Router::reset(), buffers/metrics/traffic cleared in place.
 // Both paths are bit-identical to building a fresh World with the same
 // arguments (enforced by integration_sweep_test + sim_alloc_regression_test).
+//
+// Behavioural contract: harness_metrics_golden_test pins every protocol's
+// metrics on four scenarios to a committed hexfloat fingerprint, so a
+// refactor of this engine is bit-neutral exactly when that golden holds.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "geo/spatial_grid.hpp"
@@ -68,32 +66,13 @@ struct WorldConfig {
   std::int64_t buffer_bytes = 1 << 20;  ///< 1 MB
   double ttl_sweep_interval = 10.0;     ///< s between expiry sweeps
   std::uint64_t seed = 1;
-  /// Seed-style contact path: full connection rescan per neighbor query and
-  /// per-step set rebuild in detect_contacts. Only for benchmarking the
-  /// incremental engine against its predecessor; must be set before run().
-  bool legacy_contact_path = false;
-  /// Seed-style message store: every node's Buffer uses the seed's
-  /// std::list + unordered_map internals instead of the slab. Observable
-  /// behavior is identical (enforced by sim_buffer_equivalence_test); only
-  /// for benchmarking the slab against its predecessor. Set before add_node().
-  bool legacy_buffer_path = false;
-  /// Seed-style movement path: every node keeps its heap MovementModel and
-  /// steps through virtual dispatch instead of the SoA kernel. Trajectories
-  /// are bit-identical (enforced by sim_movement_engine_test); only for
-  /// benchmarking the SoA kernel. Set before add_node().
-  bool legacy_movement_path = false;
-  /// PR2-era pair sweep: detection streams every tracked grid cell instead
-  /// of the occupied-cell index. Identical pair sets / observable behavior;
-  /// only for benchmarking the occupied-index sweep. Set before run().
-  bool legacy_pair_sweep = false;
   /// Kinetic (event-driven) time advance: run() consumes a calendar of
   /// analytically predicted contact/waypoint/cell-crossing events instead
   /// of scanning every fixed step (sim/event_kernel.hpp). Observable
   /// actions stay quantized to the step_dt grid, so metrics are
   /// bit-identical to the fixed-dt loop on closed-form workloads
   /// (sim_event_kernel_test). Falls back to fixed-dt stepping when a node
-  /// has no closed-form trajectory (bus/custom movement) or when a
-  /// legacy_* bench path is engaged. Set before run().
+  /// has no closed-form trajectory (bus/custom movement). Set before run().
   bool event_kernel = false;
 };
 
@@ -171,15 +150,9 @@ class World {
   [[nodiscard]] const Router& router_of(NodeIdx node) const;
   [[nodiscard]] geo::Vec2 position_of(NodeIdx node) const;
   [[nodiscard]] bool in_contact(NodeIdx a, NodeIdx b) const;
-  /// Current neighbors of `node`, ascending, as a copy (compat API; prefer
-  /// neighbors_of() on hot paths).
-  [[nodiscard]] std::vector<NodeIdx> contacts_of(NodeIdx node) const;
   /// Zero-copy view of `node`'s current neighbors, ascending. The reference
   /// stays valid until the next detect_contacts() pass (i.e. across a whole
   /// router callback); send_copy()/enqueue_transfer() do not invalidate it.
-  /// Caveat: with legacy_contact_path the view is a shared scratch buffer
-  /// that the NEXT neighbors_of()/contacts_of() call (for any node)
-  /// overwrites — bench-baseline mode supports one outstanding view only.
   [[nodiscard]] const std::vector<NodeIdx>& neighbors_of(NodeIdx node) const;
   [[nodiscard]] bool peer_has(NodeIdx peer, MsgId id) const;
   bool enqueue_transfer(NodeIdx from, NodeIdx to, MsgId id, int r_recv, int r_deduct);
@@ -277,15 +250,14 @@ class World {
     Buffer buffer;
     util::Pcg32 routing_rng;
 
-    Node(std::unique_ptr<Router> r, std::int64_t buffer_bytes, bool legacy_buffer,
-         util::Pcg32 rng)
-        : router(std::move(r)), buffer(buffer_bytes, legacy_buffer), routing_rng(rng) {}
+    Node(std::unique_ptr<Router> r, std::int64_t buffer_bytes, util::Pcg32 rng)
+        : router(std::move(r)), buffer(buffer_bytes), routing_rng(rng) {}
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
-  /// Pair key ordered by (lo, hi): sorting keys reproduces the seed's
-  /// deterministic link-up callback order (ascending (a, b) pairs).
+  /// Pair key ordered by (lo, hi): sorting keys gives the deterministic
+  /// link-up callback order (ascending (a, b) pairs).
   static std::uint64_t pair_key(NodeIdx a, NodeIdx b) noexcept;
 
   [[nodiscard]] std::uint32_t slot_of(NodeIdx a, NodeIdx b) const noexcept;
@@ -306,7 +278,6 @@ class World {
   void move_nodes();
   void sort_pair_keys(std::vector<std::uint64_t>& keys);
   void detect_contacts();
-  void detect_contacts_legacy();
   void progress_transfers();
   void complete_transfer(Transfer& tr);
   void generate_traffic();
@@ -345,7 +316,6 @@ class World {
   std::vector<std::uint64_t> radix_tmp_;     // scratch: counting-sort output
   std::vector<std::uint32_t> active_slots_;  // connections with queued work
   std::vector<std::pair<std::uint64_t, std::uint32_t>> progress_scratch_;
-  mutable std::vector<NodeIdx> legacy_contacts_scratch_;
 
   /// Multiset of message ids (id -> instance count) over the shared flat
   /// open-addressing table. Membership is O(1) like the former

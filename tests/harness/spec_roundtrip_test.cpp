@@ -46,10 +46,7 @@ ScenarioSpec random_spec(util::Pcg32& rng) {
   spec.world.bitrate_bps = rng.uniform(1e5, 1e7);
   spec.world.buffer_bytes = rng.uniform_int(1 << 16, 1 << 24);
   spec.world.ttl_sweep_interval = rng.uniform(1.0, 60.0);
-  spec.world.legacy_contact_path = rng.bernoulli(0.25);
-  spec.world.legacy_buffer_path = rng.bernoulli(0.25);
-  spec.world.legacy_movement_path = rng.bernoulli(0.25);
-  spec.world.legacy_pair_sweep = rng.bernoulli(0.25);
+  spec.world.event_kernel = rng.bernoulli(0.5);
 
   spec.traffic.interval_min = rng.uniform(5.0, 30.0);
   spec.traffic.interval_max = spec.traffic.interval_min + rng.uniform(0.0, 30.0);

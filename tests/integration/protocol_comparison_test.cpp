@@ -10,18 +10,22 @@ namespace {
 
 const std::vector<PointResult>& comparison_results() {
   static const std::vector<PointResult> results = [] {
-    SweepOptions opt;
-    opt.protocols = {"EER", "CR", "EBR", "MaxProp", "SprayAndWait"};
-    opt.node_counts = {32};
+    BusScenarioParams base;
+    base.node_count = 32;
+    base.duration_s = 2500.0;
+    base.map.rows = 8;
+    base.map.cols = 10;
+    base.map.districts = 3;
+    base.map.routes_per_district = 2;
+    base.protocol.copies = 8;
+    SpecSweepOptions opt;
+    opt.base = to_spec(base);
+    opt.axes = {{"protocol.name", {"EER", "CR", "EBR", "MaxProp", "SprayAndWait"}}};
     opt.seeds = 2;
     opt.seed_base = 500;
-    opt.base.duration_s = 2500.0;
-    opt.base.map.rows = 8;
-    opt.base.map.cols = 10;
-    opt.base.map.districts = 3;
-    opt.base.map.routes_per_district = 2;
-    opt.base.protocol.copies = 8;
-    return run_sweep(opt);
+    std::vector<PointResult> points;
+    for (SpecPointResult& p : run_spec_sweep(opt)) points.push_back(std::move(p.result));
+    return points;
   }();
   return results;
 }

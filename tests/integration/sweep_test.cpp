@@ -1,4 +1,5 @@
-// Harness sweep runner: grid execution, aggregation, and table rendering.
+// Harness sweep runner: grid execution, aggregation, and table rendering,
+// on the paper's protocol × node-count grid over the bus spec.
 #include "harness/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -8,23 +9,39 @@
 namespace dtn::harness {
 namespace {
 
-SweepOptions tiny_sweep() {
-  SweepOptions opt;
-  opt.protocols = {"DirectDelivery", "Epidemic"};
-  opt.node_counts = {12, 20};
+const std::vector<std::string> kProtocols = {"DirectDelivery", "Epidemic"};
+const std::vector<int> kNodeCounts = {12, 20};
+
+BusScenarioParams tiny_base() {
+  BusScenarioParams base;
+  base.duration_s = 1200.0;
+  base.traffic.ttl = 600.0;
+  base.map.rows = 6;
+  base.map.cols = 8;
+  base.map.districts = 2;
+  base.map.routes_per_district = 2;
+  return base;
+}
+
+SpecSweepOptions tiny_sweep() {
+  SpecSweepOptions opt;
+  opt.base = to_spec(tiny_base());
+  opt.axes = {{"protocol.name", kProtocols}, {"scenario.nodes", {}}};
+  for (const int n : kNodeCounts) opt.axes[1].values.push_back(std::to_string(n));
   opt.seeds = 2;
   opt.seed_base = 77;
-  opt.base.duration_s = 1200.0;
-  opt.base.traffic.ttl = 600.0;
-  opt.base.map.rows = 6;
-  opt.base.map.cols = 8;
-  opt.base.map.districts = 2;
-  opt.base.map.routes_per_district = 2;
   return opt;
 }
 
+/// The per-point aggregates, in grid order (protocol outermost).
+std::vector<PointResult> run_points(const SpecSweepOptions& opt) {
+  std::vector<PointResult> out;
+  for (SpecPointResult& point : run_spec_sweep(opt)) out.push_back(std::move(point.result));
+  return out;
+}
+
 TEST(Sweep, ProducesOnePointPerProtocolNodeCount) {
-  const auto results = run_sweep(tiny_sweep());
+  const auto results = run_points(tiny_sweep());
   ASSERT_EQ(results.size(), 4u);
   for (const auto& p : results) {
     EXPECT_EQ(p.delivery_ratio.count(), 2u) << "one sample per seed";
@@ -33,15 +50,15 @@ TEST(Sweep, ProducesOnePointPerProtocolNodeCount) {
 }
 
 TEST(Sweep, ProgressCallbackFiresPerRun) {
-  SweepOptions opt = tiny_sweep();
+  SpecSweepOptions opt = tiny_sweep();
   std::atomic<int> calls{0};
   opt.progress = [&calls](const std::string&) { calls.fetch_add(1); };
-  run_sweep(opt);
+  run_spec_sweep(opt);
   EXPECT_EQ(calls.load(), 2 * 2 * 2);  // protocols * node counts * seeds
 }
 
 TEST(Sweep, OrderFollowsInputs) {
-  const auto results = run_sweep(tiny_sweep());
+  const auto results = run_points(tiny_sweep());
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0].protocol, "DirectDelivery");
   EXPECT_EQ(results[0].node_count, 12);
@@ -50,7 +67,7 @@ TEST(Sweep, OrderFollowsInputs) {
 }
 
 TEST(Sweep, EpidemicDominatesDirectDeliveryOnDeliveries) {
-  const auto results = run_sweep(tiny_sweep());
+  const auto results = run_points(tiny_sweep());
   // Aggregate over node counts: epidemic's flooding can't deliver less.
   double direct = 0.0;
   double epidemic = 0.0;
@@ -61,7 +78,7 @@ TEST(Sweep, EpidemicDominatesDirectDeliveryOnDeliveries) {
 }
 
 TEST(Sweep, MetricTableLayout) {
-  const auto results = run_sweep(tiny_sweep());
+  const auto results = run_points(tiny_sweep());
   const auto table = metric_table(results, Metric::kDeliveryRatio);
   const std::string rendered = table.to_string();
   EXPECT_NE(rendered.find("nodes"), std::string::npos);
@@ -73,7 +90,7 @@ TEST(Sweep, MetricTableLayout) {
 }
 
 TEST(Sweep, MetricAccessorsCoverAllMetrics) {
-  const auto results = run_sweep(tiny_sweep());
+  const auto results = run_points(tiny_sweep());
   for (const auto metric : {Metric::kDeliveryRatio, Metric::kLatency, Metric::kGoodput,
                             Metric::kControlMb, Metric::kRelayed}) {
     EXPECT_FALSE(metric_name(metric).empty());
@@ -82,11 +99,11 @@ TEST(Sweep, MetricAccessorsCoverAllMetrics) {
 }
 
 TEST(Sweep, ParallelAndSerialAgree) {
-  SweepOptions opt = tiny_sweep();
+  SpecSweepOptions opt = tiny_sweep();
   opt.threads = 1;
-  const auto serial = run_sweep(opt);
+  const auto serial = run_points(opt);
   opt.threads = 4;
-  const auto parallel = run_sweep(opt);
+  const auto parallel = run_points(opt);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_DOUBLE_EQ(serial[i].delivery_ratio.mean(),
@@ -118,54 +135,30 @@ void expect_identical_results(const std::vector<PointResult>& a,
 TEST(Sweep, AggregatesBitIdenticalAcrossThreadCounts) {
   // The reused engine folds per-task samples in task order after the loop,
   // so aggregates cannot depend on worker count or completion order.
-  SweepOptions opt = tiny_sweep();
+  SpecSweepOptions opt = tiny_sweep();
   opt.seeds = 3;
   opt.threads = 1;
-  const auto one = run_sweep(opt);
+  const auto one = run_points(opt);
   opt.threads = 4;
-  const auto four = run_sweep(opt);
+  const auto four = run_points(opt);
   opt.threads = 0;  // hardware concurrency
-  const auto hw = run_sweep(opt);
+  const auto hw = run_points(opt);
   expect_identical_results(one, four);
   expect_identical_results(one, hw);
-}
-
-TEST(Sweep, LegacyEngineProducesBitIdenticalAggregates) {
-  // Fresh-world legacy execution vs reused-world chunked execution: the
-  // world-reuse path must be observably inert. Single-threaded so the
-  // legacy mutex merge runs in task order too (its accumulation order is
-  // completion order, which multi-threaded scheduling would perturb).
-  SweepOptions opt = tiny_sweep();
-  opt.threads = 1;
-  opt.exec = SweepOptions::Exec::kLegacy;
-  const auto legacy = run_sweep(opt);
-  opt.exec = SweepOptions::Exec::kReused;
-  const auto reused = run_sweep(opt);
-  expect_identical_results(legacy, reused);
-}
-
-TEST(Sweep, ProgressFiresPerRunOnLegacyEngineToo) {
-  SweepOptions opt = tiny_sweep();
-  opt.exec = SweepOptions::Exec::kLegacy;
-  std::atomic<int> calls{0};
-  opt.progress = [&calls](const std::string&) { calls.fetch_add(1); };
-  run_sweep(opt);
-  EXPECT_EQ(calls.load(), 2 * 2 * 2);
 }
 
 TEST(Sweep, ScenarioRunnerReuseMatchesFreshWorlds) {
   // One runner executing a protocol/node-count/seed mix back to back must
   // reproduce fresh-world runs bit for bit (World::reset contract at the
   // harness level; the 12-protocol sweep lives in world_reuse_test).
-  SweepOptions opt = tiny_sweep();
   ScenarioRunner runner;
-  for (const auto& protocol : opt.protocols) {
-    for (const int nodes : opt.node_counts) {
-      for (int s = 0; s < opt.seeds; ++s) {
-        BusScenarioParams params = opt.base;
+  for (const auto& protocol : kProtocols) {
+    for (const int nodes : kNodeCounts) {
+      for (const std::uint64_t seed : {77u, 78u}) {
+        BusScenarioParams params = tiny_base();
         params.protocol.name = protocol;
         params.node_count = nodes;
-        params.seed = opt.seed_base + static_cast<std::uint64_t>(s);
+        params.seed = seed;
         const ScenarioResult fresh = run_bus_scenario(params);
         const ScenarioResult reused = runner.run(params);
         SCOPED_TRACE(protocol + "/n=" + std::to_string(nodes) +

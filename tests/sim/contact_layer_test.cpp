@@ -1,8 +1,8 @@
 // Invariants of the incremental contact-layer engine: the per-node
 // adjacency index must always agree with ground-truth geometry under random
-// link churn, the reusable-scratch SpatialGrid APIs must match their
-// allocating predecessors, and the legacy (full-rescan) and incremental
-// detection paths must produce bit-identical simulations.
+// link churn, and the reusable-scratch SpatialGrid APIs must match their
+// allocating reference forms. Whole simulations are pinned by the metrics
+// golden (harness_metrics_golden_test).
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -11,7 +11,6 @@
 
 #include "../test_support.hpp"
 #include "geo/spatial_grid.hpp"
-#include "harness/scenario.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "sim/world.hpp"
 #include "util/rng.hpp"
@@ -60,8 +59,8 @@ TEST(ContactLayerTest, AdjacencyMatchesGeometryUnderChurn) {
         if (near) expected.push_back(b);
       }
       pair_count += expected.size();
-      // contacts_of must be exactly the geometric neighbor set, ascending.
-      ASSERT_EQ(world.contacts_of(a), expected) << "step " << s << " node " << a;
+      // neighbors_of must be exactly the geometric neighbor set, ascending.
+      ASSERT_EQ(world.neighbors_of(a), expected) << "step " << s << " node " << a;
     }
     ASSERT_EQ(world.active_connection_count(), pair_count / 2);
   }
@@ -88,7 +87,7 @@ TEST(ContactLayerTest, ContactCallbacksMirrorAdjacencyTransitions) {
   ASSERT_EQ(rec->contacts_up.size(), 1u);
   ASSERT_EQ(rec->contacts_down.size(), 1u);
   EXPECT_FALSE(world.in_contact(0, 1));
-  EXPECT_TRUE(world.contacts_of(0).empty());
+  EXPECT_TRUE(world.neighbors_of(0).empty());
 }
 
 TEST(ContactLayerTest, AllPairsIntoMatchesAllPairsOnRandomClouds) {
@@ -142,37 +141,6 @@ TEST(ContactLayerTest, StaleCellsArePruned) {
     grid.insert(0, {5000.0, 5000.0});
   }
   EXPECT_LE(grid.cell_count(), 4u);
-}
-
-TEST(ContactLayerTest, LegacyAndIncrementalPathsAreBitIdentical) {
-  for (const char* proto : {"Epidemic", "EER"}) {
-    harness::BusScenarioParams p;
-    p.node_count = 16;
-    p.duration_s = 900.0;
-    p.traffic.ttl = 300.0;  // full_ttl_window needs ttl < duration
-    p.seed = 5;
-    p.map.rows = 5;
-    p.map.cols = 6;
-    p.map.districts = 2;
-    p.map.routes_per_district = 2;
-    p.protocol.name = proto;
-    p.protocol.copies = 6;
-    p.world.legacy_contact_path = false;
-    const auto fast = harness::run_bus_scenario(p);
-    p.world.legacy_contact_path = true;
-    const auto legacy = harness::run_bus_scenario(p);
-    EXPECT_EQ(fast.metrics.created(), legacy.metrics.created()) << proto;
-    EXPECT_EQ(fast.metrics.delivered(), legacy.metrics.delivered()) << proto;
-    EXPECT_EQ(fast.metrics.relayed(), legacy.metrics.relayed()) << proto;
-    EXPECT_EQ(fast.metrics.dropped(), legacy.metrics.dropped()) << proto;
-    EXPECT_EQ(fast.metrics.expired(), legacy.metrics.expired()) << proto;
-    EXPECT_EQ(fast.metrics.transfers_aborted(), legacy.metrics.transfers_aborted())
-        << proto;
-    EXPECT_EQ(fast.metrics.control_bytes(), legacy.metrics.control_bytes()) << proto;
-    EXPECT_EQ(fast.contact_events, legacy.contact_events) << proto;
-    EXPECT_DOUBLE_EQ(fast.metrics.latency_mean(), legacy.metrics.latency_mean())
-        << proto;
-  }
 }
 
 }  // namespace

@@ -4,14 +4,15 @@
 // traffic, transfer progress, TTL sweep, router ticks) stays quantized to
 // the step_dt grid — so a full community scenario, for EVERY protocol in
 // the repository, must produce bit-identical metrics with the kernel on
-// and off. Fallback paths (bus/custom movement, legacy_* bench modes) must
-// decline the kernel and still match.
+// and off. Fallback paths (bus and custom movement) must decline the
+// kernel and still match.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "../test_support.hpp"
 #include "core/community_detection.hpp"
 #include "harness/scenario.hpp"
 #include "mobility/community_movement.hpp"
@@ -80,6 +81,9 @@ struct CommunityCase {
   double duration_s = 1500.0;
   std::uint64_t seed = 11;
   std::string protocol = "Epidemic";
+  /// Adds one node on a scripted trajectory after the walkers: a
+  /// TracePlayback has no engine lane, so it runs in the custom lane.
+  bool scripted_node = false;
 };
 
 /// Builds the community scenario of world_reuse_test directly on `world`:
@@ -102,6 +106,11 @@ void build_community(World& world, const CommunityCase& c) {
     mp.home_min = {band * community, 0.0};
     mp.home_max = {band * (community + 1), c.world_size_m};
     world.add_node(mp, routing::create_router(protocol));
+  }
+  if (c.scripted_node) {
+    world.add_node(test::scripted({{0.0, {0.0, 0.0}},
+                                   {c.duration_s, {c.world_size_m, c.world_size_m}}}),
+                   routing::create_router(protocol));
   }
   TrafficParams traffic;
   traffic.ttl = 600.0;
@@ -220,19 +229,24 @@ TEST(EventKernel, BusWorkloadFallsBackToFixedDt) {
   EXPECT_EQ(fixed.metrics.goodput(), declined.metrics.goodput());
 }
 
-TEST(EventKernel, LegacyBenchPathsDeclineTheKernel) {
-  // legacy_* bench modes replay predecessor algorithms step-by-step; the
-  // kernel must not engage on top of them.
+TEST(EventKernel, CustomMovementNodeDeclinesTheKernel) {
+  // One node in the custom lane has no closed-form trajectory, so
+  // event_kernel = true must decline the calendar and produce the fixed-dt
+  // bits for the whole world.
   CommunityCase c;
-  c.duration_s = 300.0;
+  c.scripted_node = true;
   WorldConfig config;
   config.seed = c.seed;
+  World fixed(config);
+  build_community(fixed, c);
+  fixed.run(c.duration_s);
+
   config.event_kernel = true;
-  config.legacy_movement_path = true;
-  World world(config);
-  build_community(world, c);
-  world.run(c.duration_s);
-  EXPECT_FALSE(world.event_kernel_used());
+  World declined(config);
+  build_community(declined, c);
+  declined.run(c.duration_s);
+  EXPECT_FALSE(declined.event_kernel_used());
+  expect_bit_identical(snapshot(fixed), snapshot(declined));
 }
 
 }  // namespace

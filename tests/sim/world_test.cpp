@@ -41,7 +41,7 @@ TEST(World, ContactUpWhenWithinRange) {
   ASSERT_EQ(w.r1->contacts_up.size(), 1u);
   EXPECT_EQ(w.r1->contacts_up[0], 0);
   EXPECT_TRUE(w.world->in_contact(0, 1));
-  EXPECT_EQ(w.world->contacts_of(0), (std::vector<NodeIdx>{1}));
+  EXPECT_EQ(w.world->neighbors_of(0), (std::vector<NodeIdx>{1}));
   EXPECT_EQ(w.world->contact_events(), 1);
 }
 
