@@ -5,7 +5,8 @@
 #     suggestion output, exit 1;
 #   - `check` on a cfg with unparsable values — exit 1;
 #   - `check` on cfgs whose traffic section fails validation (inverted
-#     interval; full_ttl_window with ttl >= duration) — exit 1 with the
+#     interval; full_ttl_window with ttl >= duration) or whose world
+#     section would run no steps (world.step_dt = 0) — exit 1 with the
 #     explanatory diagnostic;
 #   - `run` on a missing file — exit 1;
 #   - `check` on EVERY shipped examples/*.cfg — exit 0 with its golden
@@ -91,6 +92,9 @@ golden_case("check bad_traffic.cfg" ${CLI_DIR} 1
 golden_case("check bad_ttl_window.cfg" ${CLI_DIR} 1
             "" check_bad_ttl_window.stderr
             check bad_ttl_window.cfg)
+golden_case("check bad_world.cfg" ${CLI_DIR} 1
+            "" check_bad_world.stderr
+            check bad_world.cfg)
 golden_case("run missing file" ${CLI_DIR} 1
             "" run_missing_file.stderr
             run nosuch.cfg)

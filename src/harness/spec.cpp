@@ -174,6 +174,39 @@ void trace_add_nodes(sim::World& world, const GroupBuildContext& ctx,
   }
 }
 
+/// The world and duration section of validate_spec. Each rejected value
+/// would otherwise run silently empty: World::step_count_for gives 0 steps
+/// for a non-positive or NaN step_dt or duration, a zero bitrate or buffer
+/// never moves or stores a message, and a step count beyond int64_t makes
+/// its cast undefined.
+void validate_run_parameters(const ScenarioSpec& spec) {
+  const auto reject = [](const char* key, const char* bound, const std::string& got) {
+    throw std::invalid_argument(std::string(key) + " must be " + bound + " (got " + got +
+                                ")");
+  };
+  const auto positive = [&reject](const char* key, double v) {
+    if (!(std::isfinite(v) && v > 0.0)) reject(key, "finite and > 0", util::format_value(v));
+  };
+  const sim::WorldConfig& w = spec.world;
+  positive("world.step_dt", w.step_dt);
+  positive("world.radio_range", w.radio_range);
+  positive("world.bitrate_bps", w.bitrate_bps);
+  if (w.buffer_bytes <= 0) {
+    reject("world.buffer_bytes", "> 0", util::format_value(w.buffer_bytes));
+  }
+  if (!(std::isfinite(w.ttl_sweep_interval) && w.ttl_sweep_interval >= 0.0)) {
+    reject("world.ttl_sweep_interval", "finite and >= 0",
+           util::format_value(w.ttl_sweep_interval));
+  }
+  positive("scenario.duration", spec.duration_s);
+  // Step counts at or above 2^63 do not fit World::step_count_for's int64_t.
+  if (!(spec.duration_s / w.step_dt < 0x1p63)) {
+    reject("scenario.duration", "under 2^63 steps of world.step_dt",
+           util::format_value(spec.duration_s) + " s at world.step_dt " +
+               util::format_value(w.step_dt));
+  }
+}
+
 /// The traffic section of validate_spec: interval/size/ttl/window sanity
 /// for the scalar knobs and every matrix entry, profile parameters, and
 /// matrix entries naming real groups. Pre-spec these were never checked —
@@ -376,9 +409,7 @@ void validate_spec(const ScenarioSpec& spec) {
   if (spec.groups.empty()) {
     throw std::invalid_argument("spec has no node groups (add group.<name>.model)");
   }
-  if (!(spec.duration_s > 0.0)) {
-    throw std::invalid_argument("scenario.duration must be > 0");
-  }
+  validate_run_parameters(spec);
   const geo::MapKindInfo* map_kind = geo::find_map_kind(spec.map.kind);
   if (map_kind == nullptr) {
     throw std::invalid_argument("unknown map kind '" + spec.map.kind + "'");

@@ -186,6 +186,64 @@ TEST(SpecDiagnostics, ValidateSpecCatchesStructuralProblems) {
   EXPECT_NO_THROW(validate_spec(ok));
 }
 
+/// Overrides `key` on a valid spec and requires validate_spec to reject it
+/// with exactly `message`.
+void expect_rejected(const std::string& key, const std::string& value,
+                     const std::string& message) {
+  ScenarioSpec spec = to_spec(BusScenarioParams{});
+  apply_override(spec, key, value);
+  try {
+    validate_spec(spec);
+    ADD_FAILURE() << key << " = " << value << " passed validation";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), message) << key << " = " << value;
+  }
+}
+
+TEST(SpecDiagnostics, StepDtMustBeFiniteAndPositive) {
+  expect_rejected("world.step_dt", "0", "world.step_dt must be finite and > 0 (got 0)");
+  expect_rejected("world.step_dt", "-0.1",
+                  "world.step_dt must be finite and > 0 (got -0.1)");
+  expect_rejected("world.step_dt", "nan", "world.step_dt must be finite and > 0 (got nan)");
+}
+
+TEST(SpecDiagnostics, RadioRangeMustBeFiniteAndPositive) {
+  expect_rejected("world.radio_range", "0",
+                  "world.radio_range must be finite and > 0 (got 0)");
+  expect_rejected("world.radio_range", "inf",
+                  "world.radio_range must be finite and > 0 (got inf)");
+}
+
+TEST(SpecDiagnostics, BitrateMustBeFiniteAndPositive) {
+  expect_rejected("world.bitrate_bps", "0",
+                  "world.bitrate_bps must be finite and > 0 (got 0)");
+}
+
+TEST(SpecDiagnostics, BufferBytesMustBePositive) {
+  expect_rejected("world.buffer_bytes", "-1", "world.buffer_bytes must be > 0 (got -1)");
+  expect_rejected("world.buffer_bytes", "0", "world.buffer_bytes must be > 0 (got 0)");
+}
+
+TEST(SpecDiagnostics, TtlSweepIntervalMustBeFiniteAndNonNegative) {
+  expect_rejected("world.ttl_sweep_interval", "-1",
+                  "world.ttl_sweep_interval must be finite and >= 0 (got -1)");
+  expect_rejected("world.ttl_sweep_interval", "nan",
+                  "world.ttl_sweep_interval must be finite and >= 0 (got nan)");
+  ScenarioSpec every_step = to_spec(BusScenarioParams{});
+  apply_override(every_step, "world.ttl_sweep_interval", "0");  // sweep every step
+  EXPECT_NO_THROW(validate_spec(every_step));
+}
+
+TEST(SpecDiagnostics, DurationMustBeFinitePositiveAndFitTheStepCounter) {
+  expect_rejected("scenario.duration", "0",
+                  "scenario.duration must be finite and > 0 (got 0)");
+  expect_rejected("scenario.duration", "inf",
+                  "scenario.duration must be finite and > 0 (got inf)");
+  expect_rejected("scenario.duration", "1e30",
+                  "scenario.duration must be under 2^63 steps of world.step_dt "
+                  "(got 1e+30 s at world.step_dt 0.1)");
+}
+
 TEST(SpecDiagnostics, BusGroupOnOpenFieldFailsAtBuildWithContext) {
   ScenarioSpec spec = to_spec(BusScenarioParams{});
   spec.duration_s = 10.0;
