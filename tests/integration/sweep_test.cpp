@@ -133,7 +133,7 @@ void expect_identical_results(const std::vector<PointResult>& a,
 }
 
 TEST(Sweep, AggregatesBitIdenticalAcrossThreadCounts) {
-  // The reused engine folds per-task samples in task order after the loop,
+  // The sweep engine folds per-task samples in task order after the loop,
   // so aggregates cannot depend on worker count or completion order.
   SpecSweepOptions opt = tiny_sweep();
   opt.seeds = 3;
