@@ -115,24 +115,42 @@ void BM_MemdRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_MemdRebuild)->Arg(40)->Arg(120)->Arg(240);
 
-void BM_DijkstraDense(benchmark::State& state) {
-  const auto n = static_cast<core::NodeIdx>(state.range(0));
+/// n×n delay matrix with a zero diagonal; each off-diagonal edge exists
+/// with probability `density` and weighs 1-100.
+std::vector<double> delay_matrix(core::NodeIdx n, double density) {
   util::Pcg32 rng(17, 9);
   std::vector<double> m(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
                         std::numeric_limits<double>::infinity());
   for (core::NodeIdx i = 0; i < n; ++i) {
     m[static_cast<std::size_t>(i) * n + i] = 0.0;
     for (core::NodeIdx j = 0; j < n; ++j) {
-      if (i != j && rng.bernoulli(0.4)) {
+      if (i != j && rng.bernoulli(density)) {
         m[static_cast<std::size_t>(i) * n + j] = rng.uniform(1.0, 100.0);
       }
     }
   }
+  return m;
+}
+
+void BM_DijkstraDense(benchmark::State& state) {
+  const auto n = static_cast<core::NodeIdx>(state.range(0));
+  const std::vector<double> m = delay_matrix(n, 0.4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::dijkstra_dense(m, n, 0));
   }
 }
 BENCHMARK(BM_DijkstraDense)->Arg(40)->Arg(120)->Arg(240);
+
+// Every edge present, as in a warm MEMD matrix once a node has heard of
+// every other node's meeting intervals.
+void BM_DijkstraFullyDense(benchmark::State& state) {
+  const auto n = static_cast<core::NodeIdx>(state.range(0));
+  const std::vector<double> m = delay_matrix(n, 1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::dijkstra_dense(m, n, 0));
+  }
+}
+BENCHMARK(BM_DijkstraFullyDense)->Arg(40)->Arg(120)->Arg(240);
 
 void BM_SpatialGridStep(benchmark::State& state) {
   // One full contact-detection step: rebuild the grid + enumerate pairs.

@@ -9,37 +9,52 @@ DijkstraResult dijkstra_dense(std::span<const double> delay, NodeIdx n, NodeIdx 
   assert(delay.size() == static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
   assert(src >= 0 && src < n);
   constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto n_sz = static_cast<std::size_t>(n);
   DijkstraResult result;
-  result.dist.assign(static_cast<std::size_t>(n), kInf);
-  result.parent.assign(static_cast<std::size_t>(n), -1);
-  std::vector<bool> done(static_cast<std::size_t>(n), false);
+  result.dist.assign(n_sz, kInf);
+  result.parent.assign(n_sz, -1);
   result.dist[static_cast<std::size_t>(src)] = 0.0;
+  double* dist = result.dist.data();
+  NodeIdx* parent = result.parent.data();
 
-  for (NodeIdx iter = 0; iter < n; ++iter) {
-    // Select the unfinished vertex with the smallest tentative distance.
-    NodeIdx u = -1;
-    double best = kInf;
-    for (NodeIdx v = 0; v < n; ++v) {
-      if (!done[static_cast<std::size_t>(v)] &&
-          result.dist[static_cast<std::size_t>(v)] < best) {
-        best = result.dist[static_cast<std::size_t>(v)];
-        u = v;
+  // The unsettled vertices in ascending index order.
+  std::vector<NodeIdx> open;
+  open.reserve(n_sz - 1);
+  for (NodeIdx v = 0; v < n; ++v) {
+    if (v != src) open.push_back(v);
+  }
+
+  NodeIdx u = src;
+  double best = 0.0;
+  for (;;) {
+    // One pass per settled vertex: relax u -> v, then offer v's (possibly
+    // just lowered) distance as the next vertex to settle. The strict `<`
+    // keeps the lowest index among equal distances.
+    const double* row = delay.data() + static_cast<std::size_t>(u) * n_sz;
+    std::size_t next = open.size();
+    double next_best = kInf;
+    for (std::size_t p = 0; p < open.size(); ++p) {
+      const auto v = static_cast<std::size_t>(open[p]);
+      double d = dist[v];
+      double w = row[v];
+      if (w != kInf) {
+        if (w < 0.0) w = 0.0;
+        const double nd = best + w;
+        if (nd < d) {
+          d = nd;
+          dist[v] = nd;
+          parent[v] = u;
+        }
+      }
+      if (d < next_best) {
+        next_best = d;
+        next = p;
       }
     }
-    if (u < 0) break;  // remaining vertices unreachable
-    done[static_cast<std::size_t>(u)] = true;
-    const std::size_t row = static_cast<std::size_t>(u) * static_cast<std::size_t>(n);
-    for (NodeIdx v = 0; v < n; ++v) {
-      if (done[static_cast<std::size_t>(v)] || v == u) continue;
-      double w = delay[row + static_cast<std::size_t>(v)];
-      if (w == kInf) continue;
-      if (w < 0.0) w = 0.0;
-      const double nd = best + w;
-      if (nd < result.dist[static_cast<std::size_t>(v)]) {
-        result.dist[static_cast<std::size_t>(v)] = nd;
-        result.parent[static_cast<std::size_t>(v)] = u;
-      }
-    }
+    if (next == open.size()) break;  // remaining vertices unreachable
+    u = open[next];
+    best = next_best;
+    open.erase(open.begin() + static_cast<std::ptrdiff_t>(next));
   }
   return result;
 }

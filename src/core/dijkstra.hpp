@@ -1,8 +1,24 @@
 // Dense single-source Dijkstra over an n×n non-negative delay matrix.
 // O(n²), no heap: for the full dense matrices MD produces, the simple
-// quadratic form beats a binary-heap version and allocates nothing beyond
-// the two result vectors. Theorem 3 of the paper: running this over the MD
-// matrix yields the minimum expected meeting delay (MEMD).
+// quadratic form beats a binary-heap version. Theorem 3 of the paper:
+// running this over the MD matrix yields the minimum expected meeting delay
+// (MEMD).
+//
+// The kernel keeps the unsettled vertices in one ascending index list and
+// makes one fused pass over it per settled vertex u: relax u -> v, then test
+// v's distance as the next vertex to settle. About n²/2 element visits per
+// call; three allocations (`dist`, `parent` and the list).
+//
+// Bit-identity contract: the result is a pure function of the matrix bits.
+// Each `dist[v]` is the same `best + w` sum of the same operands as the
+// textbook two-scan form (select, then relax, each over 0..n-1), and among
+// equal tentative distances the lowest index is settled first. Callers
+// (MEMD, MEED, MaxProp, CR) and every golden depend on both; a change to
+// either is a behaviour change, not an optimisation.
+//
+// perfbench/CMakeLists.txt `--wrap`s dijkstra_dense by its mangled name,
+// so its signature stays as declared and its definition stays out of line
+// in dijkstra.cpp.
 #pragma once
 
 #include <cstdint>
