@@ -26,11 +26,12 @@ std::vector<double> build_md(const MiMatrix& mi, const ContactHistory& history,
     if (k == self) continue;
     md[self_row + static_cast<std::size_t>(k)] = kInf;
   }
+  std::vector<double> window;  // one buffer for every peer's interval window
   for (const auto& [peer, ph] : history.pairs()) {
     if (peer == self || peer < 0 || peer >= n) continue;
     if (!ph.met || ph.intervals.empty()) continue;
     const double elapsed = t - ph.last_contact;
-    const std::vector<double> window(ph.intervals.begin(), ph.intervals.end());
+    window.assign(ph.intervals.begin(), ph.intervals.end());
     md[self_row + static_cast<std::size_t>(peer)] =
         expected_meeting_delay(window, elapsed);
   }
@@ -64,6 +65,7 @@ std::vector<double> build_md_intra(const MiMatrix& mi, const ContactHistory& his
   if (self_pos >= 0) {
     const std::size_t row =
         static_cast<std::size_t>(self_pos) * static_cast<std::size_t>(m);
+    std::vector<double> window;  // one buffer for every member's interval window
     for (NodeIdx b = 0; b < m; ++b) {
       if (b == self_pos) continue;
       const NodeIdx peer = members[static_cast<std::size_t>(b)];
@@ -73,7 +75,7 @@ std::vector<double> build_md_intra(const MiMatrix& mi, const ContactHistory& his
         continue;
       }
       const double elapsed = t - ph->last_contact;
-      const std::vector<double> window(ph->intervals.begin(), ph->intervals.end());
+      window.assign(ph->intervals.begin(), ph->intervals.end());
       md[row + static_cast<std::size_t>(b)] = expected_meeting_delay(window, elapsed);
     }
   }
@@ -113,8 +115,8 @@ void MemdCache::sync_md(const MiMatrix& mi, const ContactHistory& history,
     if (peer == self || peer < 0 || peer >= n) continue;
     if (!ph.met || ph.intervals.empty()) continue;
     const double elapsed = t - ph.last_contact;
-    const std::vector<double> window(ph.intervals.begin(), ph.intervals.end());
-    own[static_cast<std::size_t>(peer)] = expected_meeting_delay(window, elapsed);
+    window_.assign(ph.intervals.begin(), ph.intervals.end());
+    own[static_cast<std::size_t>(peer)] = expected_meeting_delay(window_, elapsed);
   }
 }
 

@@ -48,6 +48,11 @@ std::vector<double> build_md_intra(const MiMatrix& mi, const ContactHistory& his
 /// every rebuild. This turns the per-contact cost from O(n²) copy + O(n²)
 /// Dijkstra into O(changed rows · n) + O(n²) Dijkstra, which is what makes
 /// EER tractable at the paper's 240-node scale.
+///
+/// Theorem 2 reads each peer's interval window as a contiguous span, so the
+/// own-row sync copies every peer's deque into one reused member buffer.
+/// Once warm, a rebuild allocates only the Dijkstra result and its work
+/// list (three allocations), whatever the number of peers.
 class MemdCache {
  public:
   explicit MemdCache(double time_quantum = 1.0) : quantum_(time_quantum) {}
@@ -84,6 +89,7 @@ class MemdCache {
   std::vector<double> dist_;
   std::vector<double> md_;                      ///< persistent MD buffer
   std::vector<std::uint64_t> synced_versions_;  ///< per-row MI versions in md_
+  std::vector<double> window_;  ///< scratch: one peer's intervals, oldest first
 };
 
 }  // namespace dtn::core

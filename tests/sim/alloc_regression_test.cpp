@@ -15,10 +15,13 @@
 //     must stay at ~0 allocations/step;
 //   - a ThreadPool::parallel_for dispatch on the warm shared pool must
 //     perform zero allocations on the coordinating thread (no per-task
-//     std::function, no futures, no queue nodes).
+//     std::function, no futures, no queue nodes);
+//   - a warm MemdCache rebuild (EER's MEMD: MD sync + Dijkstra) must
+//     allocate at most the Dijkstra result and its work list, the same
+//     count at 10 peers as at 100.
 // If someone reintroduces a per-step vector return, a per-transfer hash
-// node, a per-insert list node, a per-task heap closure, or a per-seed
-// world rebuild, this test fails.
+// node, a per-insert list node, a per-task heap closure, a per-seed world
+// rebuild, or a per-peer window copy, this test fails.
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -31,6 +34,9 @@
 #include <gtest/gtest.h>
 
 #include "../test_support.hpp"
+#include "core/contact_history.hpp"
+#include "core/md_builder.hpp"
+#include "core/mi_matrix.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "routing/epidemic.hpp"
 #include "sim/buffer.hpp"
@@ -259,6 +265,47 @@ TEST(AllocRegression, ParallelForDispatchIsAllocationFree) {
   const std::uint64_t allocs = counted([&] { pool.parallel_for(1000, 4, body); });
   EXPECT_EQ(sum.load(), 1000ull * 999ull / 2ull);
   EXPECT_EQ(allocs, 0u) << "parallel_for dispatch must not heap-allocate";
+}
+
+/// Heap allocations over `rebuilds` forced MemdCache rebuilds of node 0 in
+/// a 128-node world whose contact history holds `peers` met peers. Each
+/// rebuild bumps a foreign MI row and queries in a new time bucket, so the
+/// cache resyncs MD and reruns Dijkstra every time.
+std::uint64_t memd_rebuild_allocs(int peers, int rebuilds) {
+  constexpr core::NodeIdx kNodes = 128;
+  core::MiMatrix mi(kNodes);
+  for (core::NodeIdx i = 0; i < kNodes; ++i) {
+    for (core::NodeIdx j = 0; j < kNodes; ++j) {
+      if ((i + 2 * j) % 3 != 0) mi.set_entry(i, j, 20.0 + (i * 7 + j) % 300, 1.0);
+    }
+  }
+  core::ContactHistory history(32);
+  for (int p = 1; p <= peers; ++p) {
+    for (int k = 0; k < 6; ++k) history.record_contact(p, 100.0 * k + 3.0 * p);
+  }
+  core::MemdCache cache;
+  double t = 5000.0;
+  double sink = 0.0;
+  const auto rebuild = [&](int k) {
+    mi.set_entry(1 + k % (kNodes - 1), (k + 5) % kNodes, 40.0 + k, t);
+    t += 1.0;
+    sink += cache.memd(mi, history, 0, kNodes - 1, t);
+  };
+  for (int k = 0; k < 4; ++k) rebuild(k);  // warm: MD buffer, window scratch
+  const std::uint64_t allocs = counted([&] {
+    for (int k = 0; k < rebuilds; ++k) rebuild(k);
+  });
+  EXPECT_TRUE(std::isfinite(sink));
+  return allocs;
+}
+
+TEST(AllocRegression, MemdRebuildAllocationsDoNotGrowWithPeers) {
+  constexpr int kRebuilds = 50;
+  const std::uint64_t few = memd_rebuild_allocs(10, kRebuilds);
+  const std::uint64_t many = memd_rebuild_allocs(100, kRebuilds);
+  EXPECT_EQ(few, many) << "a MEMD rebuild regressed to allocating per peer";
+  EXPECT_LE(few, 3u * kRebuilds)
+      << "a MEMD rebuild allocates more than the Dijkstra result and work list";
 }
 
 }  // namespace
