@@ -5,9 +5,10 @@
 #     suggestion output, exit 1;
 #   - `check` on a cfg with unparsable values — exit 1;
 #   - `check` on cfgs whose traffic section fails validation (inverted
-#     interval; full_ttl_window with ttl >= duration) or whose world
-#     section would run no steps (world.step_dt = 0) — exit 1 with the
-#     explanatory diagnostic;
+#     interval; full_ttl_window with ttl >= duration), whose world
+#     section would run no steps (world.step_dt = 0), or whose protocol
+#     section would silently run another protocol (protocol.copies = 0) —
+#     exit 1 with the explanatory diagnostic;
 #   - `run` on a missing file — exit 1;
 #   - `check` on EVERY shipped examples/*.cfg — exit 0 with its golden
 #     summary line (a new example cfg must ship
@@ -95,6 +96,9 @@ golden_case("check bad_ttl_window.cfg" ${CLI_DIR} 1
 golden_case("check bad_world.cfg" ${CLI_DIR} 1
             "" check_bad_world.stderr
             check bad_world.cfg)
+golden_case("check bad_protocol.cfg" ${CLI_DIR} 1
+            "" check_bad_protocol.stderr
+            check bad_protocol.cfg)
 golden_case("run missing file" ${CLI_DIR} 1
             "" run_missing_file.stderr
             run nosuch.cfg)

@@ -207,6 +207,27 @@ void validate_run_parameters(const ScenarioSpec& spec) {
   }
 }
 
+/// The protocol section of validate_spec. Each rejected value would
+/// otherwise run a different protocol without a word: copies < 1 leaves a
+/// quota router no replicas to spray, so EER falls back to direct delivery;
+/// a NaN alpha compares false everywhere and behaves as alpha = inf; a zero
+/// window is clamped to one interval per pair.
+void validate_protocol(const ScenarioSpec& spec) {
+  const routing::ProtocolConfig& p = spec.protocol;
+  if (p.copies < 1) {
+    throw std::invalid_argument("protocol.copies must be >= 1 (got " +
+                                util::format_value(p.copies) + ")");
+  }
+  if (!(std::isfinite(p.alpha) && p.alpha > 0.0)) {
+    throw std::invalid_argument("protocol.alpha must be finite and > 0 (got " +
+                                util::format_value(p.alpha) + ")");
+  }
+  if (p.window < 1) {
+    throw std::invalid_argument("protocol.window must be >= 1 (got " +
+                                util::format_value(p.window) + ")");
+  }
+}
+
 /// The traffic section of validate_spec: interval/size/ttl/window sanity
 /// for the scalar knobs and every matrix entry, profile parameters, and
 /// matrix entries naming real groups. Pre-spec these were never checked —
@@ -475,6 +496,7 @@ void validate_spec(const ScenarioSpec& spec) {
   if (!routing::is_known_protocol(spec.protocol.name)) {
     throw std::invalid_argument("unknown protocol '" + spec.protocol.name + "'");
   }
+  validate_protocol(spec);
   validate_traffic(spec);
 }
 

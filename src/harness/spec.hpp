@@ -203,7 +203,8 @@ routing::ProtocolConfig resolved_protocol(const ScenarioSpec& spec,
 
 /// Validates spec consistency beyond per-key parsing (at least one group,
 /// known model/map/protocol names incl. per-group overrides, model/map
-/// compatibility, communities source vocabulary, the traffic section:
+/// compatibility, communities source vocabulary, the protocol knobs:
+/// copies >= 1, alpha finite and > 0, window >= 1; the traffic section:
 /// interval/ttl/size/window sanity, profile parameters, matrix entries
 /// naming real groups, full_ttl_window leaving a creation window). Throws
 /// std::invalid_argument with an explanatory message.

@@ -244,6 +244,32 @@ TEST(SpecDiagnostics, DurationMustBeFinitePositiveAndFitTheStepCounter) {
                   "(got 1e+30 s at world.step_dt 0.1)");
 }
 
+TEST(SpecDiagnostics, CopiesMustBeAtLeastOne) {
+  // copies < 1 would leave EER no replicas and run direct delivery instead.
+  expect_rejected("protocol.copies", "0", "protocol.copies must be >= 1 (got 0)");
+  expect_rejected("protocol.copies", "-3", "protocol.copies must be >= 1 (got -3)");
+  ScenarioSpec single = to_spec(BusScenarioParams{});
+  apply_override(single, "protocol.copies", "1");
+  EXPECT_NO_THROW(validate_spec(single));
+}
+
+TEST(SpecDiagnostics, AlphaMustBeFiniteAndPositive) {
+  // A NaN alpha compares false everywhere, so it would run as alpha = inf.
+  expect_rejected("protocol.alpha", "nan", "protocol.alpha must be finite and > 0 (got nan)");
+  expect_rejected("protocol.alpha", "inf", "protocol.alpha must be finite and > 0 (got inf)");
+  expect_rejected("protocol.alpha", "0", "protocol.alpha must be finite and > 0 (got 0)");
+  expect_rejected("protocol.alpha", "-0.28",
+                  "protocol.alpha must be finite and > 0 (got -0.28)");
+}
+
+TEST(SpecDiagnostics, WindowMustBeAtLeastOne) {
+  // The contact history would silently clamp a zero window to one interval.
+  expect_rejected("protocol.window", "0", "protocol.window must be >= 1 (got 0)");
+  ScenarioSpec single = to_spec(BusScenarioParams{});
+  apply_override(single, "protocol.window", "1");
+  EXPECT_NO_THROW(validate_spec(single));
+}
+
 TEST(SpecDiagnostics, BusGroupOnOpenFieldFailsAtBuildWithContext) {
   ScenarioSpec spec = to_spec(BusScenarioParams{});
   spec.duration_s = 10.0;
