@@ -37,11 +37,13 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "routing/epidemic.hpp"
 #include "sim/world.hpp"
 #include "util/flags.hpp"
+#include "util/value_parse.hpp"
 
 namespace {
 
@@ -70,17 +72,20 @@ namespace dtn::bench {
 /// where per-run setup and movement dominate and campaign throughput (not
 /// single-run latency) is the metric that matters.
 harness::SpecSweepOptions campaign(bool smoke, int seeds, double duration_s) {
-  harness::BusScenarioParams base;
-  base.duration_s = smoke ? 200.0 : duration_s;
-  base.map.rows = 6;
-  base.map.cols = 8;
-  base.map.districts = 2;
-  base.map.routes_per_district = 2;
-  base.traffic.ttl = smoke ? 100.0 : 150.0;
-  base.traffic.interval_min = 10.0;
-  base.traffic.interval_max = 20.0;
   harness::SpecSweepOptions opt;
-  opt.base = harness::to_spec(base);
+  opt.base = harness::parse_spec(
+      "scenario.name = bus\n"
+      "scenario.duration = " + util::format_value(smoke ? 200.0 : duration_s) + "\n"
+      "map.kind = downtown\n"
+      "map.rows = 6\n"
+      "map.cols = 8\n"
+      "map.districts = 2\n"
+      "map.routes_per_district = 2\n"
+      "group.buses.model = bus\n"
+      "group.buses.count = 120\n"
+      "traffic.ttl = " + std::string(smoke ? "100" : "150") + "\n"
+      "traffic.interval_min = 10\n"
+      "traffic.interval_max = 20\n");
   opt.axes = {
       harness::SweepAxis{"protocol.name",
                          smoke ? std::vector<std::string>{"Epidemic", "SprayAndWait"}

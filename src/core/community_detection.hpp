@@ -15,8 +15,9 @@
 //    exceeds merge_ratio of the peer's familiar set (SIMPLE's admission
 //    rule), after which their communities merge.
 //
-// The offline method is what the CR-with-detected-communities ablation
-// (bench/ablation_communities) uses; the online detector demonstrates the
+// The offline method is what `communities.source = detected` runs
+// (harness::detect_spec_communities; the `communities` arm of
+// examples/paper_figures.sh); the online detector demonstrates the
 // distributed protocol and is unit-tested for agreement with the offline
 // result on well-separated contact graphs.
 #pragma once

@@ -31,8 +31,8 @@ int community_classes(const ScenarioSpec& spec) {
 
 // ---- bus --------------------------------------------------------------------
 // Route assignment is round-robin over the map's routes by group-local
-// index; community = the route's district (the paper's setup). Matches the
-// pre-spec BusScenarioParams path bit for bit when the spec has one bus
+// index; community = the route's district (the paper's setup). Matches a
+// hand-rolled World of the same buses bit for bit when the spec has one bus
 // group (enforced by harness_spec_equivalence_test).
 
 void bus_assign_communities(const GroupBuildContext& ctx, const GroupSpec& group,
@@ -62,9 +62,9 @@ void bus_add_nodes(sim::World& world, const GroupBuildContext& ctx,
 // ---- community --------------------------------------------------------------
 // The map extent is tiled into communities.count vertical bands; node v
 // (group-local) belongs to band v % count (= round_robin_communities) and
-// keeps its waypoints inside it with probability home_prob. Matches the
-// pre-spec CommunityScenarioParams path bit for bit for a single group on
-// an open-field map.
+// keeps its waypoints inside it with probability home_prob. Matches a
+// hand-rolled World of the same walkers bit for bit for a single group on
+// an open-field map (enforced by harness_spec_equivalence_test).
 
 void community_add_nodes(sim::World& world, const GroupBuildContext& ctx,
                          const GroupSpec& group) {

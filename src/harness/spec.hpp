@@ -2,8 +2,8 @@
 // redesign): ONE spec type describes a complete simulation run — map
 // source, per-group mobility, radio/world, traffic, protocol, communities,
 // duration and seed — and ScenarioRunner::run(const ScenarioSpec&) is the
-// single execution entry every harness path (params-struct adapters,
-// sweeps, benches, the dtnsim CLI) funnels through.
+// single execution entry every harness path (sweeps, benches, the dtnsim
+// CLI, the C++ API) funnels through.
 //
 // Composition is registry-driven end to end:
 //   - map.kind        -> geo::find_map_kind()        (downtown / open_field / trace)
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/community.hpp"
 #include "geo/map_registry.hpp"
 #include "mobility/registry.hpp"
 #include "routing/factory.hpp"
@@ -134,11 +133,6 @@ struct ScenarioSpec {
   std::string traffic_file;
   routing::ProtocolConfig protocol;  ///< `communities` filled at build time
   CommunitySpec communities;
-
-  /// Programmatic-only (not expressible in config files): when set, this
-  /// table replaces the spec-derived community assignment — used by the
-  /// detected-communities ablation.
-  std::shared_ptr<const core::CommunityTable> communities_override;
 
   /// Total node count across groups.
   [[nodiscard]] int node_count() const;

@@ -65,7 +65,6 @@ ScenarioSpec load_spec(const std::string& path);
 /// any spec that validate_spec accepts (group names are key segments and
 /// restricted to [A-Za-z0-9_-]; string values must not contain '#' or
 /// newlines — '#' starts a comment).
-/// (communities_override is programmatic-only and not serialized.)
 std::string to_config(const ScenarioSpec& spec);
 
 /// Writes to_config(spec) to `path`; false on I/O failure.

@@ -6,7 +6,7 @@
 // node count, buffer size, TTL, mobility speeds, map shape — can be swept
 // or ablated through the one engine, run_spec_sweep. The paper's protocol
 // × node-count grid is the axes {protocol.name, scenario.nodes} over
-// to_spec(BusScenarioParams).
+// examples/helsinki_buses.cfg (examples/paper_figures.sh runs each figure).
 //
 // Execution engine (PR 3): runs fan out over the persistent shared thread
 // pool with chunked dispatch — no per-run task/future allocations — and

@@ -1,7 +1,5 @@
 #include "util/flags.hpp"
 
-#include <cstdlib>
-
 #include "util/value_parse.hpp"
 
 namespace dtn::util {
@@ -135,22 +133,6 @@ std::vector<std::string> split_csv(const std::string& csv) {
   }
   if (!token.empty()) out.push_back(std::move(token));
   return out;
-}
-
-std::int64_t env_int(const char* name, std::int64_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  try {
-    return std::stoll(raw);
-  } catch (...) {
-    return fallback;
-  }
-}
-
-std::optional<std::string> env_string(const char* name) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return std::nullopt;
-  return std::string(raw);
 }
 
 }  // namespace dtn::util

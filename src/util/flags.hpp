@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <initializer_list>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,10 +66,5 @@ class Flags {
 /// Splits a comma-separated flag value ("EER,CR,EBR") into its non-empty
 /// tokens — the shared parser for --protocols / --axis style flags.
 std::vector<std::string> split_csv(const std::string& csv);
-
-/// Reads an environment variable as an integer with fallback (used for
-/// DTN_BENCH_SEEDS / DTN_BENCH_FULL scaling knobs).
-std::int64_t env_int(const char* name, std::int64_t fallback);
-std::optional<std::string> env_string(const char* name);
 
 }  // namespace dtn::util

@@ -39,39 +39,4 @@ double StatAccumulator::variance() const noexcept {
 
 double StatAccumulator::stddev() const noexcept { return std::sqrt(variance()); }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins == 0 ? 1 : bins)),
-      counts_(bins == 0 ? 1 : bins, 0) {}
-
-void Histogram::add(double x) noexcept {
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width_);
-  idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto c = static_cast<double>(counts_[i]);
-    if (cum + c >= target && c > 0.0) {
-      const double frac = (target - cum) / c;
-      return bin_lo(i) + frac * width_;
-    }
-    cum += c;
-  }
-  return hi_;
-}
-
 }  // namespace dtn::util

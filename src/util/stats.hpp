@@ -4,9 +4,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <vector>
 
 namespace dtn::util {
 
@@ -34,29 +32,6 @@ class StatAccumulator {
   double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp to the
-/// first / last bin. Used for latency distributions in EXPERIMENTS.md.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-  /// Linear-interpolated quantile estimate, q in [0,1].
-  [[nodiscard]] double quantile(double q) const noexcept;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace dtn::util

@@ -41,15 +41,11 @@ ThreadPool& ThreadPool::shared() {
 void ThreadPool::worker_loop() {
   std::uint64_t seen_gen = 0;
   for (;;) {
-    std::function<void()> task;
     Job* job = nullptr;
     std::size_t slot = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [&] {
-        return stop_ || !queue_.empty() ||
-               (job_ != nullptr && job_gen_ != seen_gen);
-      });
+      cv_.wait(lock, [&] { return stop_ || (job_ != nullptr && job_gen_ != seen_gen); });
       if (job_ != nullptr && job_gen_ != seen_gen) {
         // Join the chunked job at most once per generation; late wakers
         // beyond the entrant cap just remember the generation and re-wait.
@@ -59,11 +55,8 @@ void ThreadPool::worker_loop() {
           slot = job->entered++;
           job->inside.fetch_add(1, std::memory_order_relaxed);
         }
-      } else if (!queue_.empty()) {
-        task = std::move(queue_.front());
-        queue_.pop();
-      } else if (stop_) {
-        return;
+      } else {
+        return;  // stop_
       }
     }
     if (job != nullptr) {
@@ -76,8 +69,6 @@ void ThreadPool::worker_loop() {
         { const std::lock_guard<std::mutex> lock(mutex_); }
         done_cv_.notify_all();
       }
-    } else if (task) {
-      task();
     }
   }
 }

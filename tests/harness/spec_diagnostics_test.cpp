@@ -3,6 +3,7 @@
 // (group declaration order, scenario.nodes alias, validate_spec).
 #include <gtest/gtest.h>
 
+#include "../test_support.hpp"
 #include "harness/scenario.hpp"
 #include "harness/spec_io.hpp"
 
@@ -120,7 +121,7 @@ TEST(SpecDiagnostics, CommunitiesSourceIsValidated) {
 }
 
 TEST(SpecDiagnostics, ApplyOverrideThrowsSpecError) {
-  ScenarioSpec spec = to_spec(BusScenarioParams{});
+  ScenarioSpec spec = test::paper_bus_spec();
   EXPECT_THROW(apply_override(spec, "protocol.copeis", "3"), SpecError);
   EXPECT_THROW(apply_override(spec, "protocol.copies", "several"), SpecError);
   EXPECT_THROW(apply_override(spec, "group.nosuch.count", "3"), SpecError);
@@ -139,17 +140,17 @@ TEST(SpecDiagnostics, ValidateSpecCatchesStructuralProblems) {
   ScenarioSpec empty;
   EXPECT_THROW(validate_spec(empty), std::invalid_argument);  // no groups
 
-  ScenarioSpec bad_protocol = to_spec(BusScenarioParams{});
+  ScenarioSpec bad_protocol = test::paper_bus_spec();
   bad_protocol.protocol.name = "NoSuchProtocol";
   EXPECT_THROW(validate_spec(bad_protocol), std::invalid_argument);
 
-  ScenarioSpec duplicate = to_spec(BusScenarioParams{});
+  ScenarioSpec duplicate = test::paper_bus_spec();
   duplicate.groups.push_back(duplicate.groups[0]);
   EXPECT_THROW(validate_spec(duplicate), std::invalid_argument);
 
   // Model/map capability mismatches are caught at validation, so
   // `dtnsim check` rejects exactly what run would reject.
-  ScenarioSpec bus_on_field = to_spec(BusScenarioParams{});
+  ScenarioSpec bus_on_field = test::paper_bus_spec();
   apply_override(bus_on_field, "map.kind", "open_field");
   EXPECT_THROW(validate_spec(bus_on_field), std::invalid_argument);
 
@@ -161,7 +162,7 @@ TEST(SpecDiagnostics, ValidateSpecCatchesStructuralProblems) {
   // Group names become config-key segments, so the serialized form must
   // stay parseable: dots, '#', '=', whitespace are rejected.
   for (const std::string bad_name : {"city.buses", "bu ses", "a#b", "a=b", ""}) {
-    ScenarioSpec bad = to_spec(BusScenarioParams{});
+    ScenarioSpec bad = test::paper_bus_spec();
     bad.groups[0].name = bad_name;
     EXPECT_THROW(validate_spec(bad), std::invalid_argument) << bad_name;
   }
@@ -182,7 +183,7 @@ TEST(SpecDiagnostics, ValidateSpecCatchesStructuralProblems) {
   apply_override(bad_margin, "group.relays.margin", "-150");
   EXPECT_THROW(validate_spec(bad_margin), std::invalid_argument);
 
-  ScenarioSpec ok = to_spec(BusScenarioParams{});
+  ScenarioSpec ok = test::paper_bus_spec();
   EXPECT_NO_THROW(validate_spec(ok));
 }
 
@@ -190,7 +191,7 @@ TEST(SpecDiagnostics, ValidateSpecCatchesStructuralProblems) {
 /// with exactly `message`.
 void expect_rejected(const std::string& key, const std::string& value,
                      const std::string& message) {
-  ScenarioSpec spec = to_spec(BusScenarioParams{});
+  ScenarioSpec spec = test::paper_bus_spec();
   apply_override(spec, key, value);
   try {
     validate_spec(spec);
@@ -229,7 +230,7 @@ TEST(SpecDiagnostics, TtlSweepIntervalMustBeFiniteAndNonNegative) {
                   "world.ttl_sweep_interval must be finite and >= 0 (got -1)");
   expect_rejected("world.ttl_sweep_interval", "nan",
                   "world.ttl_sweep_interval must be finite and >= 0 (got nan)");
-  ScenarioSpec every_step = to_spec(BusScenarioParams{});
+  ScenarioSpec every_step = test::paper_bus_spec();
   apply_override(every_step, "world.ttl_sweep_interval", "0");  // sweep every step
   EXPECT_NO_THROW(validate_spec(every_step));
 }
@@ -248,7 +249,7 @@ TEST(SpecDiagnostics, CopiesMustBeAtLeastOne) {
   // copies < 1 would leave EER no replicas and run direct delivery instead.
   expect_rejected("protocol.copies", "0", "protocol.copies must be >= 1 (got 0)");
   expect_rejected("protocol.copies", "-3", "protocol.copies must be >= 1 (got -3)");
-  ScenarioSpec single = to_spec(BusScenarioParams{});
+  ScenarioSpec single = test::paper_bus_spec();
   apply_override(single, "protocol.copies", "1");
   EXPECT_NO_THROW(validate_spec(single));
 }
@@ -265,13 +266,13 @@ TEST(SpecDiagnostics, AlphaMustBeFiniteAndPositive) {
 TEST(SpecDiagnostics, WindowMustBeAtLeastOne) {
   // The contact history would silently clamp a zero window to one interval.
   expect_rejected("protocol.window", "0", "protocol.window must be >= 1 (got 0)");
-  ScenarioSpec single = to_spec(BusScenarioParams{});
+  ScenarioSpec single = test::paper_bus_spec();
   apply_override(single, "protocol.window", "1");
   EXPECT_NO_THROW(validate_spec(single));
 }
 
 TEST(SpecDiagnostics, BusGroupOnOpenFieldFailsAtBuildWithContext) {
-  ScenarioSpec spec = to_spec(BusScenarioParams{});
+  ScenarioSpec spec = test::paper_bus_spec();
   spec.duration_s = 10.0;
   apply_override(spec, "map.kind", "open_field");
   try {

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "../test_support.hpp"
 #include "harness/scenario.hpp"
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
@@ -176,7 +177,7 @@ TEST(SpecOverrideProperty, SuggestionVocabularyTracksTheRegistries) {
 
 TEST(SpecOverrideProperty, SeedAxisAndDuplicateAxesStayLoudlyRejected) {
   SpecSweepOptions options;
-  options.base = to_spec(BusScenarioParams{});
+  options.base = test::paper_bus_spec();
   options.seeds = 1;
 
   options.axes = {SweepAxis{"scenario.seed", {"1", "2"}}};

@@ -1,8 +1,9 @@
 // Spec serialization: property test that ANY spec survives the
 // to_config -> parse_spec round trip bit for bit, plus targeted checks of
-// the grammar (comments, whitespace, group ordering, adapters).
+// the grammar (comments, whitespace, group ordering, the shared test specs).
 #include <gtest/gtest.h>
 
+#include "../test_support.hpp"
 #include "harness/scenario.hpp"
 #include "harness/spec_io.hpp"
 #include "util/rng.hpp"
@@ -177,19 +178,13 @@ TEST(SpecRoundtrip, ParsedFieldsMatchOriginal) {
   EXPECT_EQ(parsed.node_count(), original.node_count());
 }
 
-TEST(SpecRoundtrip, AdapterSpecsRoundTrip) {
-  BusScenarioParams bus;
-  bus.node_count = 77;
-  bus.duration_s = 1234.5;
-  bus.protocol.name = "CR";
-  const std::string bus_config = to_config(to_spec(bus));
+TEST(SpecRoundtrip, ReferenceSpecsRoundTrip) {
+  const std::string bus_config = to_config(
+      test::paper_bus_spec("scenario.nodes = 77\nscenario.duration = 1234.5\nprotocol.name = CR\n"));
   EXPECT_EQ(to_config(parse_spec(bus_config)), bus_config);
 
-  CommunityScenarioParams community;
-  community.node_count = 36;
-  community.communities = 6;
-  community.home_prob = 0.91;
-  const std::string community_config = to_config(to_spec(community));
+  const std::string community_config = to_config(test::community_spec(
+      "scenario.nodes = 36\ncommunities.count = 6\ngroup.walkers.home_prob = 0.91\n"));
   EXPECT_EQ(to_config(parse_spec(community_config)), community_config);
 }
 
@@ -223,7 +218,7 @@ TEST(SpecRoundtrip, GroupsKeepDeclarationOrder) {
 }
 
 TEST(SpecRoundtrip, ApplyOverrideMatchesParserVocabulary) {
-  ScenarioSpec spec = to_spec(BusScenarioParams{});
+  ScenarioSpec spec = test::paper_bus_spec();
   apply_override(spec, "protocol.name", "Epidemic");
   apply_override(spec, "scenario.nodes", "55");
   apply_override(spec, "group.buses.speed_max", "10.5");

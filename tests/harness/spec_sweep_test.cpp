@@ -2,6 +2,7 @@
 // ordering, and label/meta propagation.
 #include <gtest/gtest.h>
 
+#include "../test_support.hpp"
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
 
@@ -9,15 +10,9 @@ namespace dtn::harness {
 namespace {
 
 ScenarioSpec tiny_bus_spec() {
-  BusScenarioParams p;
-  p.duration_s = 1200.0;
-  p.traffic.ttl = 600.0;
-  p.map.rows = 6;
-  p.map.cols = 8;
-  p.map.districts = 2;
-  p.map.routes_per_district = 2;
-  p.node_count = 12;
-  return to_spec(p);
+  return test::paper_bus_spec(
+      "scenario.duration = 1200\ntraffic.ttl = 600\nscenario.nodes = 12\n"
+      "map.rows = 6\nmap.cols = 8\nmap.districts = 2\nmap.routes_per_district = 2\n");
 }
 
 TEST(SpecSweep, CrossProductOrderingFirstAxisOutermost) {

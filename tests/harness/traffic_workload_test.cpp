@@ -268,6 +268,25 @@ TEST(TrafficWorkload, TraceFileWorkloadReplaysAndValidates) {
     out << "5.0 0 1\n3.0 1 2\n";  // decreasing timestamps
   }
   EXPECT_THROW(run_scenario(spec), std::invalid_argument);
+
+  // Every non-blank, non-comment line must parse completely: a bad time, a
+  // bad optional field or a trailing token is an error on its own line,
+  // never a skipped line, a truncated field or a default TTL.
+  for (const std::string line : {"x20 0 2", "30 0 3 25k", "40 1 2 2048 300 junk",
+                                 "1e400 0 1"}) {
+    {
+      std::ofstream out(bad);
+      out << "10 0 1\n" << line << "\n";
+    }
+    try {
+      run_scenario(spec);
+      ADD_FAILURE() << "'" << line << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("traffic.file " + bad + ":2: "),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

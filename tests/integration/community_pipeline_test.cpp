@@ -1,47 +1,43 @@
 // End-to-end community pipeline: contact warm-up -> detection -> CR with
-// the detected table (the ablation_communities bench path), plus trace
-// record/replay round trips.
+// the detected table (`communities.source = detected`, the `communities`
+// arm of examples/paper_figures.sh), plus trace record/replay round trips.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
+#include "../test_support.hpp"
 #include "geo/trace.hpp"
 #include "harness/scenario.hpp"
+#include "mobility/bus_movement.hpp"
 #include "mobility/trace_playback.hpp"
 #include "routing/factory.hpp"
 
 namespace dtn::harness {
 namespace {
 
-BusScenarioParams small_bus(std::uint64_t seed = 5) {
-  BusScenarioParams p;
-  p.node_count = 18;
-  p.duration_s = 2000.0;
-  p.seed = seed;
-  p.map.rows = 6;
-  p.map.cols = 9;
-  p.map.districts = 3;
-  p.map.routes_per_district = 2;
-  p.map.hub_visit_prob = 0.5;
-  p.protocol.copies = 6;
-  return p;
+ScenarioSpec small_bus(const std::string& overrides = "") {
+  return test::paper_bus_spec(
+      "scenario.nodes = 18\nscenario.duration = 2000\nscenario.seed = 5\n"
+      "map.rows = 6\nmap.cols = 9\nmap.districts = 3\nmap.routes_per_district = 2\n"
+      "map.hub_visit_prob = 0.5\nprotocol.copies = 6\n" +
+      overrides);
 }
 
 TEST(CommunityPipeline, DetectionFindsMultipleCommunities) {
-  const BusScenarioParams p = small_bus();
+  const ScenarioSpec spec = small_bus();
   core::DetectionParams detection;
   detection.familiar_threshold = 3;
-  const core::CommunityTable detected = detect_bus_communities(p, detection, 1500.0);
-  EXPECT_EQ(detected.node_count(), p.node_count);
+  const core::CommunityTable detected = detect_spec_communities(spec, detection, 1500.0);
+  EXPECT_EQ(detected.node_count(), spec.node_count());
   EXPECT_GE(detected.community_count(), 1);
-  EXPECT_LE(detected.community_count(), p.node_count);
+  EXPECT_LE(detected.community_count(), spec.node_count());
 }
 
 TEST(CommunityPipeline, DetectionIsDeterministic) {
-  const BusScenarioParams p = small_bus();
+  const ScenarioSpec spec = small_bus();
   const core::DetectionParams detection{3, 0.5};
-  const core::CommunityTable a = detect_bus_communities(p, detection, 1000.0);
-  const core::CommunityTable b = detect_bus_communities(p, detection, 1000.0);
+  const core::CommunityTable a = detect_spec_communities(spec, detection, 1000.0);
+  const core::CommunityTable b = detect_spec_communities(spec, detection, 1000.0);
   ASSERT_EQ(a.node_count(), b.node_count());
   for (core::NodeIdx v = 0; v < a.node_count(); ++v) {
     EXPECT_EQ(a.community_of(v), b.community_of(v)) << "node " << v;
@@ -49,27 +45,44 @@ TEST(CommunityPipeline, DetectionIsDeterministic) {
 }
 
 TEST(CommunityPipeline, CrRunsWithDetectedCommunities) {
-  BusScenarioParams p = small_bus();
-  p.protocol.name = "CR";
-  const core::DetectionParams detection{3, 0.5};
-  p.communities_override = std::make_shared<const core::CommunityTable>(
-      detect_bus_communities(p, detection, 1500.0));
-  const ScenarioResult r = run_bus_scenario(p);
+  const ScenarioResult r = run_scenario(small_bus(
+      "protocol.name = CR\ncommunities.source = detected\ncommunities.warmup = 1500\n"));
   EXPECT_GT(r.metrics.created(), 0);
   EXPECT_GE(r.metrics.delivery_ratio(), 0.0);
   EXPECT_LE(r.metrics.delivery_ratio(), 1.0);
 }
 
+TEST(CommunityPipeline, DetectedSourceUsesDefaultThreshold) {
+  // communities.source = detected detects with DetectionParams{} (familiar
+  // threshold 3). On the paper's map at 240 buses a 1500 s warm-up joins
+  // every bus into one community at threshold 3 but not at threshold 4
+  // (DESIGN.md §6), so the detected run must equal the one-community run.
+  const std::string base =
+      "scenario.nodes = 240\nscenario.seed = 1000\nscenario.duration = 300\n"
+      "scenario.full_ttl_window = false\nprotocol.name = CR\n";
+  const ScenarioSpec spec = test::paper_bus_spec(base);
+  EXPECT_EQ(detect_spec_communities(spec, core::DetectionParams{}, 1500.0).community_count(),
+            1);
+  EXPECT_GT(detect_spec_communities(spec, core::DetectionParams{4, 0.5}, 1500.0)
+                .community_count(),
+            1);
+  const ScenarioResult detected = run_scenario(test::paper_bus_spec(
+      base + "communities.source = detected\ncommunities.warmup = 1500\n"));
+  const ScenarioResult one = run_scenario(test::paper_bus_spec(
+      base + "communities.source = round_robin\ncommunities.count = 1\n"));
+  EXPECT_GT(detected.metrics.created(), 0);
+  EXPECT_EQ(detected.metrics.delivered(), one.metrics.delivered());
+  EXPECT_EQ(detected.metrics.relayed(), one.metrics.relayed());
+  EXPECT_EQ(detected.metrics.control_bytes(), one.metrics.control_bytes());
+}
+
 TEST(CommunityPipeline, OverrideChangesCommunityAssignment) {
-  // A one-community override must behave like intra-community-only CR and
-  // still run; it should also differ in relays from the ground-truth run.
-  BusScenarioParams p = small_bus();
-  p.protocol.name = "CR";
-  const ScenarioResult ground = run_bus_scenario(p);
-  std::vector<int> all_one(static_cast<std::size_t>(p.node_count), 0);
-  p.communities_override =
-      std::make_shared<const core::CommunityTable>(all_one);
-  const ScenarioResult merged = run_bus_scenario(p);
+  // A one-community table (round-robin over one class: every node in
+  // community 0) must behave like intra-community-only CR and still run;
+  // it should also differ in relays from the ground-truth run.
+  const ScenarioResult ground = run_scenario(small_bus("protocol.name = CR\n"));
+  const ScenarioResult merged = run_scenario(small_bus(
+      "protocol.name = CR\ncommunities.source = round_robin\ncommunities.count = 1\n"));
   EXPECT_GT(merged.metrics.created(), 0);
   // With a single community, CR degenerates to intra-community EER-style
   // routing everywhere; routing decisions (and relays) change.

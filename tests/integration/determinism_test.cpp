@@ -2,30 +2,25 @@
 // different seeds give different runs, across protocols.
 #include <gtest/gtest.h>
 
+#include "../test_support.hpp"
 #include "harness/scenario.hpp"
 
 namespace dtn::harness {
 namespace {
 
-BusScenarioParams base(const std::string& protocol, std::uint64_t seed) {
-  BusScenarioParams p;
-  p.node_count = 20;
-  p.duration_s = 1500.0;
-  p.seed = seed;
-  p.map.rows = 6;
-  p.map.cols = 8;
-  p.map.districts = 2;
-  p.map.routes_per_district = 2;
-  p.protocol.name = protocol;
-  p.protocol.copies = 6;
-  return p;
+ScenarioSpec base(const std::string& protocol, std::uint64_t seed) {
+  return test::paper_bus_spec(
+      "scenario.nodes = 20\nscenario.duration = 1500\nscenario.seed = " +
+      std::to_string(seed) +
+      "\nmap.rows = 6\nmap.cols = 8\nmap.districts = 2\nmap.routes_per_district = 2\n"
+      "protocol.copies = 6\nprotocol.name = " + protocol + "\n");
 }
 
 class DeterminismTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(DeterminismTest, SameSeedSameMetrics) {
-  const auto a = run_bus_scenario(base(GetParam(), 11));
-  const auto b = run_bus_scenario(base(GetParam(), 11));
+  const auto a = run_scenario(base(GetParam(), 11));
+  const auto b = run_scenario(base(GetParam(), 11));
   EXPECT_EQ(a.metrics.created(), b.metrics.created());
   EXPECT_EQ(a.metrics.delivered(), b.metrics.delivered());
   EXPECT_EQ(a.metrics.relayed(), b.metrics.relayed());
@@ -36,8 +31,8 @@ TEST_P(DeterminismTest, SameSeedSameMetrics) {
 }
 
 TEST_P(DeterminismTest, DifferentSeedDifferentRun) {
-  const auto a = run_bus_scenario(base(GetParam(), 11));
-  const auto b = run_bus_scenario(base(GetParam(), 12));
+  const auto a = run_scenario(base(GetParam(), 11));
+  const auto b = run_scenario(base(GetParam(), 12));
   // Contact structure differs with the seed (map + traffic + movement).
   EXPECT_NE(a.contact_events, b.contact_events);
 }

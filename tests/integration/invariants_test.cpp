@@ -2,29 +2,23 @@
 // identities the metrics must satisfy no matter the protocol.
 #include <gtest/gtest.h>
 
+#include "../test_support.hpp"
 #include "harness/scenario.hpp"
 
 namespace dtn::harness {
 namespace {
 
-BusScenarioParams scenario(const std::string& protocol) {
-  BusScenarioParams p;
-  p.node_count = 24;
-  p.duration_s = 2000.0;
-  p.seed = 21;
-  p.map.rows = 8;
-  p.map.cols = 10;
-  p.map.districts = 3;
-  p.map.routes_per_district = 2;
-  p.protocol.name = protocol;
-  p.protocol.copies = 6;
-  return p;
+ScenarioSpec scenario(const std::string& protocol) {
+  return test::paper_bus_spec(
+      "scenario.nodes = 24\nscenario.duration = 2000\nscenario.seed = 21\n"
+      "map.rows = 8\nmap.cols = 10\nmap.districts = 3\nmap.routes_per_district = 2\n"
+      "protocol.copies = 6\nprotocol.name = " + protocol + "\n");
 }
 
 class InvariantsTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(InvariantsTest, MetricsIdentitiesHold) {
-  const ScenarioResult r = run_bus_scenario(scenario(GetParam()));
+  const ScenarioResult r = run_scenario(scenario(GetParam()));
   const sim::Metrics& m = r.metrics;
 
   EXPECT_GE(m.created(), 0);
@@ -51,7 +45,7 @@ INSTANTIATE_TEST_SUITE_P(Protocols, InvariantsTest,
                                            "EER", "CR"));
 
 TEST(Invariants, DirectDeliveryGoodputIsOne) {
-  const ScenarioResult r = run_bus_scenario(scenario("DirectDelivery"));
+  const ScenarioResult r = run_scenario(scenario("DirectDelivery"));
   if (r.metrics.relayed() > 0) {
     // Every relay of DirectDelivery IS a delivery attempt to the
     // destination; duplicates are impossible with a single copy.
@@ -60,15 +54,15 @@ TEST(Invariants, DirectDeliveryGoodputIsOne) {
 }
 
 TEST(Invariants, EpidemicDeliversAtLeastAsMuchAsDirect) {
-  const auto direct = run_bus_scenario(scenario("DirectDelivery"));
-  const auto epidemic = run_bus_scenario(scenario("Epidemic"));
+  const auto direct = run_scenario(scenario("DirectDelivery"));
+  const auto epidemic = run_scenario(scenario("Epidemic"));
   EXPECT_GE(epidemic.metrics.delivered(), direct.metrics.delivered());
 }
 
 TEST(Invariants, QuotaProtocolsRelayLessThanEpidemic) {
-  const auto epidemic = run_bus_scenario(scenario("Epidemic"));
-  const auto snw = run_bus_scenario(scenario("SprayAndWait"));
-  const auto eer = run_bus_scenario(scenario("EER"));
+  const auto epidemic = run_scenario(scenario("Epidemic"));
+  const auto snw = run_scenario(scenario("SprayAndWait"));
+  const auto eer = run_scenario(scenario("EER"));
   EXPECT_LT(snw.metrics.relayed(), epidemic.metrics.relayed());
   EXPECT_LT(eer.metrics.relayed(), epidemic.metrics.relayed());
 }

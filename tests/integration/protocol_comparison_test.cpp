@@ -3,6 +3,7 @@
 // *shape* (who beats whom), not absolute numbers.
 #include <gtest/gtest.h>
 
+#include "../test_support.hpp"
 #include "harness/sweep.hpp"
 
 namespace dtn::harness {
@@ -10,16 +11,10 @@ namespace {
 
 const std::vector<PointResult>& comparison_results() {
   static const std::vector<PointResult> results = [] {
-    BusScenarioParams base;
-    base.node_count = 32;
-    base.duration_s = 2500.0;
-    base.map.rows = 8;
-    base.map.cols = 10;
-    base.map.districts = 3;
-    base.map.routes_per_district = 2;
-    base.protocol.copies = 8;
     SpecSweepOptions opt;
-    opt.base = to_spec(base);
+    opt.base = test::paper_bus_spec(
+        "scenario.nodes = 32\nscenario.duration = 2500\nprotocol.copies = 8\n"
+        "map.rows = 8\nmap.cols = 10\nmap.districts = 3\nmap.routes_per_district = 2\n");
     opt.axes = {{"protocol.name", {"EER", "CR", "EBR", "MaxProp", "SprayAndWait"}}};
     opt.seeds = 2;
     opt.seed_base = 500;

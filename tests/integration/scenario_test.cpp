@@ -3,26 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include "../test_support.hpp"
+
 namespace dtn::harness {
 namespace {
 
-BusScenarioParams small_bus(const std::string& protocol, std::uint64_t seed = 7) {
-  BusScenarioParams p;
-  p.node_count = 24;
-  p.duration_s = 2000.0;
-  p.seed = seed;
-  p.map.rows = 8;
-  p.map.cols = 10;
-  p.map.block_m = 150.0;
-  p.map.districts = 3;
-  p.map.routes_per_district = 2;
-  p.protocol.name = protocol;
-  p.protocol.copies = 6;
-  return p;
+ScenarioSpec small_bus(const std::string& protocol, const std::string& overrides = "") {
+  return test::paper_bus_spec(
+      "scenario.nodes = 24\nscenario.duration = 2000\nscenario.seed = 7\n"
+      "map.rows = 8\nmap.cols = 10\nmap.block = 150\nmap.districts = 3\n"
+      "map.routes_per_district = 2\nprotocol.copies = 6\nprotocol.name = " + protocol +
+      "\n" + overrides);
 }
 
 TEST(BusScenario, ProducesContactsAndTraffic) {
-  const ScenarioResult r = run_bus_scenario(small_bus("Epidemic"));
+  const ScenarioResult r = run_scenario(small_bus("Epidemic"));
   EXPECT_GT(r.contact_events, 0);
   EXPECT_GT(r.metrics.created(), 0);
   EXPECT_EQ(r.protocol, "Epidemic");
@@ -30,58 +25,55 @@ TEST(BusScenario, ProducesContactsAndTraffic) {
 }
 
 TEST(BusScenario, EpidemicDeliversSomething) {
-  const ScenarioResult r = run_bus_scenario(small_bus("Epidemic"));
+  const ScenarioResult r = run_scenario(small_bus("Epidemic"));
   EXPECT_GT(r.metrics.delivered(), 0);
   EXPECT_GT(r.metrics.delivery_ratio(), 0.0);
   EXPECT_LE(r.metrics.delivery_ratio(), 1.0);
 }
 
 TEST(BusScenario, EerRunsAndDelivers) {
-  const ScenarioResult r = run_bus_scenario(small_bus("EER"));
+  const ScenarioResult r = run_scenario(small_bus("EER"));
   EXPECT_GT(r.metrics.delivered(), 0);
   EXPECT_GT(r.metrics.goodput(), 0.0);
 }
 
 TEST(BusScenario, CrRunsAndDelivers) {
-  const ScenarioResult r = run_bus_scenario(small_bus("CR"));
+  const ScenarioResult r = run_scenario(small_bus("CR"));
   EXPECT_GT(r.metrics.delivered(), 0);
 }
 
 TEST(BusScenario, CommunitiesMatchRouteDistricts) {
-  geo::DowntownParams mp;
-  mp.districts = 3;
-  mp.routes_per_district = 2;
-  mp.seed = 5;
-  const geo::BusNetwork net = geo::generate_downtown(mp);
-  const core::CommunityTable table = bus_scenario_communities(net, 12);
-  EXPECT_EQ(table.node_count(), 12);
+  // The "auto" assignment the runner applies to a bus group: round-robin
+  // routes, community = the route's district.
+  const ScenarioSpec spec = test::paper_bus_spec(
+      "scenario.nodes = 12\nscenario.seed = 5\nmap.districts = 3\nmap.routes_per_district = 2\n");
+  const geo::BuiltMap map =
+      geo::find_map_kind(spec.map.kind)->build(spec.map.params, spec.seed);
+  ASSERT_TRUE(map.network.has_value());
+  std::vector<int> cid;
+  const GroupBuildContext ctx{spec, map, 0, {}};
+  find_group_builder("bus")->assign_communities(ctx, spec.groups[0], cid);
+  ASSERT_EQ(cid.size(), 12u);
+  const auto& routes = map.network->routes;
   for (int v = 0; v < 12; ++v) {
-    const auto& route = net.routes[static_cast<std::size_t>(v) % net.routes.size()];
-    EXPECT_EQ(table.community_of(v), route.district);
+    EXPECT_EQ(cid[static_cast<std::size_t>(v)],
+              routes[static_cast<std::size_t>(v) % routes.size()].district);
   }
 }
 
 TEST(BusScenario, TrafficStopsBeforeTtlWindowEnds) {
-  BusScenarioParams p = small_bus("DirectDelivery");
-  p.traffic.ttl = 600.0;
-  p.duration_s = 1500.0;
-  const ScenarioResult r = run_bus_scenario(p);
+  const ScenarioResult r =
+      run_scenario(small_bus("DirectDelivery", "traffic.ttl = 600\nscenario.duration = 1500\n"));
   // Expected message count ~ (1500 - 600) / 30 = 30.
   EXPECT_LE(r.metrics.created(), 40);
   EXPECT_GT(r.metrics.created(), 20);
 }
 
 TEST(CommunityScenario, RunsWithCr) {
-  CommunityScenarioParams p;
-  p.node_count = 20;
-  p.communities = 4;
-  p.duration_s = 1500.0;
-  p.world_size_m = 600.0;
-  p.world.radio_range = 30.0;
-  p.protocol.name = "CR";
-  p.protocol.copies = 4;
-  p.seed = 3;
-  const ScenarioResult r = run_community_scenario(p);
+  const ScenarioResult r = run_scenario(test::community_spec(
+      "scenario.nodes = 20\nscenario.duration = 1500\nscenario.seed = 3\n"
+      "communities.count = 4\nmap.width = 600\nmap.height = 600\nworld.radio_range = 30\n"
+      "protocol.name = CR\nprotocol.copies = 4\n"));
   EXPECT_GT(r.contact_events, 0);
   EXPECT_GT(r.metrics.created(), 0);
 }
@@ -89,16 +81,11 @@ TEST(CommunityScenario, RunsWithCr) {
 TEST(CommunityScenario, IntraCommunityContactsDominate) {
   // Verify the mobility substrate produces the community contact asymmetry
   // CR assumes: count contacts within vs across districts directly.
-  CommunityScenarioParams p;
-  p.node_count = 16;
-  p.communities = 4;
-  p.duration_s = 1200.0;
-  p.traffic.ttl = 600.0;  // full_ttl_window needs ttl < duration
-  p.world_size_m = 800.0;
-  p.home_prob = 0.9;
-  p.world.radio_range = 25.0;
-  p.protocol.name = "Epidemic";
-  const ScenarioResult r = run_community_scenario(p);
+  const ScenarioResult r = run_scenario(test::community_spec(
+      "scenario.nodes = 16\nscenario.duration = 1200\n"
+      "traffic.ttl = 600\n"  // full_ttl_window needs ttl < duration
+      "communities.count = 4\nmap.width = 800\nmap.height = 800\n"
+      "group.walkers.home_prob = 0.9\nworld.radio_range = 25\nprotocol.name = Epidemic\n"));
   EXPECT_GT(r.contact_events, 10);
 }
 

@@ -6,26 +6,24 @@
 
 #include <atomic>
 
+#include "../test_support.hpp"
+
 namespace dtn::harness {
 namespace {
 
 const std::vector<std::string> kProtocols = {"DirectDelivery", "Epidemic"};
 const std::vector<int> kNodeCounts = {12, 20};
 
-BusScenarioParams tiny_base() {
-  BusScenarioParams base;
-  base.duration_s = 1200.0;
-  base.traffic.ttl = 600.0;
-  base.map.rows = 6;
-  base.map.cols = 8;
-  base.map.districts = 2;
-  base.map.routes_per_district = 2;
-  return base;
+ScenarioSpec tiny_base(const std::string& overrides = "") {
+  return test::paper_bus_spec(
+      "scenario.duration = 1200\ntraffic.ttl = 600\n"
+      "map.rows = 6\nmap.cols = 8\nmap.districts = 2\nmap.routes_per_district = 2\n" +
+      overrides);
 }
 
 SpecSweepOptions tiny_sweep() {
   SpecSweepOptions opt;
-  opt.base = to_spec(tiny_base());
+  opt.base = tiny_base();
   opt.axes = {{"protocol.name", kProtocols}, {"scenario.nodes", {}}};
   for (const int n : kNodeCounts) opt.axes[1].values.push_back(std::to_string(n));
   opt.seeds = 2;
@@ -155,14 +153,13 @@ TEST(Sweep, ScenarioRunnerReuseMatchesFreshWorlds) {
   for (const auto& protocol : kProtocols) {
     for (const int nodes : kNodeCounts) {
       for (const std::uint64_t seed : {77u, 78u}) {
-        BusScenarioParams params = tiny_base();
-        params.protocol.name = protocol;
-        params.node_count = nodes;
-        params.seed = seed;
-        const ScenarioResult fresh = run_bus_scenario(params);
-        const ScenarioResult reused = runner.run(params);
+        const ScenarioSpec spec =
+            tiny_base("protocol.name = " + protocol + "\nscenario.nodes = " +
+                      std::to_string(nodes) + "\nscenario.seed = " + std::to_string(seed));
+        const ScenarioResult fresh = run_scenario(spec);
+        const ScenarioResult reused = runner.run(spec);
         SCOPED_TRACE(protocol + "/n=" + std::to_string(nodes) +
-                     "/seed=" + std::to_string(params.seed));
+                     "/seed=" + std::to_string(seed));
         EXPECT_EQ(fresh.metrics.created(), reused.metrics.created());
         EXPECT_EQ(fresh.metrics.delivered(), reused.metrics.delivered());
         EXPECT_EQ(fresh.metrics.relayed(), reused.metrics.relayed());

@@ -107,6 +107,28 @@ TEST(SprayAndFocus, ForwardsSingleCopyTowardFresherTimer) {
   EXPECT_FALSE(world.buffer_of(0).has(0));
 }
 
+TEST(SprayAndFocus, AdoptedTimerTakesConstantPenalty) {
+  // Node 1 meets the destination (2), then drives 95 m to node 0. Node 0
+  // adopts node 1's timer less a fixed transitivity_s, whatever the
+  // distance node 1 covered since (the original scales it by distance).
+  sim::World world(test_world_config());
+  auto r0 = std::make_unique<SprayAndFocusRouter>(SprayAndFocusParams{1, true, 60.0, 1.0});
+  auto r1 = std::make_unique<SprayAndFocusRouter>(SprayAndFocusParams{1, true, 60.0, 1.0});
+  const SprayAndFocusRouter* node0 = r0.get();
+  const SprayAndFocusRouter* node1 = r1.get();
+  world.add_node(pinned({0.0, 0.0}), std::move(r0));
+  world.add_node(scripted({{0.0, {100.0, 0.0}},
+                           {10.0, {100.0, 0.0}},
+                           {20.0, {5.0, 0.0}},
+                           {1000.0, {5.0, 0.0}}}),
+                 std::move(r1));
+  world.add_node(pinned({105.0, 0.0}),
+                 std::make_unique<SprayAndFocusRouter>(SprayAndFocusParams{1}));
+  world.run(30.0);
+  ASSERT_GT(node1->last_seen(2), -1e300);
+  EXPECT_EQ(node0->last_seen(2), node1->last_seen(2) - 60.0);
+}
+
 TEST(SprayAndFocus, DoesNotForwardToWorseTimer) {
   sim::World world(test_world_config());
   world.add_node(pinned({0.0, 0.0}),

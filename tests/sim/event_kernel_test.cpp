@@ -210,16 +210,13 @@ TEST(EventKernel, ReseedKeepsTheKernelBitIdentical) {
 TEST(EventKernel, BusWorkloadFallsBackToFixedDt) {
   // Bus trajectories have no closed-form segment API; event_kernel = true
   // must silently decline and produce the fixed-dt bits.
-  harness::BusScenarioParams params;
-  params.node_count = 30;
-  params.duration_s = 1200.0;
-  params.traffic.ttl = 600.0;
-  params.seed = 7;
-  params.protocol.name = "Epidemic";
-  const harness::ScenarioResult fixed = harness::run_bus_scenario(params);
+  harness::ScenarioSpec spec = test::paper_bus_spec(
+      "scenario.nodes = 30\nscenario.duration = 1200\ntraffic.ttl = 600\nscenario.seed = 7\n"
+      "protocol.name = Epidemic\n");
+  const harness::ScenarioResult fixed = harness::run_scenario(spec);
 
-  params.world.event_kernel = true;
-  const harness::ScenarioResult declined = harness::run_bus_scenario(params);
+  harness::apply_override(spec, "world.event_kernel", "true");
+  const harness::ScenarioResult declined = harness::run_scenario(spec);
 
   EXPECT_EQ(fixed.metrics.created(), declined.metrics.created());
   EXPECT_EQ(fixed.metrics.delivered(), declined.metrics.delivered());

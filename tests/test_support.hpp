@@ -1,6 +1,7 @@
-// Shared helpers for simulator and routing tests: a recording router that
-// exposes the protected Router API, and world builders with scripted
-// (trace-driven) movement so contact timing is exact and deterministic.
+// Shared helpers for simulator, routing and harness tests: a recording
+// router that exposes the protected Router API, world builders with
+// scripted (trace-driven) movement so contact timing is exact and
+// deterministic, and the two reference scenarios as scenario-file text.
 #pragma once
 
 #include <memory>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "geo/trace.hpp"
+#include "harness/spec_io.hpp"
 #include "mobility/movement_model.hpp"
 #include "mobility/trace_playback.hpp"
 #include "sim/router.hpp"
@@ -99,6 +101,36 @@ inline sim::Message make_message(sim::MsgId id, sim::NodeIdx src, sim::NodeIdx d
   m.ttl = ttl;
   m.size_bytes = kb * 1024;
   return m;
+}
+
+/// The paper's evaluation scenario (Sec. V-A): 120 buses on the 12 x 16
+/// block downtown map for 10 000 s, 10 m radios at 2 Mbps, 1 MB buffers, a
+/// 25 KB message every 25-35 s with a 20 min TTL, EER with lambda = 10 and
+/// alpha = 0.28, communities = route districts. `overrides` is more
+/// `key = value` text; a later line wins, so tests shrink the scenario by
+/// appending lines (scenario.nodes, scenario.duration, map.rows, ...).
+inline harness::ScenarioSpec paper_bus_spec(const std::string& overrides = "") {
+  return harness::parse_spec(
+      "scenario.name = bus\n"
+      "scenario.duration = 10000\n"
+      "map.kind = downtown\n"
+      "group.buses.model = bus\n"
+      "group.buses.count = 120\n" +
+      overrides);
+}
+
+/// Community walkers on an open field: 80 nodes whose waypoints stay in
+/// one of 4 vertical home bands with probability 0.85, for 8 000 s, with
+/// the paper's radio, buffer, traffic and protocol defaults. `overrides`
+/// as for paper_bus_spec.
+inline harness::ScenarioSpec community_spec(const std::string& overrides = "") {
+  return harness::parse_spec(
+      "scenario.name = community\n"
+      "scenario.duration = 8000\n"
+      "map.kind = open_field\n"
+      "group.walkers.model = community\n"
+      "group.walkers.count = 80\n" +
+      overrides);
 }
 
 }  // namespace dtn::test

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <vector>
 
 namespace dtn::util {
@@ -97,22 +96,6 @@ TEST(SplitCsv, TokensAndEdgeCases) {
   EXPECT_TRUE(split_csv("").empty());
   EXPECT_TRUE(split_csv(",,").empty());
   EXPECT_EQ(split_csv("solo").size(), 1u);
-}
-
-TEST(EnvInt, ReadsAndFallsBack) {
-  ::setenv("DTN_TEST_ENV_INT", "42", 1);
-  EXPECT_EQ(env_int("DTN_TEST_ENV_INT", 0), 42);
-  ::setenv("DTN_TEST_ENV_INT", "junk", 1);
-  EXPECT_EQ(env_int("DTN_TEST_ENV_INT", 9), 9);
-  ::unsetenv("DTN_TEST_ENV_INT");
-  EXPECT_EQ(env_int("DTN_TEST_ENV_INT", 3), 3);
-}
-
-TEST(EnvString, PresentAndAbsent) {
-  ::setenv("DTN_TEST_ENV_STR", "hello", 1);
-  EXPECT_EQ(env_string("DTN_TEST_ENV_STR").value(), "hello");
-  ::unsetenv("DTN_TEST_ENV_STR");
-  EXPECT_FALSE(env_string("DTN_TEST_ENV_STR").has_value());
 }
 
 }  // namespace

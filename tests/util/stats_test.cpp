@@ -88,44 +88,5 @@ TEST(StatAccumulator, NumericallyStableLargeOffset) {
   EXPECT_NEAR(acc.variance(), 1.0, 1e-6);
 }
 
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);    // bin 0
-  h.add(9.99);   // bin 9
-  h.add(-5.0);   // clamps to bin 0
-  h.add(15.0);   // clamps to bin 9
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(9), 2u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 100.0, 4);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 25.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(3), 75.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(3), 100.0);
-}
-
-TEST(Histogram, QuantileOfUniformData) {
-  Histogram h(0.0, 1.0, 100);
-  for (int i = 0; i < 1000; ++i) h.add((i + 0.5) / 1000.0);
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-  EXPECT_NEAR(h.quantile(0.1), 0.1, 0.02);
-}
-
-TEST(Histogram, QuantileEmpty) {
-  Histogram h(2.0, 4.0, 4);
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
-}
-
-TEST(Histogram, ZeroBinRequestsGetOne) {
-  Histogram h(0.0, 1.0, 0);
-  EXPECT_EQ(h.bins(), 1u);
-  h.add(0.5);
-  EXPECT_EQ(h.bin_count(0), 1u);
-}
-
 }  // namespace
 }  // namespace dtn::util
