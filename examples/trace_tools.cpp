@@ -14,11 +14,15 @@
 //   map.file = buses.trace
 //   group.replay.model = trace
 //   group.replay.count = <trace nodes>
+//
+// `replay` keeps the default 1200 s traffic.ttl and full TTL window, so it
+// needs a trace longer than 1200 s.
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <utility>
 
-#include "example_common.hpp"
 #include "geo/map_gen.hpp"
 #include "geo/map_registry.hpp"
 #include "geo/trace.hpp"
@@ -103,17 +107,31 @@ int cmd_info(const std::string& path) {
 
 int main(int argc, char** argv) {
   const util::Flags flags = util::Flags::parse(argc, argv);
-  if (!dtn::examples::require_known_flags(flags,
-                                          {"nodes", "duration", "protocol", "seed"}) ||
-      !dtn::examples::require_int_flags(flags, {"nodes"}, 1) ||
-      !dtn::examples::require_int_flags(flags, {"seed"}, 0)) {
-    return 2;
+  bool flags_ok = true;
+  for (const auto& flag : flags.unknown_flags({"nodes", "duration", "protocol", "seed"})) {
+    std::fprintf(stderr, "unknown flag '--%s'\n", flag.c_str());
+    flags_ok = false;
   }
+  // get_int falls back silently on garbage, so the integer flags are read
+  // strictly first: `--nodes abc` must not record the default fleet.
+  for (const auto& [name, min_value] :
+       {std::pair<const char*, std::int64_t>{"nodes", 1}, {"seed", 0}}) {
+    std::int64_t value = min_value;
+    if (!flags.parse_int(name, value) || value < min_value) {
+      std::fprintf(stderr, "bad value '%s' for --%s (integer >= %lld expected)\n",
+                   flags.get_string(name, "").c_str(), name,
+                   static_cast<long long>(min_value));
+      flags_ok = false;
+    }
+  }
+  if (!flags_ok) return 2;
   const auto& args = flags.positional();
   if (args.size() < 2) {
     std::fprintf(stderr,
                  "usage: trace_tools record|replay|info <file> "
-                 "[--nodes N] [--duration S] [--protocol P] [--seed S]\n");
+                 "[--nodes N] [--duration S] [--protocol P] [--seed S]\n"
+                 "replay keeps the 1200 s default traffic.ttl with a full TTL window,\n"
+                 "so it needs a trace longer than 1200 s (record's default is 2000 s)\n");
     return 2;
   }
   const std::string& cmd = args[0];

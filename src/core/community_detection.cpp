@@ -68,38 +68,4 @@ CommunityTable detect_communities(const ContactCountGraph& graph,
   return CommunityTable(std::move(cid));
 }
 
-CommunityDetector::CommunityDetector(NodeIdx self, DetectionParams params)
-    : self_(self), params_(params) {
-  community_.insert(self_);
-}
-
-void CommunityDetector::record_contact(NodeIdx peer) {
-  if (peer == self_) return;
-  const int count = ++contact_counts_[peer];
-  if (count >= params_.familiar_threshold) {
-    familiar_.insert(peer);
-    community_.insert(peer);  // familiar peers are community members
-  }
-}
-
-void CommunityDetector::merge_on_contact(const CommunityDetector& peer) {
-  if (peer.self_ == self_) return;
-  // SIMPLE admission: |F_peer ∩ C_self| / |F_peer| > merge_ratio.
-  const auto& peer_familiar = peer.familiar_set();
-  if (!peer_familiar.empty() && community_.count(peer.self_) == 0) {
-    std::size_t overlap = 0;
-    for (const NodeIdx v : peer_familiar) {
-      if (community_.count(v) > 0) ++overlap;
-    }
-    if (static_cast<double>(overlap) / static_cast<double>(peer_familiar.size()) >
-        params_.merge_ratio) {
-      community_.insert(peer.self_);
-    }
-  }
-  // Community merge: once the peer is a member, absorb its community.
-  if (community_.count(peer.self_) > 0) {
-    community_.insert(peer.community_.begin(), peer.community_.end());
-  }
-}
-
 }  // namespace dtn::core

@@ -1,7 +1,6 @@
 #include "core/contact_history.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 namespace dtn::core {
@@ -52,19 +51,6 @@ void ContactHistory::record_contact(NodeIdx peer, double t) {
 const PairHistory* ContactHistory::pair(NodeIdx peer) const {
   const auto it = pairs_.find(peer);
   return it == pairs_.end() ? nullptr : &it->second;
-}
-
-double ContactHistory::elapsed_since_contact(NodeIdx peer, double t) const {
-  const PairHistory* ph = pair(peer);
-  if (ph == nullptr || !ph->met) return std::numeric_limits<double>::infinity();
-  return t - ph->last_contact;
-}
-
-std::vector<NodeIdx> ContactHistory::known_peers() const {
-  std::vector<NodeIdx> peers;
-  peers.reserve(pairs_.size());
-  for (const auto& [peer, ph] : pairs_) peers.push_back(peer);
-  return peers;
 }
 
 }  // namespace dtn::core

@@ -57,12 +57,6 @@ class ContactHistory {
   /// nullptr when the pair has never met.
   [[nodiscard]] const PairHistory* pair(NodeIdx peer) const;
 
-  /// Elapsed time since last contact with `peer` at time t; +inf if never.
-  [[nodiscard]] double elapsed_since_contact(NodeIdx peer, double t) const;
-
-  /// Peers with at least one recorded contact, unsorted.
-  [[nodiscard]] std::vector<NodeIdx> known_peers() const;
-
   [[nodiscard]] std::size_t window_capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t pair_count() const noexcept { return pairs_.size(); }
 

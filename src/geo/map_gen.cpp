@@ -19,13 +19,6 @@ NodeId grid_id(int r, int c, int cols) {
 
 }  // namespace
 
-int BusNetwork::district_of(Vec2 p) const {
-  if (districts <= 0 || world_width <= 0.0) return 0;
-  const double band = world_width / districts;
-  auto d = static_cast<int>(p.x / band);
-  return std::clamp(d, 0, districts - 1);
-}
-
 MapGraph generate_grid_map(const DowntownParams& params) {
   MapGraph map;
   Pcg32 rng = util::derive_stream(params.seed, 0, StreamPurpose::kMapGen);

@@ -36,8 +36,6 @@ struct BusNetwork {
   MapGraph map;
   std::vector<BusRoute> routes;
   int districts = 0;
-  /// District of an arbitrary map point (column-band partition).
-  [[nodiscard]] int district_of(Vec2 p) const;
   double world_width = 0.0;
   double world_height = 0.0;
 };

@@ -136,8 +136,8 @@ BuiltMap trace_build(const MapParams& p, std::uint64_t /*seed*/) {
   return built;
 }
 
-std::vector<MapKindInfo>& registry() {
-  static std::vector<MapKindInfo> kinds{
+const std::vector<MapKindInfo>& registry() {
+  static const std::vector<MapKindInfo> kinds{
       {"downtown", downtown_set, downtown_emit, downtown_build,
        /*provides_routes=*/true, /*provides_trace=*/false},
       {"open_field", open_field_set, open_field_emit, open_field_build,
@@ -162,16 +162,6 @@ std::vector<std::string> map_kind_names() {
   names.reserve(registry().size());
   for (const auto& k : registry()) names.push_back(k.name);
   return names;
-}
-
-void register_map_kind(const MapKindInfo& info) {
-  for (auto& k : registry()) {
-    if (k.name == info.name) {
-      k = info;
-      return;
-    }
-  }
-  registry().push_back(info);
 }
 
 }  // namespace dtn::geo

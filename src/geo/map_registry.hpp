@@ -1,8 +1,8 @@
-// String-keyed registry of map sources for the declarative scenario layer.
+// The table of built-in map sources for the declarative scenario layer.
 // A map source turns `map.*` keys into the world geometry a scenario runs
 // on: the downtown generator (bus routes + districts), an open field (just
 // an extent, for waypoint-style mobility), or a recorded trace (extent +
-// per-node trajectories). Like the mobility registry, entries own the key
+// per-node trajectories). Like the mobility table, entries own the key
 // vocabulary (parse + serialize) and the build step; scenario composition
 // stays in the harness.
 #pragma once
@@ -59,6 +59,5 @@ struct MapKindInfo {
 
 const MapKindInfo* find_map_kind(const std::string& name);
 std::vector<std::string> map_kind_names();
-void register_map_kind(const MapKindInfo& info);
 
 }  // namespace dtn::geo

@@ -18,8 +18,6 @@ Polyline::Polyline(std::vector<Vec2> points, bool closed)
   }
 }
 
-double Polyline::length_at_vertex(std::size_t i) const { return cumulative_.at(i); }
-
 double Polyline::wrap_arc_length(double s) const noexcept {
   if (closed_ && total_length_ > 0.0) {
     s = std::fmod(s, total_length_);

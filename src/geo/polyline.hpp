@@ -38,11 +38,8 @@ class Polyline {
   /// position is bit-identical to point_at(s) in every case.
   [[nodiscard]] Vec2 point_at_hinted(double s, std::uint32_t& hint) const noexcept;
 
-  /// Cumulative arc length at the i-th vertex.
-  [[nodiscard]] double length_at_vertex(std::size_t i) const;
-
   /// Arc length of the point on the polyline closest to p (open segment
-  /// projection; used to place nodes on their nearest route point).
+  /// projection). Tests use it to check that a bus lies on its route.
   [[nodiscard]] double project(Vec2 p) const noexcept;
 
  private:

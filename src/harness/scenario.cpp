@@ -228,20 +228,6 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
     first_node += group.count;
   }
 
-  // Per-group metric buckets (created/delivered by source group) for
-  // heterogeneous analysis; headline metrics are unaffected.
-  {
-    std::vector<int> node_group;
-    node_group.reserve(static_cast<std::size_t>(spec.node_count()));
-    for (std::size_t g = 0; g < spec.groups.size(); ++g) {
-      for (int v = 0; v < spec.groups[g].count; ++v) {
-        node_group.push_back(static_cast<int>(g));
-      }
-    }
-    world.metrics().set_groups(std::move(node_group),
-                               static_cast<int>(spec.groups.size()));
-  }
-
   world.set_traffic(resolve_traffic(spec));
   world.run(spec.duration_s);
 

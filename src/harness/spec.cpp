@@ -323,8 +323,8 @@ void validate_traffic(const ScenarioSpec& spec) {
   }
 }
 
-std::vector<GroupBuilder>& registry() {
-  static std::vector<GroupBuilder> builders{
+const std::vector<GroupBuilder>& registry() {
+  static const std::vector<GroupBuilder> builders{
       {"bus", bus_assign_communities, bus_add_nodes,
        /*needs_routes=*/true, /*needs_trace=*/false},
       {"random_waypoint", round_robin_communities, waypoint_add_nodes,
@@ -414,16 +414,6 @@ const GroupBuilder* find_group_builder(const std::string& model) {
     if (b.model == model) return &b;
   }
   return nullptr;
-}
-
-void register_group_builder(const GroupBuilder& builder) {
-  for (auto& b : registry()) {
-    if (b.model == builder.model) {
-      b = builder;
-      return;
-    }
-  }
-  registry().push_back(builder);
 }
 
 void validate_spec(const ScenarioSpec& spec) {

@@ -5,14 +5,16 @@
 // single execution entry every harness path (sweeps, benches, the dtnsim
 // CLI, the C++ API) funnels through.
 //
-// Composition is registry-driven end to end:
+// Composition is table-driven end to end:
 //   - map.kind        -> geo::find_map_kind()        (downtown / open_field / trace)
 //   - group.*.model   -> mobility::find_mobility_model() for the parameter
-//                        vocabulary, plus the harness group-builder registry
+//                        vocabulary, plus the harness group-builder table
 //                        (find_group_builder) for node placement;
 //   - protocol.name   -> routing::create_router()'s protocol registry.
-// Registering a new entry in any of the three makes it addressable from
-// scenario files and sweep axes with no harness changes.
+// Maps and models are the built-in tables; protocols alone take new
+// entries at runtime (routing::register_protocol), which makes a custom
+// router addressable from scenario files and sweep axes with no harness
+// changes.
 //
 // Specs are value types: copyable, serializable to ONE-style `key = value`
 // config files (harness/spec_io.hpp), and overridable key-by-key
@@ -181,12 +183,10 @@ struct GroupBuilder {
 };
 
 const GroupBuilder* find_group_builder(const std::string& model);
-void register_group_builder(const GroupBuilder& builder);
 
 /// The assign_communities fallback for models without intrinsic community
 /// structure: group-local index % CommunitySpec::count. Also used for
-/// every group when communities.source = round_robin, and available to
-/// custom group builders.
+/// every group when communities.source = round_robin.
 void round_robin_communities(const GroupBuildContext& ctx, const GroupSpec& group,
                              std::vector<int>& cid);
 

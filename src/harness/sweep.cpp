@@ -7,7 +7,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -857,41 +856,6 @@ double metric_value(const PointResult& point, Metric metric) {
     case Metric::kRelayed: return point.relayed.mean();
   }
   return 0.0;
-}
-
-util::TablePrinter metric_table(const std::vector<PointResult>& results,
-                                Metric metric, int precision) {
-  // Column per protocol, row per node count, both in first-seen order. A
-  // (protocol, nodes) -> result map built once replaces the former
-  // O(results^2) linear re-scan per cell.
-  std::vector<std::string> protocols;
-  std::vector<int> node_counts;
-  std::map<std::pair<std::string, int>, const PointResult*> by_key;
-  for (const auto& p : results) {
-    if (std::find(protocols.begin(), protocols.end(), p.protocol) == protocols.end()) {
-      protocols.push_back(p.protocol);
-    }
-    if (std::find(node_counts.begin(), node_counts.end(), p.node_count) ==
-        node_counts.end()) {
-      node_counts.push_back(p.node_count);
-    }
-    by_key.emplace(std::make_pair(p.protocol, p.node_count), &p);  // keeps first
-  }
-  std::vector<std::string> headers{"nodes"};
-  for (const auto& proto : protocols) headers.push_back(proto);
-  util::TablePrinter table(std::move(headers));
-  for (const int n : node_counts) {
-    table.new_row().add_cell(static_cast<long long>(n));
-    for (const auto& proto : protocols) {
-      const auto it = by_key.find({proto, n});
-      if (it == by_key.end()) {
-        table.add_cell(std::string("-"));
-      } else {
-        table.add_cell(metric_value(*it->second, metric), precision);
-      }
-    }
-  }
-  return table;
 }
 
 namespace {

@@ -299,12 +299,9 @@ struct JournalInspection {
 };
 JournalInspection inspect_sweep_journal(const std::string& path);
 
-/// Renders one metric across the grid as a table: rows = node counts,
-/// columns = protocols. `metric` selects the accumulator.
+/// One aggregated metric of a point, for sweep_table's columns and
+/// `dtnsim run`'s summary.
 enum class Metric { kDeliveryRatio, kLatency, kGoodput, kControlMb, kRelayed };
-
-util::TablePrinter metric_table(const std::vector<PointResult>& results,
-                                Metric metric, int precision = 4);
 
 /// Flat table for arbitrary-axis sweeps: one row per point, axis columns
 /// first, then every metric mean.

@@ -96,8 +96,8 @@ KvResult trace_set(GroupParams&, const std::string&, const std::string&) {
 
 void trace_emit(const GroupParams&, std::vector<std::pair<std::string, std::string>>&) {}
 
-std::vector<MobilityModelInfo>& registry() {
-  static std::vector<MobilityModelInfo> models{
+const std::vector<MobilityModelInfo>& registry() {
+  static const std::vector<MobilityModelInfo> models{
       {"bus", bus_set, bus_emit},
       {"random_waypoint", waypoint_set, waypoint_emit},
       {"community", community_set, community_emit},
@@ -121,16 +121,6 @@ std::vector<std::string> mobility_model_names() {
   names.reserve(registry().size());
   for (const auto& m : registry()) names.push_back(m.name);
   return names;
-}
-
-void register_mobility_model(const MobilityModelInfo& info) {
-  for (auto& m : registry()) {
-    if (m.name == info.name) {
-      m = info;
-      return;
-    }
-  }
-  registry().push_back(info);
 }
 
 }  // namespace dtn::mobility

@@ -1,8 +1,8 @@
-// String-keyed registry of mobility models for the declarative scenario
+// The table of built-in mobility models for the declarative scenario
 // layer: each entry knows how to parse and serialize its parameter keys so
 // scenario files (`group.<name>.<key> = value`) and sweep overrides can
 // address any model uniformly. Node placement / world composition stays in
-// the harness (see harness/spec.hpp); this registry only owns the model
+// the harness (see harness/spec.hpp); this table only owns the model
 // parameter vocabulary.
 #pragma once
 
@@ -31,7 +31,7 @@ struct GroupParams {
   StationaryParams stationary;
 };
 
-/// One registered mobility model.
+/// One mobility model.
 struct MobilityModelInfo {
   std::string name;
   /// Applies `key = value`; reports unknown keys vs unparsable values.
@@ -43,11 +43,7 @@ struct MobilityModelInfo {
 /// Looks up a model by name; nullptr when unknown.
 const MobilityModelInfo* find_mobility_model(const std::string& name);
 
-/// Registered model names, built-ins first in registration order.
+/// Model names in table order.
 std::vector<std::string> mobility_model_names();
-
-/// Registers an additional model (extension point; built-ins are
-/// pre-registered). Re-registering an existing name replaces it.
-void register_mobility_model(const MobilityModelInfo& info);
 
 }  // namespace dtn::mobility

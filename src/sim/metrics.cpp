@@ -1,7 +1,5 @@
 #include "sim/metrics.hpp"
 
-#include <algorithm>
-
 namespace dtn::sim {
 
 void Metrics::reset() {
@@ -13,37 +11,6 @@ void Metrics::reset() {
   delivery_time_.clear();
   latency_.reset();
   hops_.reset();
-  // Group buckets: zero the counters but keep the installed node -> group
-  // map — World::reseed() restarts the same node set, so the mapping stays
-  // valid across it. Structure-changing rebuilds uninstall it explicitly
-  // (clear_groups, from World::reset).
-  std::fill(group_created_.begin(), group_created_.end(), std::int64_t{0});
-  std::fill(group_delivered_.begin(), group_delivered_.end(), std::int64_t{0});
-}
-
-void Metrics::clear_groups() {
-  node_group_.clear();
-  group_created_.clear();
-  group_delivered_.clear();
-}
-
-void Metrics::set_groups(std::vector<int> node_group, int group_count) {
-  node_group_ = std::move(node_group);
-  group_created_.assign(static_cast<std::size_t>(group_count > 0 ? group_count : 0), 0);
-  group_delivered_.assign(group_created_.size(), 0);
-}
-
-int Metrics::group_of_source(const Message& m) const noexcept {
-  if (m.src < 0 || static_cast<std::size_t>(m.src) >= node_group_.size()) return -1;
-  const int g = node_group_[static_cast<std::size_t>(m.src)];
-  if (g < 0 || static_cast<std::size_t>(g) >= group_created_.size()) return -1;
-  return g;
-}
-
-void Metrics::on_created(const Message& m) {
-  ++created_;
-  const int g = group_of_source(m);
-  if (g >= 0) ++group_created_[static_cast<std::size_t>(g)];
 }
 
 void Metrics::on_relayed() { ++relayed_; }
@@ -60,8 +27,6 @@ void Metrics::on_delivered(const Message& m, double t, int hop_count) {
   if (!inserted) return;
   latency_.add(t - m.created);
   hops_.add(static_cast<double>(hop_count));
-  const int g = group_of_source(m);
-  if (g >= 0) ++group_delivered_[static_cast<std::size_t>(g)];
 }
 
 void Metrics::on_dropped() { ++dropped_; }

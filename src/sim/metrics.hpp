@@ -3,18 +3,11 @@
 //   latency        = mean end-to-end delay of delivered messages
 //   goodput        = delivered / total relayed (completed transfers)
 // plus diagnostics the paper discusses qualitatively (control overhead for
-// the MI exchange, drops, aborted transfers, hop counts), and OPTIONAL
-// per-group buckets for heterogeneous worlds: when a node -> group map is
-// installed (set_groups), created/delivered are additionally counted per
-// source-node group, so mixed scenarios (buses + relays + walkers, possibly
-// with per-group protocols) can attribute traffic outcomes to the group
-// that originated it. The buckets never feed the headline metrics —
-// installing them cannot perturb any existing number.
+// the MI exchange, drops, aborted transfers, hop counts).
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "sim/message.hpp"
 #include "util/stats.hpp"
@@ -25,12 +18,10 @@ class Metrics {
  public:
   /// Zeroes all counters, retaining container capacity (the delivery map's
   /// bucket array survives), so a World reused across sweep seeds does not
-  /// re-grow its metrics storage every run. An installed group map stays
-  /// installed with its buckets zeroed — World::reseed() keeps the node
-  /// set, so the mapping remains valid; see clear_groups().
+  /// re-grow its metrics storage every run.
   void reset();
 
-  void on_created(const Message& m);
+  void on_created() { ++created_; }
   /// Records a completed transfer (a "relay" in the paper's goodput sense).
   void on_relayed();
   void on_transfer_started();
@@ -42,26 +33,6 @@ class Metrics {
   void add_control_bytes(std::int64_t bytes) { control_bytes_ += bytes; }
 
   [[nodiscard]] bool is_delivered(MsgId id) const { return delivery_time_.count(id) > 0; }
-
-  // ---- optional per-group buckets (heterogeneous scenarios) ----
-  /// Installs the node -> group map (`node_group[v]` in [0, group_count)).
-  /// Messages are bucketed by their SOURCE node's group. The map survives
-  /// reset() (counters re-zeroed) but not clear_groups(), which
-  /// World::reset() calls because a rebuilt scenario's group structure may
-  /// differ; the scenario layer re-installs it per run either way.
-  void set_groups(std::vector<int> node_group, int group_count);
-  /// Uninstalls the group map and buckets entirely (bucketing off).
-  void clear_groups();
-  [[nodiscard]] bool has_groups() const noexcept { return !node_group_.empty(); }
-  [[nodiscard]] int group_count() const noexcept {
-    return static_cast<int>(group_created_.size());
-  }
-  [[nodiscard]] std::int64_t group_created(int group) const {
-    return group_created_.at(static_cast<std::size_t>(group));
-  }
-  [[nodiscard]] std::int64_t group_delivered(int group) const {
-    return group_delivered_.at(static_cast<std::size_t>(group));
-  }
 
   [[nodiscard]] std::int64_t created() const noexcept { return created_; }
   [[nodiscard]] std::int64_t delivered() const noexcept {
@@ -93,13 +64,6 @@ class Metrics {
   std::unordered_map<MsgId, double> delivery_time_;
   util::StatAccumulator latency_;
   util::StatAccumulator hops_;
-
-  /// Group bucket of message `m`'s source, or -1 when bucketing is off (no
-  /// map installed / source outside it).
-  [[nodiscard]] int group_of_source(const Message& m) const noexcept;
-  std::vector<int> node_group_;               ///< empty = bucketing off
-  std::vector<std::int64_t> group_created_;   ///< by source group
-  std::vector<std::int64_t> group_delivered_; ///< first deliveries, by source group
 };
 
 }  // namespace dtn::sim

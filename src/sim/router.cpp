@@ -35,6 +35,4 @@ void Router::charge_control_bytes(std::int64_t bytes) {
   world_->metrics().add_control_bytes(bytes);
 }
 
-util::Pcg32& Router::rng() { return world_->routing_rng(self_); }
-
 }  // namespace dtn::sim

@@ -19,7 +19,6 @@
 
 #include "sim/buffer.hpp"
 #include "sim/message.hpp"
-#include "util/rng.hpp"
 
 namespace dtn::sim {
 
@@ -94,7 +93,6 @@ class Router {
   [[nodiscard]] const std::vector<NodeIdx>& contacts() const;
   /// Charges protocol control traffic (routing-table exchange) to metrics.
   void charge_control_bytes(std::int64_t bytes);
-  [[nodiscard]] util::Pcg32& rng();
 
  private:
   World* world_ = nullptr;

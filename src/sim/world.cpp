@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "sim/event_kernel.hpp"
-#include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace dtn::sim {
 
@@ -42,21 +42,18 @@ NodeIdx World::add_node(const mobility::StationaryNodeSpec& movement,
 NodeIdx World::add_node_common(int engine_node, std::unique_ptr<Router> router) {
   assert(!started_ && "nodes must be added before run()");
   const auto idx = static_cast<NodeIdx>(engine_node);
-  auto rng = util::derive_stream(config_.seed, static_cast<std::uint64_t>(idx),
-                                 util::StreamPurpose::kRouting);
   if (rebuilding_ && static_cast<std::size_t>(idx) < nodes_.size()) {
     // Recycled slot: swap in the run's router, clear the per-node state in
     // place (buffer slab, adjacency, inbound bag all keep their capacity).
     Node& node = nodes_[static_cast<std::size_t>(idx)];
     node.router = std::move(router);
     node.buffer.reset(config_.buffer_bytes);
-    node.routing_rng = rng;
     Adjacency& adj = adjacency_[static_cast<std::size_t>(idx)];
     adj.peers.clear();
     adj.slots.clear();
     inbound_queued_[static_cast<std::size_t>(idx)].clear();
   } else {
-    nodes_.emplace_back(std::move(router), config_.buffer_bytes, rng);
+    nodes_.emplace_back(std::move(router), config_.buffer_bytes);
     adjacency_.emplace_back();
     inbound_queued_.emplace_back();
   }
@@ -121,9 +118,6 @@ void World::reset(const WorldConfig& config) {
     grid_.reset();
   }
   clear_sim_state();
-  // Unlike reseed(), the rebuilt scenario's group structure may differ, so
-  // the per-group metric buckets cannot survive a reset.
-  metrics_.clear_groups();
   engine_.clear();
   has_traffic_ = false;  // re-armed by the next set_traffic(), if any
   rebuilding_ = true;
@@ -140,8 +134,6 @@ void World::reseed(std::uint64_t seed) {
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& node = nodes_[i];
     node.buffer.reset(config_.buffer_bytes);
-    node.routing_rng = util::derive_stream(seed, static_cast<std::uint64_t>(i),
-                                           util::StreamPurpose::kRouting);
     node.router->reset();
     Adjacency& adj = adjacency_[i];
     adj.peers.clear();
@@ -194,10 +186,6 @@ const Router& World::router_of(NodeIdx node) const {
 
 geo::Vec2 World::position_of(NodeIdx node) const {
   return engine_.positions().at(static_cast<std::size_t>(node));
-}
-
-util::Pcg32& World::routing_rng(NodeIdx node) {
-  return nodes_.at(static_cast<std::size_t>(node)).routing_rng;
 }
 
 std::uint32_t World::slot_of(NodeIdx a, NodeIdx b) const noexcept {
@@ -275,7 +263,7 @@ void World::inject_message(const Message& m) {
   finalize_rebuild();
   assert(m.src >= 0 && m.src < node_count());
   assert(m.dst >= 0 && m.dst < node_count());
-  metrics_.on_created(m);
+  metrics_.on_created();
   Node& src = nodes_[static_cast<std::size_t>(m.src)];
   if (!src.buffer.admissible(m)) {
     metrics_.on_dropped();

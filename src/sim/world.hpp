@@ -55,7 +55,6 @@
 #include "sim/metrics.hpp"
 #include "sim/router.hpp"
 #include "sim/traffic.hpp"
-#include "util/rng.hpp"
 
 namespace dtn::sim {
 
@@ -156,7 +155,6 @@ class World {
   [[nodiscard]] const std::vector<NodeIdx>& neighbors_of(NodeIdx node) const;
   [[nodiscard]] bool peer_has(NodeIdx peer, MsgId id) const;
   bool enqueue_transfer(NodeIdx from, NodeIdx to, MsgId id, int r_recv, int r_deduct);
-  [[nodiscard]] util::Pcg32& routing_rng(NodeIdx node);
 
   [[nodiscard]] Metrics& metrics() noexcept { return metrics_; }
   [[nodiscard]] const Metrics& metrics() const noexcept { return metrics_; }
@@ -248,10 +246,9 @@ class World {
   struct Node {
     std::unique_ptr<Router> router;
     Buffer buffer;
-    util::Pcg32 routing_rng;
 
-    Node(std::unique_ptr<Router> r, std::int64_t buffer_bytes, util::Pcg32 rng)
-        : router(std::move(r)), buffer(buffer_bytes), routing_rng(rng) {}
+    Node(std::unique_ptr<Router> r, std::int64_t buffer_bytes)
+        : router(std::move(r)), buffer(buffer_bytes) {}
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;

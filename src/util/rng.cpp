@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
 namespace dtn::util {
 
 double Pcg32::uniform(double lo, double hi) noexcept {
@@ -19,24 +17,6 @@ std::int64_t Pcg32::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
   }
 }
 
-double Pcg32::exponential(double mean) noexcept {
-  // Inverse CDF; guard against log(0).
-  double u = next_double();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(1.0 - u);
-}
-
-double Pcg32::normal(double mu, double sigma) noexcept {
-  // Box-Muller, discarding the second variate so each call consumes a fixed
-  // amount of the stream (keeps derived streams reproducible under reorder).
-  double u1 = next_double();
-  double u2 = next_double();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  constexpr double kTwoPi = 6.283185307179586476925286766559;
-  return mu + sigma * r * std::cos(kTwoPi * u2);
-}
-
 bool Pcg32::bernoulli(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
@@ -50,15 +30,6 @@ Pcg32 derive_stream(std::uint64_t scenario_seed, std::uint64_t entity_id,
   const std::uint64_t state = mixer.next();
   const std::uint64_t stream = mixer.next();
   return Pcg32(state, stream);
-}
-
-std::uint64_t hash_label(std::string_view label) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : label) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 }  // namespace dtn::util

@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string_view>
 
 namespace dtn::util {
 
@@ -83,12 +82,6 @@ class Pcg32 {
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
 
-  /// Exponentially distributed sample with the given mean (> 0).
-  double exponential(double mean) noexcept;
-
-  /// Standard normal via Box-Muller (no caching: deterministic stream use).
-  double normal(double mu, double sigma) noexcept;
-
   /// True with probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept;
 
@@ -103,16 +96,11 @@ enum class StreamPurpose : std::uint64_t {
   kMovement = 1,
   kTraffic = 2,
   kMapGen = 3,
-  kRouting = 4,
-  kScenario = 5,
   kTest = 6,
 };
 
 /// Derives an independent Pcg32 stream from (seed, entity id, purpose).
 Pcg32 derive_stream(std::uint64_t scenario_seed, std::uint64_t entity_id,
                     StreamPurpose purpose) noexcept;
-
-/// Hashes a string label into seed material (FNV-1a), for named streams.
-std::uint64_t hash_label(std::string_view label) noexcept;
 
 }  // namespace dtn::util

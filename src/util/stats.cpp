@@ -14,24 +14,6 @@ void StatAccumulator::add(double x) noexcept {
   max_ = std::max(max_, x);
 }
 
-void StatAccumulator::merge(const StatAccumulator& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  // Chan et al. parallel-merge form of Welford's update.
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double StatAccumulator::variance() const noexcept {
   if (n_ < 2) return 0.0;
   return m2_ / static_cast<double>(n_ - 1);

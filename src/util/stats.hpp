@@ -13,7 +13,6 @@ namespace dtn::util {
 class StatAccumulator {
  public:
   void add(double x) noexcept;
-  void merge(const StatAccumulator& other) noexcept;
   void reset() noexcept { *this = StatAccumulator{}; }
 
   [[nodiscard]] std::size_t count() const noexcept { return n_; }

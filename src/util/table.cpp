@@ -1,7 +1,6 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -62,36 +61,6 @@ std::string TablePrinter::to_string() const {
   std::ostringstream oss;
   render(oss);
   return oss.str();
-}
-
-struct CsvWriter::Impl {
-  std::ofstream out;
-};
-
-CsvWriter::CsvWriter(std::string path) : impl_(new Impl{std::ofstream(path)}) {
-  ok_ = impl_->out.good();
-}
-
-CsvWriter::~CsvWriter() { delete impl_; }
-
-std::string CsvWriter::escape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (const char c : cell) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
-}
-
-void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) impl_->out << ',';
-    impl_->out << escape(cells[i]);
-  }
-  impl_->out << '\n';
-  ok_ = impl_->out.good();
 }
 
 }  // namespace dtn::util

@@ -1,5 +1,5 @@
-// Aligned plain-text tables and CSV output. The benchmark harness prints
-// one table per paper figure in the same row/series layout the paper uses.
+// Aligned plain-text tables: `dtnsim run` and `dtnsim sweep` print their
+// results through them.
 #pragma once
 
 #include <iosfwd>
@@ -31,26 +31,7 @@ class TablePrinter {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Minimal CSV writer (RFC-4180 quoting for cells containing , " or \n).
-class CsvWriter {
- public:
-  explicit CsvWriter(std::string path);
-  ~CsvWriter();
-  CsvWriter(const CsvWriter&) = delete;
-  CsvWriter& operator=(const CsvWriter&) = delete;
-
-  void write_row(const std::vector<std::string>& cells);
-  [[nodiscard]] bool ok() const noexcept { return ok_; }
-
-  static std::string escape(const std::string& cell);
-
- private:
-  struct Impl;
-  Impl* impl_;
-  bool ok_ = false;
-};
-
-/// Formats a double with fixed precision (shared by table/CSV call sites).
+/// Formats a double with fixed precision.
 std::string format_double(double v, int precision);
 
 }  // namespace dtn::util

@@ -138,20 +138,4 @@ void ThreadPool::parallel_for(std::size_t n, std::size_t max_workers,
   if (job.error) std::rethrow_exception(job.error);
 }
 
-void ThreadPool::parallel_for(std::size_t n, std::size_t threads,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  if (n == 1 || threads == 1) {
-    // Small jobs run inline: no wakeups, no pool hand-off, no threads
-    // spun up and torn down per call site (the seed behavior).
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  shared().parallel_for(n, threads,
-                        [&fn](std::size_t /*worker*/, std::size_t i) { fn(i); });
-}
-
 }  // namespace dtn::util

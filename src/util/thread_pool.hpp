@@ -12,10 +12,9 @@
 // chunks, and is rethrown on the calling thread.
 //
 // The process-wide shared() pool is created once and reused by every
-// static parallel_for call, so campaign code paths (harness::run_spec_sweep,
-// benches) never pay thread creation/teardown per call; worker-slot ids
-// let callers keep per-thread state (e.g. a reusable World) across an
-// entire loop.
+// campaign (harness::run_spec_sweep), so no call pays thread
+// creation/teardown; worker-slot ids let callers keep per-thread state
+// (e.g. a reusable World) across an entire loop.
 #pragma once
 
 #include <atomic>
@@ -39,7 +38,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// The process-wide pool (hardware_concurrency workers, created on first
-  /// use, lives for the process). All static parallel_for calls run here.
+  /// use, lives for the process).
   static ThreadPool& shared();
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
@@ -57,14 +56,6 @@ class ThreadPool {
   /// calling participant rather than deadlocking on the dispatch lock.
   void parallel_for(std::size_t n, std::size_t max_workers,
                     const std::function<void(std::size_t, std::size_t)>& fn);
-
-  /// Compatibility form: runs fn(i) for i in [0, n) across up to `threads`
-  /// threads of the shared() pool and blocks until all done. Exceptions
-  /// from tasks propagate (first one wins). threads == 0 selects
-  /// hardware_concurrency(). Small jobs (n <= 1, or a single thread
-  /// requested) run inline on the caller with no pool round-trip at all.
-  static void parallel_for(std::size_t n, std::size_t threads,
-                           const std::function<void(std::size_t)>& fn);
 
  private:
   /// One chunked-dispatch job, shared by every participant. Lives on the

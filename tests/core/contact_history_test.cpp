@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace dtn::core {
 namespace {
 
@@ -66,22 +64,6 @@ TEST(ContactHistory, SeparatePeersIndependent) {
 TEST(ContactHistory, UnknownPeer) {
   ContactHistory h(8);
   EXPECT_EQ(h.pair(99), nullptr);
-  EXPECT_TRUE(std::isinf(h.elapsed_since_contact(99, 100.0)));
-}
-
-TEST(ContactHistory, ElapsedSinceContact) {
-  ContactHistory h(8);
-  h.record_contact(3, 40.0);
-  EXPECT_DOUBLE_EQ(h.elapsed_since_contact(3, 100.0), 60.0);
-}
-
-TEST(ContactHistory, KnownPeersLists) {
-  ContactHistory h(8);
-  h.record_contact(5, 1.0);
-  h.record_contact(9, 2.0);
-  auto peers = h.known_peers();
-  std::sort(peers.begin(), peers.end());
-  EXPECT_EQ(peers, (std::vector<NodeIdx>{5, 9}));
 }
 
 TEST(ContactHistory, SortedIntervalsCacheTracksUpdates) {

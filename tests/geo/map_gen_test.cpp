@@ -91,16 +91,6 @@ TEST(MapGen, RouteVerticesLieOnMapIntersections) {
   }
 }
 
-TEST(MapGen, DistrictOfPartitionsWorld) {
-  const DowntownParams p = small_params();
-  const BusNetwork net = generate_downtown(p);
-  EXPECT_EQ(net.district_of({1.0, 1.0}), 0);
-  EXPECT_EQ(net.district_of({net.world_width - 1.0, 1.0}), p.districts - 1);
-  // Out-of-range points clamp.
-  EXPECT_EQ(net.district_of({-100.0, 0.0}), 0);
-  EXPECT_EQ(net.district_of({net.world_width + 100.0, 0.0}), p.districts - 1);
-}
-
 TEST(MapGen, SingleDistrictWorks) {
   DowntownParams p = small_params();
   p.districts = 1;

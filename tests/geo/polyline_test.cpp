@@ -62,13 +62,6 @@ TEST(Polyline, PointAtClosingSegment) {
   EXPECT_NEAR(p.y, 0.5, 1e-12);
 }
 
-TEST(Polyline, LengthAtVertex) {
-  const Polyline line({{0, 0}, {3, 0}, {3, 4}});
-  EXPECT_DOUBLE_EQ(line.length_at_vertex(0), 0.0);
-  EXPECT_DOUBLE_EQ(line.length_at_vertex(1), 3.0);
-  EXPECT_DOUBLE_EQ(line.length_at_vertex(2), 7.0);
-}
-
 TEST(Polyline, ProjectOntoSegmentInterior) {
   const Polyline line({{0, 0}, {10, 0}});
   EXPECT_NEAR(line.project(Vec2{4.0, 3.0}), 4.0, 1e-12);

@@ -35,7 +35,7 @@ TEST(CommunityPipeline, DetectionFindsMultipleCommunities) {
 
 TEST(CommunityPipeline, DetectionIsDeterministic) {
   const ScenarioSpec spec = small_bus();
-  const core::DetectionParams detection{3, 0.5};
+  const core::DetectionParams detection{3};
   const core::CommunityTable a = detect_spec_communities(spec, detection, 1000.0);
   const core::CommunityTable b = detect_spec_communities(spec, detection, 1000.0);
   ASSERT_EQ(a.node_count(), b.node_count());
@@ -63,7 +63,7 @@ TEST(CommunityPipeline, DetectedSourceUsesDefaultThreshold) {
   const ScenarioSpec spec = test::paper_bus_spec(base);
   EXPECT_EQ(detect_spec_communities(spec, core::DetectionParams{}, 1500.0).community_count(),
             1);
-  EXPECT_GT(detect_spec_communities(spec, core::DetectionParams{4, 0.5}, 1500.0)
+  EXPECT_GT(detect_spec_communities(spec, core::DetectionParams{4}, 1500.0)
                 .community_count(),
             1);
   const ScenarioResult detected = run_scenario(test::paper_bus_spec(

@@ -75,18 +75,6 @@ TEST(Sweep, EpidemicDominatesDirectDeliveryOnDeliveries) {
   EXPECT_GE(epidemic + 1e-9, direct);
 }
 
-TEST(Sweep, MetricTableLayout) {
-  const auto results = run_points(tiny_sweep());
-  const auto table = metric_table(results, Metric::kDeliveryRatio);
-  const std::string rendered = table.to_string();
-  EXPECT_NE(rendered.find("nodes"), std::string::npos);
-  EXPECT_NE(rendered.find("DirectDelivery"), std::string::npos);
-  EXPECT_NE(rendered.find("Epidemic"), std::string::npos);
-  EXPECT_NE(rendered.find("12"), std::string::npos);
-  EXPECT_NE(rendered.find("20"), std::string::npos);
-  EXPECT_EQ(table.rows(), 2u);
-}
-
 TEST(Sweep, MetricAccessorsCoverAllMetrics) {
   const auto results = run_points(tiny_sweep());
   for (const auto metric : {Metric::kDeliveryRatio, Metric::kLatency, Metric::kGoodput,

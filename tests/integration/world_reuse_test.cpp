@@ -139,24 +139,12 @@ TEST(WorldReuse, ReseedToSameSeedReproducesTheRun) {
   config.seed = spec.seed;
   sim::World world(config);
   build_community_world(world, spec);
-  // Per-group buckets ride along: reseed() keeps the node set, so the
-  // installed map must survive it (counters re-zeroed); a structure-
-  // changing reset() must uninstall it.
-  std::vector<int> node_group(static_cast<std::size_t>(spec.node_count()));
-  for (int v = 0; v < spec.node_count(); ++v) {
-    node_group[static_cast<std::size_t>(v)] = v % 2;
-  }
-  world.metrics().set_groups(node_group, 2);
   world.run(spec.duration_s);
   const auto created = world.metrics().created();
   const auto delivered = world.metrics().delivered();
   const auto relayed = world.metrics().relayed();
   const auto contacts = world.contact_events();
   const double latency = world.metrics().latency_mean();
-  ASSERT_TRUE(world.metrics().has_groups());
-  const auto g0_created = world.metrics().group_created(0);
-  const auto g1_created = world.metrics().group_created(1);
-  EXPECT_EQ(g0_created + g1_created, created);
 
   world.reseed(spec.seed);
   world.run(spec.duration_s);
@@ -165,12 +153,6 @@ TEST(WorldReuse, ReseedToSameSeedReproducesTheRun) {
   EXPECT_EQ(world.metrics().relayed(), relayed);
   EXPECT_EQ(world.contact_events(), contacts);
   EXPECT_EQ(world.metrics().latency_mean(), latency);
-  ASSERT_TRUE(world.metrics().has_groups());
-  EXPECT_EQ(world.metrics().group_created(0), g0_created);
-  EXPECT_EQ(world.metrics().group_created(1), g1_created);
-
-  world.reset(config);
-  EXPECT_FALSE(world.metrics().has_groups());
 }
 
 TEST(WorldReuse, ReseedDirectlyAfterShrinkingRebuildFinalizesFirst) {

@@ -21,7 +21,7 @@ TEST(Metrics, FreshMetricsAreZero) {
 
 TEST(Metrics, DeliveryRatio) {
   Metrics m;
-  for (MsgId id = 0; id < 4; ++id) m.on_created(make_message(id, 0, 1));
+  for (MsgId id = 0; id < 4; ++id) m.on_created();
   m.on_delivered(make_message(0, 0, 1, 0.0), 10.0, 1);
   m.on_delivered(make_message(1, 0, 1, 0.0), 20.0, 2);
   EXPECT_DOUBLE_EQ(m.delivery_ratio(), 0.5);
@@ -29,7 +29,7 @@ TEST(Metrics, DeliveryRatio) {
 
 TEST(Metrics, DuplicateDeliveryIgnored) {
   Metrics m;
-  m.on_created(make_message(0, 0, 1));
+  m.on_created();
   m.on_delivered(make_message(0, 0, 1, 0.0), 10.0, 1);
   m.on_delivered(make_message(0, 0, 1, 0.0), 99.0, 5);
   EXPECT_EQ(m.delivered(), 1);
@@ -40,7 +40,7 @@ TEST(Metrics, DuplicateDeliveryIgnored) {
 
 TEST(Metrics, LatencyIsDeliveryMinusCreation) {
   Metrics m;
-  m.on_created(make_message(0, 0, 1, 100.0));
+  m.on_created();
   m.on_delivered(make_message(0, 0, 1, 100.0), 250.0, 3);
   EXPECT_DOUBLE_EQ(m.latency_mean(), 150.0);
   EXPECT_DOUBLE_EQ(m.hop_count_mean(), 3.0);
@@ -48,7 +48,7 @@ TEST(Metrics, LatencyIsDeliveryMinusCreation) {
 
 TEST(Metrics, GoodputIsDeliveredOverRelayed) {
   Metrics m;
-  m.on_created(make_message(0, 0, 1));
+  m.on_created();
   for (int i = 0; i < 10; ++i) m.on_relayed();
   m.on_delivered(make_message(0, 0, 1, 0.0), 5.0, 1);
   EXPECT_DOUBLE_EQ(m.goodput(), 0.1);
@@ -73,7 +73,7 @@ TEST(Metrics, CountersAccumulate) {
 TEST(Metrics, LatencyStatsExposeSpread) {
   Metrics m;
   for (MsgId id = 0; id < 3; ++id) {
-    m.on_created(make_message(id, 0, 1));
+    m.on_created();
     m.on_delivered(make_message(id, 0, 1, 0.0), 10.0 * (id + 1), 1);
   }
   EXPECT_DOUBLE_EQ(m.latency_stats().min(), 10.0);

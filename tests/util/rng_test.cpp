@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <vector>
 
@@ -77,37 +76,6 @@ TEST(Pcg32, UniformIntApproximatelyUniform) {
   }
 }
 
-TEST(Pcg32, ExponentialHasRequestedMean) {
-  Pcg32 rng(17, 19);
-  double sum = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) sum += rng.exponential(30.0);
-  EXPECT_NEAR(sum / n, 30.0, 0.5);
-}
-
-TEST(Pcg32, ExponentialNonNegative) {
-  Pcg32 rng(21, 23);
-  for (int i = 0; i < 10000; ++i) {
-    EXPECT_GE(rng.exponential(5.0), 0.0);
-  }
-}
-
-TEST(Pcg32, NormalMomentsMatch) {
-  Pcg32 rng(29, 31);
-  double sum = 0.0;
-  double sum2 = 0.0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) {
-    const double v = rng.normal(10.0, 2.0);
-    sum += v;
-    sum2 += v * v;
-  }
-  const double mean = sum / n;
-  const double var = sum2 / n - mean * mean;
-  EXPECT_NEAR(mean, 10.0, 0.05);
-  EXPECT_NEAR(std::sqrt(var), 2.0, 0.05);
-}
-
 TEST(Pcg32, BernoulliEdgeCases) {
   Pcg32 rng(1, 2);
   for (int i = 0; i < 100; ++i) {
@@ -149,17 +117,11 @@ TEST(DeriveStream, IndependentPerPurpose) {
 }
 
 TEST(DeriveStream, ReproducibleAcrossCalls) {
-  Pcg32 a = derive_stream(100, 5, StreamPurpose::kRouting);
-  Pcg32 b = derive_stream(100, 5, StreamPurpose::kRouting);
+  Pcg32 a = derive_stream(100, 5, StreamPurpose::kTest);
+  Pcg32 b = derive_stream(100, 5, StreamPurpose::kTest);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(a.next_u64(), b.next_u64());
   }
-}
-
-TEST(HashLabel, StableAndDistinct) {
-  EXPECT_EQ(hash_label("alpha"), hash_label("alpha"));
-  EXPECT_NE(hash_label("alpha"), hash_label("beta"));
-  EXPECT_NE(hash_label(""), hash_label("a"));
 }
 
 class UniformIntRangeTest : public ::testing::TestWithParam<std::pair<int, int>> {};

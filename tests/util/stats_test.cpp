@@ -39,38 +39,6 @@ TEST(StatAccumulator, KnownMoments) {
   EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
 }
 
-TEST(StatAccumulator, MergeMatchesSequential) {
-  std::vector<double> data;
-  for (int i = 0; i < 100; ++i) data.push_back(std::sin(i) * 10.0 + i);
-  StatAccumulator whole;
-  StatAccumulator left;
-  StatAccumulator right;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    whole.add(data[i]);
-    (i < 37 ? left : right).add(data[i]);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(StatAccumulator, MergeWithEmptySides) {
-  StatAccumulator a;
-  StatAccumulator b;
-  a.add(1.0);
-  a.add(3.0);
-  StatAccumulator a_copy = a;
-  a.merge(b);  // empty rhs: no change
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_DOUBLE_EQ(a.mean(), 2.0);
-  b.merge(a_copy);  // empty lhs: adopt rhs
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
 TEST(StatAccumulator, ResetClears) {
   StatAccumulator acc;
   acc.add(42.0);

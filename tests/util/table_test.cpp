@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace dtn::util {
@@ -48,32 +46,6 @@ TEST(FormatDouble, FixedPrecision) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(1.0, 4), "1.0000");
   EXPECT_EQ(format_double(-0.5, 1), "-0.5");
-}
-
-TEST(CsvWriter, EscapesSpecialCells) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(CsvWriter, WritesRowsToFile) {
-  const std::string path = ::testing::TempDir() + "/dtn_csv_test.csv";
-  {
-    CsvWriter w(path);
-    ASSERT_TRUE(w.ok());
-    w.write_row({"h1", "h2"});
-    w.write_row({"1", "a,b"});
-    EXPECT_TRUE(w.ok());
-  }
-  std::ifstream in(path);
-  std::string line1;
-  std::string line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "h1,h2");
-  EXPECT_EQ(line2, "1,\"a,b\"");
-  std::remove(path.c_str());
 }
 
 }  // namespace

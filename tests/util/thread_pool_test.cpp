@@ -19,18 +19,21 @@ TEST(ThreadPool, ZeroRequestsHardwareConcurrency) {
 
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> visits(64);
-  ThreadPool::parallel_for(64, 4, [&](std::size_t i) { visits[i].fetch_add(1); });
+  ThreadPool::shared().parallel_for(
+      64, 4, [&](std::size_t, std::size_t i) { visits[i].fetch_add(1); });
   for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
 }
 
 TEST(ParallelFor, ZeroIterationsNoop) {
-  ThreadPool::parallel_for(0, 2, [](std::size_t) { FAIL() << "must not run"; });
+  ThreadPool::shared().parallel_for(
+      0, 2, [](std::size_t, std::size_t) { FAIL() << "must not run"; });
 }
 
 TEST(ParallelFor, ResultsMatchSerial) {
   std::vector<double> out(100, 0.0);
-  ThreadPool::parallel_for(out.size(), 3,
-                           [&](std::size_t i) { out[i] = static_cast<double>(i) * i; });
+  ThreadPool::shared().parallel_for(out.size(), 3, [&](std::size_t, std::size_t i) {
+    out[i] = static_cast<double>(i) * i;
+  });
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_DOUBLE_EQ(out[i], static_cast<double>(i) * i);
   }
@@ -42,7 +45,7 @@ TEST(ParallelFor, ChunkedDispatchCoversLargeRangeExactlyOnce) {
   constexpr std::size_t kN = 200000;
   std::vector<std::uint8_t> visits(kN, 0);
   std::atomic<std::size_t> total{0};
-  ThreadPool::parallel_for(kN, 8, [&](std::size_t i) {
+  ThreadPool::shared().parallel_for(kN, 8, [&](std::size_t, std::size_t i) {
     ++visits[i];  // distinct index per call: no data race
     total.fetch_add(1, std::memory_order_relaxed);
   });
@@ -55,11 +58,11 @@ TEST(ParallelFor, ChunkedDispatchCoversLargeRangeExactlyOnce) {
 TEST(ParallelFor, ExceptionPropagatesToCaller) {
   std::atomic<int> ran{0};
   EXPECT_THROW(
-      ThreadPool::parallel_for(64, 4,
-                               [&](std::size_t i) {
-                                 ran.fetch_add(1);
-                                 if (i == 7) throw std::runtime_error("boom");
-                               }),
+      ThreadPool::shared().parallel_for(64, 4,
+                                        [&](std::size_t, std::size_t i) {
+                                          ran.fetch_add(1);
+                                          if (i == 7) throw std::runtime_error("boom");
+                                        }),
       std::runtime_error);
   // The failing index ran; unclaimed chunks after the failure may be
   // cancelled, so at most every index ran.
@@ -68,8 +71,8 @@ TEST(ParallelFor, ExceptionPropagatesToCaller) {
 }
 
 TEST(ParallelFor, ExceptionPropagatesFromInlineSmallN) {
-  EXPECT_THROW(ThreadPool::parallel_for(
-                   1, 8, [](std::size_t) { throw std::runtime_error("tiny"); }),
+  EXPECT_THROW(ThreadPool::shared().parallel_for(
+                   1, 8, [](std::size_t, std::size_t) { throw std::runtime_error("tiny"); }),
                std::runtime_error);
 }
 
@@ -123,13 +126,13 @@ TEST(ParallelFor, NestedCallsOnSamePoolRunInline) {
         8, 4, [&](std::size_t, std::size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 16 * 8);
-  // Static-form nesting resolves through the shared pool too.
-  std::atomic<int> static_total{0};
-  ThreadPool::parallel_for(9, 3, [&](std::size_t) {
-    ThreadPool::parallel_for(5, 3,
-                             [&](std::size_t) { static_total.fetch_add(1); });
+  // A second nesting shape, with fewer participants than indices.
+  std::atomic<int> narrow_total{0};
+  ThreadPool::shared().parallel_for(9, 3, [&](std::size_t, std::size_t) {
+    ThreadPool::shared().parallel_for(
+        5, 3, [&](std::size_t, std::size_t) { narrow_total.fetch_add(1); });
   });
-  EXPECT_EQ(static_total.load(), 9 * 5);
+  EXPECT_EQ(narrow_total.load(), 9 * 5);
 }
 
 TEST(ParallelFor, ConcurrentCallsFromMultipleThreadsSerialize) {
