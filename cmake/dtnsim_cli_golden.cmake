@@ -7,8 +7,9 @@
 #   - `check` on cfgs whose traffic section fails validation (inverted
 #     interval; full_ttl_window with ttl >= duration), whose world
 #     section would run no steps (world.step_dt = 0), or whose protocol
-#     section would silently run another protocol (protocol.copies = 0) —
-#     exit 1 with the explanatory diagnostic;
+#     section would silently run another protocol (protocol.copies = 0),
+#     or whose group model would hang the run (a bus stop_spacing of 0
+#     with zero pauses) — exit 1 with the explanatory diagnostic;
 #   - `run` on a missing file — exit 1;
 #   - `check` on EVERY shipped examples/*.cfg — exit 0 with its golden
 #     summary line (a new example cfg must ship
@@ -99,6 +100,9 @@ golden_case("check bad_world.cfg" ${CLI_DIR} 1
 golden_case("check bad_protocol.cfg" ${CLI_DIR} 1
             "" check_bad_protocol.stderr
             check bad_protocol.cfg)
+golden_case("check bad_model.cfg" ${CLI_DIR} 1
+            "" check_bad_model.stderr
+            check bad_model.cfg)
 golden_case("run missing file" ${CLI_DIR} 1
             "" run_missing_file.stderr
             run nosuch.cfg)

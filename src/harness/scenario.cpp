@@ -57,7 +57,8 @@ std::string detection_cache_key(const ScenarioSpec& spec) {
 
 /// Loads a trace-driven workload (`traffic.profile = trace`). Line format:
 ///   time src dst [size_bytes [ttl]]
-/// with `#` comments. Only blank and comment-only lines are skipped; every
+/// with `#` comments. A size_bytes or ttl of 0, like an absent field,
+/// selects traffic.size_bytes / traffic.ttl. Only blank and comment-only lines are skipped; every
 /// other line must parse completely, times must be finite and
 /// non-decreasing, and node ids must fit the spec's node count. Throws
 /// std::invalid_argument with path:line context — check-style loudness,
@@ -106,8 +107,14 @@ std::shared_ptr<const std::vector<sim::TraceMessage>> load_traffic_trace(
       fail(line_no, "node ids must be in [0, " + std::to_string(node_count) + ")");
     }
     if (src == dst) fail(line_no, "src and dst must differ");
-    if (tm.size_bytes < 0) fail(line_no, "size_bytes must be > 0");
-    if (!(std::isfinite(tm.ttl) && tm.ttl >= 0.0)) fail(line_no, "ttl must be > 0");
+    if (tm.size_bytes < 0) {
+      fail(line_no, "size_bytes must be >= 0, where 0 selects traffic.size_bytes (got " +
+                        util::format_value(tm.size_bytes) + ")");
+    }
+    if (!(std::isfinite(tm.ttl) && tm.ttl >= 0.0)) {
+      fail(line_no, "ttl must be finite and >= 0, where 0 selects traffic.ttl (got " +
+                        util::format_value(tm.ttl) + ")");
+    }
     tm.src = static_cast<sim::NodeIdx>(src);
     tm.dst = static_cast<sim::NodeIdx>(dst);
     trace->push_back(tm);

@@ -25,8 +25,51 @@ namespace {
   throw std::invalid_argument("group '" + group.name + "': " + what);
 }
 
-int community_classes(const ScenarioSpec& spec) {
-  return spec.communities.count > 0 ? spec.communities.count : 1;
+// ---- value checks -------------------------------------------------------------
+// validate_spec's diagnostics: "<key> must be <rule> (got <value>)", or
+// "<lo_key> (<lo>) must be <= <hi_key> (<hi>)" for a range.
+
+template <typename T>
+void require(bool ok, const std::string& key, const char* rule, T got) {
+  if (!ok) {
+    throw std::invalid_argument(key + " must be " + rule + " (got " +
+                                util::format_value(got) + ")");
+  }
+}
+
+void require_positive(const std::string& key, double v) {
+  require(std::isfinite(v) && v > 0.0, key, "finite and > 0", v);
+}
+
+void require_non_negative(const std::string& key, double v) {
+  require(std::isfinite(v) && v >= 0.0, key, "finite and >= 0", v);
+}
+
+void require_probability(const std::string& key, double v) {
+  require(v >= 0.0 && v <= 1.0, key, "in [0, 1]", v);
+}
+
+void require_ordered(const std::string& lo_key, double lo, const std::string& hi_key,
+                     double hi) {
+  if (!(lo <= hi)) {
+    throw std::invalid_argument(lo_key + " (" + util::format_value(lo) + ") must be <= " +
+                                hi_key + " (" + util::format_value(hi) + ")");
+  }
+}
+
+/// The speed and pause rules of every moving model. A bus must move
+/// (`must_move`); a walker with speed 0 is the documented frozen walker.
+template <typename Params>
+void validate_motion(const GroupSpec& group, const Params& p, bool must_move) {
+  const std::string key = "group." + group.name + ".";
+  if (must_move) {
+    require_positive(key + "speed_min", p.speed_min);
+  } else {
+    require_non_negative(key + "speed_min", p.speed_min);
+  }
+  require_ordered(key + "speed_min", p.speed_min, key + "speed_max", p.speed_max);
+  require_non_negative(key + "pause_min", p.pause_min);
+  require_ordered(key + "pause_min", p.pause_min, key + "pause_max", p.pause_max);
 }
 
 // ---- bus --------------------------------------------------------------------
@@ -44,6 +87,13 @@ void bus_assign_communities(const GroupBuildContext& ctx, const GroupSpec& group
   for (int v = 0; v < group.count; ++v) {
     cid.push_back(routes[static_cast<std::size_t>(v) % routes.size()].district);
   }
+}
+
+// A zero stop spacing puts every stop at the cursor: with zero pauses the
+// engine then takes zero-length legs forever.
+void bus_validate(const GroupSpec& group) {
+  validate_motion(group, group.params.bus, /*must_move=*/true);
+  require_positive("group." + group.name + ".stop_spacing", group.params.bus.stop_spacing);
 }
 
 void bus_add_nodes(sim::World& world, const GroupBuildContext& ctx,
@@ -66,9 +116,14 @@ void bus_add_nodes(sim::World& world, const GroupBuildContext& ctx,
 // hand-rolled World of the same walkers bit for bit for a single group on
 // an open-field map (enforced by harness_spec_equivalence_test).
 
+void community_validate(const GroupSpec& group) {
+  validate_motion(group, group.params.community, /*must_move=*/false);
+  require_probability("group." + group.name + ".home_prob", group.params.community.home_prob);
+}
+
 void community_add_nodes(sim::World& world, const GroupBuildContext& ctx,
                          const GroupSpec& group) {
-  const int l = community_classes(ctx.spec);
+  const int l = ctx.spec.communities.count;
   const double band =
       (ctx.map.world_max.x - ctx.map.world_min.x) / static_cast<double>(l);
   for (int v = 0; v < group.count; ++v) {
@@ -85,6 +140,10 @@ void community_add_nodes(sim::World& world, const GroupBuildContext& ctx,
 // ---- random_waypoint --------------------------------------------------------
 // Unstructured control: waypoints uniform over the whole map extent;
 // communities round-robin (the model has no structure to derive them from).
+
+void waypoint_validate(const GroupSpec& group) {
+  validate_motion(group, group.params.waypoint, /*must_move=*/false);
+}
 
 void waypoint_add_nodes(sim::World& world, const GroupBuildContext& ctx,
                         const GroupSpec& group) {
@@ -180,30 +239,19 @@ void trace_add_nodes(sim::World& world, const GroupBuildContext& ctx,
 /// never moves or stores a message, and a step count beyond int64_t makes
 /// its cast undefined.
 void validate_run_parameters(const ScenarioSpec& spec) {
-  const auto reject = [](const char* key, const char* bound, const std::string& got) {
-    throw std::invalid_argument(std::string(key) + " must be " + bound + " (got " + got +
-                                ")");
-  };
-  const auto positive = [&reject](const char* key, double v) {
-    if (!(std::isfinite(v) && v > 0.0)) reject(key, "finite and > 0", util::format_value(v));
-  };
   const sim::WorldConfig& w = spec.world;
-  positive("world.step_dt", w.step_dt);
-  positive("world.radio_range", w.radio_range);
-  positive("world.bitrate_bps", w.bitrate_bps);
-  if (w.buffer_bytes <= 0) {
-    reject("world.buffer_bytes", "> 0", util::format_value(w.buffer_bytes));
-  }
-  if (!(std::isfinite(w.ttl_sweep_interval) && w.ttl_sweep_interval >= 0.0)) {
-    reject("world.ttl_sweep_interval", "finite and >= 0",
-           util::format_value(w.ttl_sweep_interval));
-  }
-  positive("scenario.duration", spec.duration_s);
+  require_positive("world.step_dt", w.step_dt);
+  require_positive("world.radio_range", w.radio_range);
+  require_positive("world.bitrate_bps", w.bitrate_bps);
+  require(w.buffer_bytes > 0, "world.buffer_bytes", "> 0", w.buffer_bytes);
+  require_non_negative("world.ttl_sweep_interval", w.ttl_sweep_interval);
+  require_positive("scenario.duration", spec.duration_s);
   // Step counts at or above 2^63 do not fit World::step_count_for's int64_t.
   if (!(spec.duration_s / w.step_dt < 0x1p63)) {
-    reject("scenario.duration", "under 2^63 steps of world.step_dt",
-           util::format_value(spec.duration_s) + " s at world.step_dt " +
-               util::format_value(w.step_dt));
+    throw std::invalid_argument(
+        "scenario.duration must be under 2^63 steps of world.step_dt (got " +
+        util::format_value(spec.duration_s) + " s at world.step_dt " +
+        util::format_value(w.step_dt) + ")");
   }
 }
 
@@ -214,18 +262,9 @@ void validate_run_parameters(const ScenarioSpec& spec) {
 /// window is clamped to one interval per pair.
 void validate_protocol(const ScenarioSpec& spec) {
   const routing::ProtocolConfig& p = spec.protocol;
-  if (p.copies < 1) {
-    throw std::invalid_argument("protocol.copies must be >= 1 (got " +
-                                util::format_value(p.copies) + ")");
-  }
-  if (!(std::isfinite(p.alpha) && p.alpha > 0.0)) {
-    throw std::invalid_argument("protocol.alpha must be finite and > 0 (got " +
-                                util::format_value(p.alpha) + ")");
-  }
-  if (p.window < 1) {
-    throw std::invalid_argument("protocol.window must be >= 1 (got " +
-                                util::format_value(p.window) + ")");
-  }
+  require(p.copies >= 1, "protocol.copies", ">= 1", p.copies);
+  require_positive("protocol.alpha", p.alpha);
+  require(p.window >= 1, "protocol.window", ">= 1", p.window);
 }
 
 /// The traffic section of validate_spec: interval/size/ttl/window sanity
@@ -235,34 +274,14 @@ void validate_protocol(const ScenarioSpec& spec) {
 void validate_traffic(const ScenarioSpec& spec) {
   const sim::TrafficParams& t = spec.traffic;
   auto check_intervals = [](const std::string& prefix, double lo, double hi) {
-    if (lo < 0.0) {
-      throw std::invalid_argument(prefix + "interval_min must be >= 0 (got " +
-                                  util::format_value(lo) + ")");
-    }
-    if (!(hi > 0.0)) {
-      throw std::invalid_argument(prefix + "interval_max must be > 0 (got " +
-                                  util::format_value(hi) + ")");
-    }
-    if (lo > hi) {
-      throw std::invalid_argument(prefix + "interval_min (" + util::format_value(lo) +
-                                  ") must be <= " + prefix + "interval_max (" +
-                                  util::format_value(hi) + ")");
-    }
+    require(lo >= 0.0, prefix + "interval_min", ">= 0", lo);
+    require(hi > 0.0, prefix + "interval_max", "> 0", hi);
+    require_ordered(prefix + "interval_min", lo, prefix + "interval_max", hi);
   };
   check_intervals("traffic.", t.interval_min, t.interval_max);
-  if (!(t.ttl > 0.0)) {
-    throw std::invalid_argument("traffic.ttl must be > 0 (got " +
-                                util::format_value(t.ttl) + ")");
-  }
-  if (t.size_bytes <= 0) {
-    throw std::invalid_argument("traffic.size_bytes must be > 0 (got " +
-                                util::format_value(t.size_bytes) + ")");
-  }
-  if (t.start > t.stop) {
-    throw std::invalid_argument("traffic.start (" + util::format_value(t.start) +
-                                ") must be <= traffic.stop (" +
-                                util::format_value(t.stop) + ")");
-  }
+  require(t.ttl > 0.0, "traffic.ttl", "> 0", t.ttl);
+  require(t.size_bytes > 0, "traffic.size_bytes", "> 0", t.size_bytes);
+  require_ordered("traffic.start", t.start, "traffic.stop", t.stop);
   if (spec.full_ttl_window && t.ttl >= spec.duration_s) {
     // Pre-fix this silently produced a negative creation window and a run
     // with zero messages (delivery_ratio = 0 with no hint why).
@@ -276,10 +295,7 @@ void validate_traffic(const ScenarioSpec& spec) {
     if (!(t.on_s > 0.0)) {
       throw std::invalid_argument("traffic.profile = onoff requires traffic.on > 0");
     }
-    if (t.off_s < 0.0) {
-      throw std::invalid_argument("traffic.off must be >= 0 (got " +
-                                  util::format_value(t.off_s) + ")");
-    }
+    require(t.off_s >= 0.0, "traffic.off", ">= 0", t.off_s);
   }
   if (t.profile == sim::TrafficProfile::kDiurnal && !(t.period_s > 0.0)) {
     throw std::invalid_argument("traffic.profile = diurnal requires traffic.period > 0");
@@ -306,14 +322,8 @@ void validate_traffic(const ScenarioSpec& spec) {
       }
     }
     check_intervals(prefix, e.interval_min, e.interval_max);
-    if (e.size_bytes <= 0) {
-      throw std::invalid_argument(prefix + "size_bytes must be > 0 (got " +
-                                  util::format_value(e.size_bytes) + ")");
-    }
-    if (!(e.weight > 0.0)) {
-      throw std::invalid_argument(prefix + "weight must be > 0 (got " +
-                                  util::format_value(e.weight) + ")");
-    }
+    require(e.size_bytes > 0, prefix + "size_bytes", "> 0", e.size_bytes);
+    require(e.weight > 0.0, prefix + "weight", "> 0", e.weight);
     for (std::size_t j = i + 1; j < spec.traffic_matrix.size(); ++j) {
       if (spec.traffic_matrix[j].src == e.src && spec.traffic_matrix[j].dst == e.dst) {
         throw std::invalid_argument("duplicate traffic matrix entry traffic." +
@@ -323,14 +333,38 @@ void validate_traffic(const ScenarioSpec& spec) {
   }
 }
 
+/// The map-side counterpart of GroupBuilder::validate: the selected kind's
+/// `map.*` values. Unchecked, a zero count or NaN extent runs an empty or
+/// silently clamped map (the generator raises anchors_per_route to 2).
+void validate_map(const MapSpec& map) {
+  const geo::MapParams& p = map.params;
+  if (map.kind == "open_field") {
+    require_positive("map.width", p.width);
+    require_positive("map.height", p.height);
+  } else if (map.kind == "downtown") {
+    const geo::DowntownParams& d = p.downtown;
+    require(d.rows >= 1, "map.rows", ">= 1", d.rows);
+    require(d.cols >= 1, "map.cols", ">= 1", d.cols);
+    require(d.districts >= 1, "map.districts", ">= 1", d.districts);
+    require(d.routes_per_district >= 1, "map.routes_per_district", ">= 1",
+            d.routes_per_district);
+    require(d.anchors_per_route >= 2, "map.anchors_per_route", ">= 2", d.anchors_per_route);
+    require_positive("map.block", d.block_m);
+    require_non_negative("map.jitter", d.jitter_frac);
+    require_probability("map.hub_visit_prob", d.hub_visit_prob);
+  } else if (map.kind == "trace" && p.trace_file.empty()) {
+    throw std::invalid_argument("map.kind = trace requires map.file");
+  }
+}
+
 const std::vector<GroupBuilder>& registry() {
   static const std::vector<GroupBuilder> builders{
       {"bus", bus_assign_communities, bus_add_nodes,
-       /*needs_routes=*/true, /*needs_trace=*/false},
+       /*needs_routes=*/true, /*needs_trace=*/false, bus_validate},
       {"random_waypoint", round_robin_communities, waypoint_add_nodes,
-       /*needs_routes=*/false, /*needs_trace=*/false},
+       /*needs_routes=*/false, /*needs_trace=*/false, waypoint_validate},
       {"community", round_robin_communities, community_add_nodes,
-       /*needs_routes=*/false, /*needs_trace=*/false},
+       /*needs_routes=*/false, /*needs_trace=*/false, community_validate},
       {"trace", round_robin_communities, trace_add_nodes,
        /*needs_routes=*/false, /*needs_trace=*/true},
       {"stationary", round_robin_communities, stationary_add_nodes,
@@ -343,8 +377,7 @@ const std::vector<GroupBuilder>& registry() {
 
 void round_robin_communities(const GroupBuildContext& ctx, const GroupSpec& group,
                              std::vector<int>& cid) {
-  const int l = community_classes(ctx.spec);
-  for (int v = 0; v < group.count; ++v) cid.push_back(v % l);
+  for (int v = 0; v < group.count; ++v) cid.push_back(v % ctx.spec.communities.count);
 }
 
 std::vector<std::string> community_source_names() {
@@ -425,6 +458,8 @@ void validate_spec(const ScenarioSpec& spec) {
   if (map_kind == nullptr) {
     throw std::invalid_argument("unknown map kind '" + spec.map.kind + "'");
   }
+  validate_map(spec.map);
+  require(spec.communities.count >= 1, "communities.count", ">= 1", spec.communities.count);
   const std::vector<std::string> sources = community_source_names();
   if (std::find(sources.begin(), sources.end(), spec.communities.source) ==
       sources.end()) {

@@ -176,9 +176,10 @@ struct GroupBuilder {
   bool needs_routes = false;
   bool needs_trace = false;
   /// Optional model-specific parameter check, called by validate_spec.
-  /// Programmatic specs bypass the parser's per-key vetting, so anything
-  /// add_nodes would silently misinterpret (e.g. an enum-like string)
-  /// must throw here instead. Null = nothing beyond the key vocabulary.
+  /// Anything add_nodes would hang on or silently misinterpret (a zero
+  /// stop spacing, a reversed speed range, an enum-like string that a
+  /// programmatic spec set past the parser) must throw here instead.
+  /// Null = nothing beyond the key vocabulary.
   void (*validate)(const GroupSpec& group) = nullptr;
 };
 
@@ -197,11 +198,13 @@ routing::ProtocolConfig resolved_protocol(const ScenarioSpec& spec,
 
 /// Validates spec consistency beyond per-key parsing (at least one group,
 /// known model/map/protocol names incl. per-group overrides, model/map
-/// compatibility, communities source vocabulary, the protocol knobs:
-/// copies >= 1, alpha finite and > 0, window >= 1; the traffic section:
-/// interval/ttl/size/window sanity, profile parameters, matrix entries
-/// naming real groups, full_ttl_window leaving a creation window). Throws
-/// std::invalid_argument with an explanatory message.
+/// compatibility, the selected map kind's values, each group model's
+/// speed/pause/stop values, communities source vocabulary and
+/// count >= 1, the protocol knobs: copies >= 1, alpha finite and > 0,
+/// window >= 1; the traffic section: interval/ttl/size/window sanity,
+/// profile parameters, matrix entries naming real groups, full_ttl_window
+/// leaving a creation window). Throws std::invalid_argument with an
+/// explanatory message.
 void validate_spec(const ScenarioSpec& spec);
 
 }  // namespace dtn::harness

@@ -187,11 +187,11 @@ TEST(SpecDiagnostics, ValidateSpecCatchesStructuralProblems) {
   EXPECT_NO_THROW(validate_spec(ok));
 }
 
-/// Overrides `key` on a valid spec and requires validate_spec to reject it
-/// with exactly `message`.
+/// Overrides `key` on a valid spec (the paper's bus spec by default) and
+/// requires validate_spec to reject it with exactly `message`.
 void expect_rejected(const std::string& key, const std::string& value,
-                     const std::string& message) {
-  ScenarioSpec spec = test::paper_bus_spec();
+                     const std::string& message,
+                     ScenarioSpec spec = test::paper_bus_spec()) {
   apply_override(spec, key, value);
   try {
     validate_spec(spec);
@@ -269,6 +269,148 @@ TEST(SpecDiagnostics, WindowMustBeAtLeastOne) {
   ScenarioSpec single = test::paper_bus_spec();
   apply_override(single, "protocol.window", "1");
   EXPECT_NO_THROW(validate_spec(single));
+}
+
+// ---- map, model and communities values --------------------------------------
+// Each of these used to pass `dtnsim check` and then hang the run, empty it,
+// fail only at run time, or run a silently different world.
+
+ScenarioSpec waypoint_spec() {
+  return parse_spec(
+      "map.kind = open_field\n"
+      "group.walkers.model = random_waypoint\n"
+      "group.walkers.count = 10\n");
+}
+
+TEST(SpecDiagnostics, OpenFieldExtentMustBeFiniteAndPositive) {
+  // A NaN width ran a world that delivered nothing.
+  expect_rejected("map.width", "nan", "map.width must be finite and > 0 (got nan)",
+                  test::community_spec());
+  expect_rejected("map.height", "0", "map.height must be finite and > 0 (got 0)",
+                  test::community_spec());
+}
+
+TEST(SpecDiagnostics, DowntownCountsMustBeAtLeastOne) {
+  // districts = 0 ran as 1; routes_per_district = 0 passed check and then
+  // failed the run of a bus group for want of routes.
+  expect_rejected("map.rows", "0", "map.rows must be >= 1 (got 0)");
+  expect_rejected("map.cols", "-2", "map.cols must be >= 1 (got -2)");
+  expect_rejected("map.districts", "0", "map.districts must be >= 1 (got 0)");
+  expect_rejected("map.routes_per_district", "0",
+                  "map.routes_per_district must be >= 1 (got 0)");
+}
+
+TEST(SpecDiagnostics, DowntownAnchorsPerRouteMustBeAtLeastTwo) {
+  // The generator silently raises smaller values to 2.
+  expect_rejected("map.anchors_per_route", "1", "map.anchors_per_route must be >= 2 (got 1)");
+  ScenarioSpec two = test::paper_bus_spec();
+  apply_override(two, "map.anchors_per_route", "2");
+  EXPECT_NO_THROW(validate_spec(two));
+}
+
+TEST(SpecDiagnostics, DowntownBlockMustBeFiniteAndPositive) {
+  expect_rejected("map.block", "0", "map.block must be finite and > 0 (got 0)");
+  expect_rejected("map.block", "inf", "map.block must be finite and > 0 (got inf)");
+}
+
+TEST(SpecDiagnostics, DowntownJitterMustBeFiniteAndNonNegative) {
+  expect_rejected("map.jitter", "-0.1", "map.jitter must be finite and >= 0 (got -0.1)");
+  expect_rejected("map.jitter", "nan", "map.jitter must be finite and >= 0 (got nan)");
+}
+
+TEST(SpecDiagnostics, DowntownHubVisitProbMustBeAProbability) {
+  expect_rejected("map.hub_visit_prob", "1.5", "map.hub_visit_prob must be in [0, 1] (got 1.5)");
+  expect_rejected("map.hub_visit_prob", "nan", "map.hub_visit_prob must be in [0, 1] (got nan)");
+}
+
+TEST(SpecDiagnostics, TraceMapRequiresAFile) {
+  // check used to pass this and run to fail on it.
+  ScenarioSpec spec = parse_spec(
+      "map.kind = trace\n"
+      "group.replay.model = trace\n"
+      "group.replay.count = 2\n");
+  try {
+    validate_spec(spec);
+    ADD_FAILURE() << "a trace map without map.file passed validation";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "map.kind = trace requires map.file");
+  }
+}
+
+TEST(SpecDiagnostics, BusSpeedMinMustBeFiniteAndPositive) {
+  // With speed 0 a bus's travel time fell back to a jump to the next stop.
+  expect_rejected("group.buses.speed_min", "0",
+                  "group.buses.speed_min must be finite and > 0 (got 0)");
+  expect_rejected("group.buses.speed_min", "nan",
+                  "group.buses.speed_min must be finite and > 0 (got nan)");
+}
+
+TEST(SpecDiagnostics, BusStopSpacingMustBeFiniteAndPositive) {
+  // With zero pauses, a zero spacing made the bus step spin forever.
+  ScenarioSpec no_pause = test::paper_bus_spec(
+      "group.buses.pause_min = 0\n"
+      "group.buses.pause_max = 0\n");
+  expect_rejected("group.buses.stop_spacing", "0",
+                  "group.buses.stop_spacing must be finite and > 0 (got 0)", no_pause);
+  expect_rejected("group.buses.stop_spacing", "-600",
+                  "group.buses.stop_spacing must be finite and > 0 (got -600)");
+}
+
+TEST(SpecDiagnostics, WalkerSpeedMinMustBeFiniteAndNonNegative) {
+  expect_rejected("group.walkers.speed_min", "-1",
+                  "group.walkers.speed_min must be finite and >= 0 (got -1)", waypoint_spec());
+  expect_rejected("group.walkers.speed_min", "nan",
+                  "group.walkers.speed_min must be finite and >= 0 (got nan)",
+                  test::community_spec());
+  // Speed 0 is the documented frozen walker.
+  for (ScenarioSpec frozen : {waypoint_spec(), test::community_spec()}) {
+    apply_override(frozen, "group.walkers.speed_min", "0");
+    apply_override(frozen, "group.walkers.speed_max", "0");
+    EXPECT_NO_THROW(validate_spec(frozen)) << frozen.groups[0].model;
+  }
+}
+
+TEST(SpecDiagnostics, SpeedMaxMustNotBeBelowSpeedMin) {
+  // A reversed range used to run with the range flipped.
+  expect_rejected("group.buses.speed_min", "5",
+                  "group.buses.speed_min (5) must be <= group.buses.speed_max (1)",
+                  test::paper_bus_spec("group.buses.speed_max = 1\n"));
+  expect_rejected("group.walkers.speed_max", "0.1",
+                  "group.walkers.speed_min (0.5) must be <= group.walkers.speed_max (0.1)",
+                  waypoint_spec());
+  expect_rejected("group.walkers.speed_max", "nan",
+                  "group.walkers.speed_min (0.8) must be <= group.walkers.speed_max (nan)",
+                  test::community_spec());
+}
+
+TEST(SpecDiagnostics, PauseMinMustBeFiniteAndNonNegative) {
+  expect_rejected("group.buses.pause_min", "-5",
+                  "group.buses.pause_min must be finite and >= 0 (got -5)");
+  expect_rejected("group.walkers.pause_min", "inf",
+                  "group.walkers.pause_min must be finite and >= 0 (got inf)", waypoint_spec());
+}
+
+TEST(SpecDiagnostics, PauseMaxMustNotBeBelowPauseMin) {
+  expect_rejected("group.buses.pause_max", "1",
+                  "group.buses.pause_min (5) must be <= group.buses.pause_max (1)");
+  expect_rejected("group.walkers.pause_max", "-1",
+                  "group.walkers.pause_min (0) must be <= group.walkers.pause_max (-1)",
+                  test::community_spec());
+}
+
+TEST(SpecDiagnostics, HomeProbMustBeAProbability) {
+  // home_prob = 3 used to be clamped to 1.
+  expect_rejected("group.walkers.home_prob", "3",
+                  "group.walkers.home_prob must be in [0, 1] (got 3)", test::community_spec());
+  expect_rejected("group.walkers.home_prob", "-0.5",
+                  "group.walkers.home_prob must be in [0, 1] (got -0.5)", test::community_spec());
+}
+
+TEST(SpecDiagnostics, CommunitiesCountMustBeAtLeastOne) {
+  // A non-positive count used to run as one class.
+  expect_rejected("communities.count", "-3", "communities.count must be >= 1 (got -3)");
+  expect_rejected("communities.count", "0", "communities.count must be >= 1 (got 0)",
+                  test::community_spec());
 }
 
 TEST(SpecDiagnostics, BusGroupOnOpenFieldFailsAtBuildWithContext) {

@@ -13,6 +13,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/scenario.hpp"
@@ -285,6 +286,24 @@ TEST(TrafficWorkload, TraceFileWorkloadReplaysAndValidates) {
       EXPECT_NE(std::string(e.what()).find("traffic.file " + bad + ":2: "),
                 std::string::npos)
           << e.what();
+    }
+  }
+
+  // An explicit 0 selects the spec's size/TTL like an absent field; only a
+  // negative value is an error, and the message states that rule.
+  const std::vector<std::pair<std::string, std::string>> negative_fields{
+      {"40 1 2 -5", "size_bytes must be >= 0, where 0 selects traffic.size_bytes (got -5)"},
+      {"40 1 2 512 -1", "ttl must be finite and >= 0, where 0 selects traffic.ttl (got -1)"}};
+  for (const auto& [line, message] : negative_fields) {
+    {
+      std::ofstream out(bad);
+      out << "10 0 1 0 0\n" << line << "\n";
+    }
+    try {
+      run_scenario(spec);
+      ADD_FAILURE() << "'" << line << "' was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), "traffic.file " + bad + ":2: " + message);
     }
   }
 }
