@@ -58,11 +58,11 @@ std::string detection_cache_key(const ScenarioSpec& spec) {
 /// Loads a trace-driven workload (`traffic.profile = trace`). Line format:
 ///   time src dst [size_bytes [ttl]]
 /// with `#` comments. A size_bytes or ttl of 0, like an absent field,
-/// selects traffic.size_bytes / traffic.ttl. Only blank and comment-only lines are skipped; every
-/// other line must parse completely, times must be finite and
-/// non-decreasing, and node ids must fit the spec's node count. Throws
-/// std::invalid_argument with path:line context — check-style loudness,
-/// never a silently shortened workload.
+/// selects traffic.size_bytes / traffic.ttl. Only blank and comment-only
+/// lines are skipped; every other line must parse completely, times must
+/// be finite and non-decreasing, and node ids must fit the spec's node
+/// count. Throws std::invalid_argument with path:line context —
+/// check-style loudness, never a silently shortened workload.
 std::shared_ptr<const std::vector<sim::TraceMessage>> load_traffic_trace(
     const std::string& path, int node_count) {
   std::ifstream in(path);

@@ -3,7 +3,7 @@
 // with probability `home_prob`, otherwise anywhere in the world (a "roam"
 // trip). Produces the high intra-community / low inter-community contact
 // frequency asymmetry the CR protocol is designed for, independent of the
-// bus map — used by the community_campus example and CR ablations.
+// bus map — used by examples/community_campus.cfg and CR ablations.
 #pragma once
 
 #include "geo/vec2.hpp"

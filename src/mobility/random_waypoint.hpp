@@ -1,6 +1,6 @@
 // Classic random-waypoint mobility: pick a uniform destination in the world
-// rectangle, travel at a uniformly drawn speed, pause, repeat. Used by the
-// quickstart example and as a non-structured control in ablations.
+// rectangle, travel at a uniformly drawn speed, pause, repeat. Used by
+// examples/quickstart.cfg and as a non-structured control in ablations.
 #pragma once
 
 #include "geo/vec2.hpp"

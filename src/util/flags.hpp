@@ -29,7 +29,7 @@ class Flags {
 
   /// Strict integer read: false when the flag is present but not a whole
   /// integer (get_int silently falls back on garbage, which strict CLIs —
-  /// dtnsim, the spec examples — must not accept). Absent flags leave
+  /// dtnsim, example_trace_tools — must not accept). Absent flags leave
   /// `out` untouched and return true.
   [[nodiscard]] bool parse_int(const std::string& name, std::int64_t& out) const;
 
@@ -42,7 +42,7 @@ class Flags {
   [[nodiscard]] std::vector<std::string> names() const;
 
   /// Flags present but not in `allowed`, in first-use order — the shared
-  /// scan behind strict CLIs (dtnsim, the spec-driven examples), which
+  /// scan behind strict CLIs (dtnsim, example_trace_tools), which
   /// must reject misspelled flags instead of silently running with
   /// defaults. (google-benchmark binaries stay permissive so its own
   /// flags pass through.)

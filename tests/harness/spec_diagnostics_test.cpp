@@ -272,8 +272,8 @@ TEST(SpecDiagnostics, WindowMustBeAtLeastOne) {
 }
 
 // ---- map, model and communities values --------------------------------------
-// Each of these used to pass `dtnsim check` and then hang the run, empty it,
-// fail only at run time, or run a silently different world.
+// Unchecked, each of these would pass `dtnsim check` and then hang the run,
+// empty it, fail only at run time, or run a silently different world.
 
 ScenarioSpec waypoint_spec() {
   return parse_spec(
@@ -283,7 +283,7 @@ ScenarioSpec waypoint_spec() {
 }
 
 TEST(SpecDiagnostics, OpenFieldExtentMustBeFiniteAndPositive) {
-  // A NaN width ran a world that delivered nothing.
+  // A NaN width would run a world that delivers nothing.
   expect_rejected("map.width", "nan", "map.width must be finite and > 0 (got nan)",
                   test::community_spec());
   expect_rejected("map.height", "0", "map.height must be finite and > 0 (got 0)",
@@ -291,8 +291,8 @@ TEST(SpecDiagnostics, OpenFieldExtentMustBeFiniteAndPositive) {
 }
 
 TEST(SpecDiagnostics, DowntownCountsMustBeAtLeastOne) {
-  // districts = 0 ran as 1; routes_per_district = 0 passed check and then
-  // failed the run of a bus group for want of routes.
+  // districts = 0 would run as 1; routes_per_district = 0 would pass check
+  // and then fail the run of a bus group for want of routes.
   expect_rejected("map.rows", "0", "map.rows must be >= 1 (got 0)");
   expect_rejected("map.cols", "-2", "map.cols must be >= 1 (got -2)");
   expect_rejected("map.districts", "0", "map.districts must be >= 1 (got 0)");
@@ -324,7 +324,7 @@ TEST(SpecDiagnostics, DowntownHubVisitProbMustBeAProbability) {
 }
 
 TEST(SpecDiagnostics, TraceMapRequiresAFile) {
-  // check used to pass this and run to fail on it.
+  // Otherwise check would pass this and run would fail on it.
   ScenarioSpec spec = parse_spec(
       "map.kind = trace\n"
       "group.replay.model = trace\n"
@@ -338,7 +338,8 @@ TEST(SpecDiagnostics, TraceMapRequiresAFile) {
 }
 
 TEST(SpecDiagnostics, BusSpeedMinMustBeFiniteAndPositive) {
-  // With speed 0 a bus's travel time fell back to a jump to the next stop.
+  // With speed 0 a bus's travel time would fall back to a jump to the next
+  // stop.
   expect_rejected("group.buses.speed_min", "0",
                   "group.buses.speed_min must be finite and > 0 (got 0)");
   expect_rejected("group.buses.speed_min", "nan",
@@ -346,7 +347,7 @@ TEST(SpecDiagnostics, BusSpeedMinMustBeFiniteAndPositive) {
 }
 
 TEST(SpecDiagnostics, BusStopSpacingMustBeFiniteAndPositive) {
-  // With zero pauses, a zero spacing made the bus step spin forever.
+  // With zero pauses, a zero spacing would make the bus step spin forever.
   ScenarioSpec no_pause = test::paper_bus_spec(
       "group.buses.pause_min = 0\n"
       "group.buses.pause_max = 0\n");
@@ -371,7 +372,7 @@ TEST(SpecDiagnostics, WalkerSpeedMinMustBeFiniteAndNonNegative) {
 }
 
 TEST(SpecDiagnostics, SpeedMaxMustNotBeBelowSpeedMin) {
-  // A reversed range used to run with the range flipped.
+  // A reversed range would run with the range flipped.
   expect_rejected("group.buses.speed_min", "5",
                   "group.buses.speed_min (5) must be <= group.buses.speed_max (1)",
                   test::paper_bus_spec("group.buses.speed_max = 1\n"));
@@ -399,7 +400,7 @@ TEST(SpecDiagnostics, PauseMaxMustNotBeBelowPauseMin) {
 }
 
 TEST(SpecDiagnostics, HomeProbMustBeAProbability) {
-  // home_prob = 3 used to be clamped to 1.
+  // home_prob = 3 would be clamped to 1.
   expect_rejected("group.walkers.home_prob", "3",
                   "group.walkers.home_prob must be in [0, 1] (got 3)", test::community_spec());
   expect_rejected("group.walkers.home_prob", "-0.5",
@@ -407,7 +408,7 @@ TEST(SpecDiagnostics, HomeProbMustBeAProbability) {
 }
 
 TEST(SpecDiagnostics, CommunitiesCountMustBeAtLeastOne) {
-  // A non-positive count used to run as one class.
+  // A non-positive count would run as one class.
   expect_rejected("communities.count", "-3", "communities.count must be >= 1 (got -3)");
   expect_rejected("communities.count", "0", "communities.count must be >= 1 (got 0)",
                   test::community_spec());

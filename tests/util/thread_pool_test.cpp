@@ -126,13 +126,12 @@ TEST(ParallelFor, NestedCallsOnSamePoolRunInline) {
         8, 4, [&](std::size_t, std::size_t) { inner_total.fetch_add(1); });
   });
   EXPECT_EQ(inner_total.load(), 16 * 8);
-  // A second nesting shape, with fewer participants than indices.
-  std::atomic<int> narrow_total{0};
+  std::atomic<int> second_total{0};
   ThreadPool::shared().parallel_for(9, 3, [&](std::size_t, std::size_t) {
     ThreadPool::shared().parallel_for(
-        5, 3, [&](std::size_t, std::size_t) { narrow_total.fetch_add(1); });
+        5, 3, [&](std::size_t, std::size_t) { second_total.fetch_add(1); });
   });
-  EXPECT_EQ(narrow_total.load(), 9 * 5);
+  EXPECT_EQ(second_total.load(), 9 * 5);
 }
 
 TEST(ParallelFor, ConcurrentCallsFromMultipleThreadsSerialize) {
