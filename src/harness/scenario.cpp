@@ -1,7 +1,6 @@
 #include "harness/scenario.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <fstream>
 #include <memory>
@@ -16,12 +15,6 @@
 namespace dtn::harness {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double elapsed_seconds(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
 
 /// Routing-free router that only feeds the shared contact-count graph —
 /// used by the community-detection warm-up pass.
@@ -181,7 +174,6 @@ sim::World& ScenarioRunner::prepare(const sim::WorldConfig& config) {
 }
 
 ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
-  const auto start = Clock::now();
   validate_spec(spec);
 
   // Map source (seed-dependent for generated maps, so rebuilt per run).
@@ -205,15 +197,13 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   } else {
     std::vector<int> cid;
     cid.reserve(static_cast<std::size_t>(spec.node_count()));
-    int first_node = 0;
     for (const auto& group : spec.groups) {
-      const GroupBuildContext ctx{spec, map, first_node, {}};
+      const GroupBuildContext ctx{spec, map, {}};
       if (spec.communities.source == "round_robin") {
         round_robin_communities(ctx, group, cid);
       } else {
         find_group_builder(group.model)->assign_communities(ctx, group, cid);
       }
-      first_node += group.count;
     }
     communities = std::make_shared<const core::CommunityTable>(std::move(cid));
   }
@@ -222,17 +212,15 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   world_config.seed = spec.seed;
   sim::World& world = prepare(world_config);
 
-  int first_node = 0;
   for (const auto& group : spec.groups) {
     // Heterogeneous routing: each group resolves its own protocol (per-group
     // name override over the spec-wide knobs) and hands builders a router
     // factory — the one seam the detection warm-up also plugs into.
     routing::ProtocolConfig protocol = resolved_protocol(spec, group);
     protocol.communities = communities;
-    GroupBuildContext ctx{spec, map, first_node, {}};
+    GroupBuildContext ctx{spec, map, {}};
     ctx.make_router = [&protocol] { return routing::create_router(protocol); };
     find_group_builder(group.model)->add_nodes(world, ctx, group);
-    first_node += group.count;
   }
 
   world.set_traffic(resolve_traffic(spec));
@@ -241,7 +229,6 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   ScenarioResult result;
   result.metrics = world.metrics();
   result.contact_events = world.contact_events();
-  result.wall_seconds = elapsed_seconds(start);
   result.protocol = spec.protocol.name;
   result.node_count = spec.node_count();
   result.seed = spec.seed;
@@ -264,14 +251,12 @@ core::CommunityTable detect_spec_communities(const ScenarioSpec& spec,
   sim::WorldConfig world_config = spec.world;
   world_config.seed = spec.seed;
   sim::World world(world_config);
-  int first_node = 0;
   for (const auto& group : spec.groups) {
     // Same map, same movement, same per-node seed streams as the real run —
     // only the routers differ (routing-free contact loggers).
-    GroupBuildContext ctx{spec, map, first_node, {}};
+    GroupBuildContext ctx{spec, map, {}};
     ctx.make_router = [&graph] { return std::make_unique<ContactLoggerRouter>(&graph); };
     find_group_builder(group.model)->add_nodes(world, ctx, group);
-    first_node += group.count;
   }
   world.run(warmup_s);
   return core::detect_communities(graph, detection);

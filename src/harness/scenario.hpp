@@ -20,7 +20,6 @@ namespace dtn::harness {
 struct ScenarioResult {
   sim::Metrics metrics;
   std::int64_t contact_events = 0;
-  double wall_seconds = 0.0;
   std::string protocol;
   int node_count = 0;
   std::uint64_t seed = 0;

@@ -149,7 +149,6 @@ struct ScenarioSpec {
 struct GroupBuildContext {
   const ScenarioSpec& spec;
   const geo::BuiltMap& map;
-  int first_node = 0;  ///< global index of the group's first node
   /// Builds one router for this group's nodes. Installed by the scenario
   /// layer: normally routing::create_router over the group's resolved
   /// protocol (per-group override applied), but the detected-communities

@@ -397,7 +397,7 @@ TEST(ConformanceMatrix, StationaryPlacementsBehaveAsDocumented) {
     sim::World world(config);
     GroupSpec one = spec.groups[0];
     one.count = 1;
-    GroupBuildContext ctx{spec, map, 0, {}};
+    GroupBuildContext ctx{spec, map, {}};
     ctx.make_router = [] {
       routing::ProtocolConfig protocol;
       protocol.name = "Epidemic";

@@ -51,7 +51,7 @@ TEST(BusScenario, CommunitiesMatchRouteDistricts) {
       geo::find_map_kind(spec.map.kind)->build(spec.map.params, spec.seed);
   ASSERT_TRUE(map.network.has_value());
   std::vector<int> cid;
-  const GroupBuildContext ctx{spec, map, 0, {}};
+  const GroupBuildContext ctx{spec, map, {}};
   find_group_builder("bus")->assign_communities(ctx, spec.groups[0], cid);
   ASSERT_EQ(cid.size(), 12u);
   const auto& routes = map.network->routes;
