@@ -12,8 +12,9 @@
 #     with zero pauses) — exit 1 with the explanatory diagnostic;
 #   - `run` on a missing file — exit 1;
 #   - `check` on EVERY shipped examples/*.cfg — exit 0 with its golden
-#     summary line (a new example cfg must ship
-#     tests/cli/expected/check_<name>.stdout alongside it);
+#     summary line — and `print` on each, byte for byte (a new example
+#     cfg must ship tests/cli/expected/check_<name>.stdout and
+#     print_<name>.stdout alongside it);
 #   - `sweep --resume` diagnostics — the no-journal-path usage error, the
 #     missing-journal fresh-start note, the different-campaign refusal (for
 #     one journal and for a --workers fleet's shard journals), and the
@@ -116,6 +117,12 @@ foreach(cfg ${example_cfgs})
   golden_case("check examples/${name}.cfg" ${SOURCE_DIR} 0
               check_${name}.stdout ""
               check examples/${name}.cfg)
+  # The canonical form is the campaign fingerprint (it heads every sweep
+  # journal; its CRC is the serve HELLO digest), so its bytes must not
+  # drift between builds.
+  golden_case("print examples/${name}.cfg" ${SOURCE_DIR} 0
+              print_${name}.stdout ""
+              print examples/${name}.cfg)
 endforeach()
 
 # ---- robustness-knob validation (all exit 2: usage/config errors) -----------
