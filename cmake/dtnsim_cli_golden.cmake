@@ -31,8 +31,8 @@
 #   - `journal` inspection over the COMMITTED torn-tail fixture
 #     tests/cli/torn.journal (byte counts in the output are only stable
 #     for committed bytes — journal records embed wall-time hexfloats, so
-#     a journal generated at test time would not golden) and over a
-#     missing file.
+#     a journal generated at test time would not golden), over the crafted
+#     tests/cli/huge_points.journal, and over a missing file.
 # Golden files live in tests/cli/expected/. Commands run with the relevant
 # directory as CWD so goldens contain relative paths only; the resume
 # cases run inside a scratch dir under WORK_DIR so their journals never
@@ -178,6 +178,12 @@ golden_case("sweep --fault with --hosts" ${CLI_DIR} 2
 golden_case("journal torn fixture" ${CLI_DIR} 1
             journal_torn.stdout ""
             journal torn.journal)
+# A crafted journal whose CRC-valid header claims 10^18 grid points and
+# whose two records sit at the ends of that range: the census must come
+# from the recorded indices, not from an allocation the header sizes.
+golden_case("journal huge points= header" ${CLI_DIR} 0
+            journal_huge_points.stdout ""
+            journal huge_points.journal)
 golden_case("journal missing file" ${CLI_DIR} 1
             "" journal_missing.stderr
             journal nosuch.journal)

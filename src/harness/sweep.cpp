@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
@@ -799,32 +800,27 @@ JournalInspection inspect_sweep_journal(const std::string& path) {
   }
 
   // Point census: latest record per index wins, like resume and merge.
-  std::vector<char> status(out.grid_points, 0);  // 0 none, 1 ok, 2 failed
+  // Keyed by the recorded indices, which the file size bounds: the
+  // header's points= field is untrusted and may claim any size.
+  std::map<std::size_t, bool> ok_by_point;
   ParsedPointRecord record;
   for (std::size_t r = 1; r < replay.records.size(); ++r) {
     if (parse_point_record(replay.records[r], out.grid_points, out.seeds, record)) {
-      status[record.idx] = record.exec.ok() ? 1 : 2;
+      ok_by_point[record.idx] = record.exec.ok();
     } else {
       ++out.malformed_records;
     }
   }
-  std::size_t min_idx = 0;
-  bool have_min = false;
   std::size_t modulus = 0;  // gcd of (idx - min_idx) over recorded indices
-  for (std::size_t p = 0; p < status.size(); ++p) {
-    if (status[p] == 0) continue;
+  const std::size_t min_idx = ok_by_point.empty() ? 0 : ok_by_point.begin()->first;
+  for (const auto& [p, ok] : ok_by_point) {
     ++out.points_recorded;
-    if (status[p] == 1) {
+    if (ok) {
       ++out.points_ok;
     } else {
       ++out.points_failed;
     }
-    if (!have_min) {
-      min_idx = p;
-      have_min = true;
-    } else {
-      modulus = std::gcd(modulus, p - min_idx);
-    }
+    modulus = std::gcd(modulus, p - min_idx);
   }
   // Shard coverage audit: the largest `index % N == i` selector every
   // recorded index satisfies. Needs >= 2 distinct indices — with fewer,
