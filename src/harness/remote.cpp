@@ -1,5 +1,7 @@
 #include "harness/remote.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -73,6 +75,15 @@ std::vector<std::string> split_fields(const std::string& line) {
     at = sp + 1;
   }
   return fields;
+}
+
+/// An integer policy field within [lo, hi]: the bounds `dtnsim sweep`
+/// enforces for the same flag, so a peer cannot ship what the CLI refuses.
+bool parse_int_field(const std::string& value, std::int64_t lo, std::int64_t hi, int* out) {
+  std::int64_t num = 0;
+  if (!util::parse_value(value, num) || num < lo || num > hi) return false;
+  *out = static_cast<int>(num);
+  return true;
 }
 
 bool parse_bool_field(const std::string& value, bool* out) {
@@ -167,10 +178,8 @@ bool parse_sweep_assignment(const std::string& payload, SpecSweepOptions* out,
     const std::string key = field.substr(0, eq);
     const std::string value = field.substr(eq + 1);
     bool ok = true;
-    std::int64_t num = 0;
     if (key == "seeds") {
-      ok = util::parse_value(value, num) && num >= 0;
-      out->seeds = static_cast<int>(num);
+      ok = parse_int_field(value, 0, INT32_MAX, &out->seeds);
     } else if (key == "seed_base") {
       ok = util::parse_value(value, out->seed_base);
     } else if (key == "shard") {
@@ -188,13 +197,15 @@ bool parse_sweep_assignment(const std::string& payload, SpecSweepOptions* out,
     } else if (key == "isolate") {
       ok = parse_bool_field(value, &out->isolate_failures);
     } else if (key == "retries") {
-      ok = util::parse_value(value, num) && num >= 0;
-      out->retries = static_cast<int>(num);
+      ok = parse_int_field(value, 0, 1000, &out->retries);
     } else if (key == "sync_every") {
-      ok = util::parse_value(value, num) && num >= 0;
-      out->sync_every = static_cast<int>(num);
+      ok = parse_int_field(value, 0, INT32_MAX, &out->sync_every);
     } else if (key == "point_timeout") {
-      ok = parse_hex_double(value, &out->point_timeout_s);
+      // 0 = no watchdog. A huge or non-finite timeout would overflow the
+      // watchdog's duration_cast and fail every attempt as timed out.
+      double& timeout = out->point_timeout_s;
+      ok = parse_hex_double(value, &timeout) && std::isfinite(timeout) && timeout >= 0.0 &&
+           timeout <= 1e9;
     } else {
       ok = false;  // strict for /1: unknown fields are foreign
     }

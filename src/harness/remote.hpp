@@ -40,8 +40,9 @@ std::string serialize_sweep_assignment(const SpecSweepOptions& options);
 
 /// Strict parse of an ASSIGN payload into options ready for
 /// run_spec_sweep (journal_path/threads/callbacks left default). False +
-/// `error` on any violation: wrong version token, malformed field, axis
-/// or spec text that does not parse.
+/// `error` on any violation: wrong version token, malformed field, a
+/// policy value outside the bounds `dtnsim sweep` enforces for its flag,
+/// axis or spec text that does not parse.
 bool parse_sweep_assignment(const std::string& payload, SpecSweepOptions* out,
                             std::string* error);
 

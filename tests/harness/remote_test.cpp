@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/remote.hpp"
@@ -144,6 +146,51 @@ TEST(RemoteAssignment, RejectsUnknownFieldsAndBadSpecs) {
   std::string bad_spec = good.substr(0, good.find("spec\n") + 5);
   bad_spec += "scenario.nodes = not_a_number\n";
   EXPECT_FALSE(harness::parse_sweep_assignment(bad_spec, &parsed, &error));
+}
+
+TEST(RemoteAssignment, RejectsPolicyValuesTheCliRefuses) {
+  // The daemon parses ASSIGN off the network: each value below parsed at
+  // the parent, and was then narrowed (4294967297 retries ran as 1) or
+  // overflowed the point watchdog's duration_cast (a 2^1000 s timeout).
+  const std::string good = harness::serialize_sweep_assignment(fixture_options());
+  const std::size_t line_start = good.find('\n') + 1;
+  const std::string params = good.substr(line_start, good.find('\n', line_start) - line_start);
+  const std::vector<std::pair<std::string, std::string>> rejected = {
+      {"point_timeout", "inf"},       {"point_timeout", "nan"},
+      {"point_timeout", "-0x1p+0"},   {"point_timeout", "0x1p+1000"},
+      {"point_timeout", "1000000001"}, {"retries", "4294967297"},
+      {"retries", "2147483648"},      {"retries", "1001"},
+      {"retries", "-1"},              {"sync_every", "2147483648"},
+      {"sync_every", "-1"},           {"seeds", "4294967298"},
+  };
+  for (const auto& [field, value] : rejected) {
+    const std::size_t at = params.find(field + "=");
+    ASSERT_NE(at, std::string::npos) << field;
+    const std::size_t end = params.find(' ', at);
+    std::string bad_params = params;
+    bad_params.replace(at, (end == std::string::npos ? params.size() : end) - at,
+                       field + "=" + value);
+    std::string payload = good;
+    payload.replace(line_start, params.size(), bad_params);
+    harness::SpecSweepOptions parsed;
+    std::string error;
+    EXPECT_FALSE(harness::parse_sweep_assignment(payload, &parsed, &error))
+        << field << "=" << value;
+    EXPECT_NE(error.find(field + "=" + value), std::string::npos) << error;
+  }
+  // The bounds themselves are accepted, as the CLI accepts them.
+  harness::SpecSweepOptions edge = fixture_options();
+  edge.retries = 1000;
+  edge.sync_every = INT32_MAX;
+  edge.point_timeout_s = 1e9;
+  harness::SpecSweepOptions parsed;
+  std::string error;
+  ASSERT_TRUE(harness::parse_sweep_assignment(harness::serialize_sweep_assignment(edge),
+                                              &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.retries, 1000);
+  EXPECT_EQ(parsed.sync_every, INT32_MAX);
+  EXPECT_EQ(parsed.point_timeout_s, 1e9);
 }
 
 TEST(RemoteProgress, RoundTrips) {
