@@ -229,9 +229,6 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   ScenarioResult result;
   result.metrics = world.metrics();
   result.contact_events = world.contact_events();
-  result.protocol = spec.protocol.name;
-  result.node_count = spec.node_count();
-  result.seed = spec.seed;
   return result;
 }
 

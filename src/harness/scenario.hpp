@@ -20,9 +20,6 @@ namespace dtn::harness {
 struct ScenarioResult {
   sim::Metrics metrics;
   std::int64_t contact_events = 0;
-  std::string protocol;
-  int node_count = 0;
-  std::uint64_t seed = 0;
 };
 
 /// Reusable scenario executor: owns one sim::World whose allocated capacity

@@ -20,8 +20,6 @@ TEST(BusScenario, ProducesContactsAndTraffic) {
   const ScenarioResult r = run_scenario(small_bus("Epidemic"));
   EXPECT_GT(r.contact_events, 0);
   EXPECT_GT(r.metrics.created(), 0);
-  EXPECT_EQ(r.protocol, "Epidemic");
-  EXPECT_EQ(r.node_count, 24);
 }
 
 TEST(BusScenario, EpidemicDeliversSomething) {
