@@ -9,35 +9,7 @@ namespace dtn::geo {
 
 namespace {
 
-using util::KvResult;
-
 // ---- downtown ---------------------------------------------------------------
-
-KvResult downtown_set(MapParams& p, const std::string& key, const std::string& value) {
-  DowntownParams& d = p.downtown;
-  if (key == "rows") return util::kv_set(d.rows, value);
-  if (key == "cols") return util::kv_set(d.cols, value);
-  if (key == "block") return util::kv_set(d.block_m, value);
-  if (key == "jitter") return util::kv_set(d.jitter_frac, value);
-  if (key == "districts") return util::kv_set(d.districts, value);
-  if (key == "routes_per_district") return util::kv_set(d.routes_per_district, value);
-  if (key == "anchors_per_route") return util::kv_set(d.anchors_per_route, value);
-  if (key == "hub_visit_prob") return util::kv_set(d.hub_visit_prob, value);
-  return KvResult::kUnknownKey;
-}
-
-void downtown_emit(const MapParams& p,
-                   std::vector<std::pair<std::string, std::string>>& out) {
-  const DowntownParams& d = p.downtown;
-  out.emplace_back("rows", util::format_value(d.rows));
-  out.emplace_back("cols", util::format_value(d.cols));
-  out.emplace_back("block", util::format_value(d.block_m));
-  out.emplace_back("jitter", util::format_value(d.jitter_frac));
-  out.emplace_back("districts", util::format_value(d.districts));
-  out.emplace_back("routes_per_district", util::format_value(d.routes_per_district));
-  out.emplace_back("anchors_per_route", util::format_value(d.anchors_per_route));
-  out.emplace_back("hub_visit_prob", util::format_value(d.hub_visit_prob));
-}
 
 BuiltMap downtown_build(const MapParams& p, std::uint64_t seed) {
   DowntownParams d = p.downtown;
@@ -55,18 +27,6 @@ BuiltMap downtown_build(const MapParams& p, std::uint64_t seed) {
 
 // ---- open_field -------------------------------------------------------------
 
-KvResult open_field_set(MapParams& p, const std::string& key, const std::string& value) {
-  if (key == "width") return util::kv_set(p.width, value);
-  if (key == "height") return util::kv_set(p.height, value);
-  return KvResult::kUnknownKey;
-}
-
-void open_field_emit(const MapParams& p,
-                     std::vector<std::pair<std::string, std::string>>& out) {
-  out.emplace_back("width", util::format_value(p.width));
-  out.emplace_back("height", util::format_value(p.height));
-}
-
 BuiltMap open_field_build(const MapParams& p, std::uint64_t /*seed*/) {
   BuiltMap built;
   built.world_min = {0.0, 0.0};
@@ -75,19 +35,6 @@ BuiltMap open_field_build(const MapParams& p, std::uint64_t /*seed*/) {
 }
 
 // ---- trace ------------------------------------------------------------------
-
-KvResult trace_set(MapParams& p, const std::string& key, const std::string& value) {
-  if (key == "file") {
-    p.trace_file = value;
-    return KvResult::kOk;
-  }
-  return KvResult::kUnknownKey;
-}
-
-void trace_emit(const MapParams& p,
-                std::vector<std::pair<std::string, std::string>>& out) {
-  out.emplace_back("file", p.trace_file);
-}
 
 struct CachedTrace {
   std::shared_ptr<const Trace> trace;
@@ -137,12 +84,24 @@ BuiltMap trace_build(const MapParams& p, std::uint64_t /*seed*/) {
 }
 
 const std::vector<MapKindInfo>& registry() {
+  using util::field_at;
+  using M = MapParams;
+  using D = DowntownParams;
   static const std::vector<MapKindInfo> kinds{
-      {"downtown", downtown_set, downtown_emit, downtown_build,
-       /*provides_routes=*/true, /*provides_trace=*/false},
-      {"open_field", open_field_set, open_field_emit, open_field_build,
-       /*provides_routes=*/false, /*provides_trace=*/false},
-      {"trace", trace_set, trace_emit, trace_build,
+      {"downtown",
+       {{"rows", field_at<&M::downtown, &D::rows>},
+        {"cols", field_at<&M::downtown, &D::cols>},
+        {"block", field_at<&M::downtown, &D::block_m>},
+        {"jitter", field_at<&M::downtown, &D::jitter_frac>},
+        {"districts", field_at<&M::downtown, &D::districts>},
+        {"routes_per_district", field_at<&M::downtown, &D::routes_per_district>},
+        {"anchors_per_route", field_at<&M::downtown, &D::anchors_per_route>},
+        {"hub_visit_prob", field_at<&M::downtown, &D::hub_visit_prob>}},
+       downtown_build, /*provides_routes=*/true, /*provides_trace=*/false},
+      {"open_field",
+       {{"width", field_at<&M::width>}, {"height", field_at<&M::height>}},
+       open_field_build, /*provides_routes=*/false, /*provides_trace=*/false},
+      {"trace", {{"file", field_at<&M::trace_file>}}, trace_build,
        /*provides_routes=*/false, /*provides_trace=*/true},
   };
   return kinds;

@@ -2,15 +2,15 @@
 // A map source turns `map.*` keys into the world geometry a scenario runs
 // on: the downtown generator (bus routes + districts), an open field (just
 // an extent, for waypoint-style mobility), or a recorded trace (extent +
-// per-node trajectories). Like the mobility table, entries own the key
-// vocabulary (parse + serialize) and the build step; scenario composition
-// stays in the harness.
+// per-node trajectories). Like the harness's group builders, entries list
+// their `map.*` keys as util::KeyRow fields (which the scenario parser and
+// printer read) and own the build step; scenario composition stays in the
+// harness.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "geo/map_gen.hpp"
@@ -20,7 +20,7 @@
 namespace dtn::geo {
 
 /// Union-of-kinds parameter block for the map source (same flat-value
-/// pattern as mobility::GroupParams). `downtown.seed` is not part of the
+/// pattern as harness::GroupParams). `downtown.seed` is not part of the
 /// key vocabulary: the scenario seed overrides it at build time so one seed
 /// drives the whole run.
 struct MapParams {
@@ -45,8 +45,8 @@ struct BuiltMap {
 
 struct MapKindInfo {
   std::string name;
-  util::KvResult (*set)(MapParams&, const std::string& key, const std::string& value);
-  void (*emit)(const MapParams&, std::vector<std::pair<std::string, std::string>>& out);
+  /// The kind's `map.<key>` vocabulary, in canonical order.
+  std::vector<util::KeyRow<MapParams>> fields;
   /// Builds the geometry. `seed` is the scenario seed (downtown maps vary
   /// with it). Throws std::runtime_error on unloadable inputs (trace file).
   BuiltMap (*build)(const MapParams&, std::uint64_t seed);

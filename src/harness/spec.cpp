@@ -164,11 +164,13 @@ void waypoint_add_nodes(sim::World& world, const GroupBuildContext& ctx,
 // Stationary nodes cost nothing in the movement step loop (dedicated
 // engine lane that step_all never visits).
 
+std::vector<std::string> stationary_placements() { return {"grid", "uniform"}; }
+
 void stationary_validate(const GroupSpec& group) {
   const std::string& placement = group.params.stationary.placement;
-  // The parser vets this per key (stationary_set), but a programmatic spec
-  // skips the parser; without this check a typo would silently run as grid
-  // and then serialize into a config load_spec rejects.
+  // The parser vets this per key (the placement row's allowed values), but
+  // a programmatic spec skips the parser; without this check a typo would
+  // silently run as grid and then serialize into a config load_spec rejects.
   if (placement != "grid" && placement != "uniform") {
     build_error(group, "stationary placement must be 'grid' or 'uniform' (got '" +
                            placement + "')");
@@ -358,16 +360,44 @@ void validate_map(const MapSpec& map) {
 }
 
 const std::vector<GroupBuilder>& registry() {
+  using util::field_at;
+  using G = GroupParams;
+  using Bus = mobility::BusParams;
+  using Walk = mobility::RandomWaypointParams;
+  using Home = mobility::CommunityMovementParams;
+  using Fixed = mobility::StationaryParams;
   static const std::vector<GroupBuilder> builders{
-      {"bus", bus_assign_communities, bus_add_nodes,
+      {"bus",
+       {{"speed_min", field_at<&G::bus, &Bus::speed_min>},
+        {"speed_max", field_at<&G::bus, &Bus::speed_max>},
+        {"stop_spacing", field_at<&G::bus, &Bus::stop_spacing>},
+        {"pause_min", field_at<&G::bus, &Bus::pause_min>},
+        {"pause_max", field_at<&G::bus, &Bus::pause_max>}},
+       bus_assign_communities, bus_add_nodes,
        /*needs_routes=*/true, /*needs_trace=*/false, bus_validate},
-      {"random_waypoint", round_robin_communities, waypoint_add_nodes,
+      {"random_waypoint",
+       {{"speed_min", field_at<&G::waypoint, &Walk::speed_min>},
+        {"speed_max", field_at<&G::waypoint, &Walk::speed_max>},
+        {"pause_min", field_at<&G::waypoint, &Walk::pause_min>},
+        {"pause_max", field_at<&G::waypoint, &Walk::pause_max>}},
+       round_robin_communities, waypoint_add_nodes,
        /*needs_routes=*/false, /*needs_trace=*/false, waypoint_validate},
-      {"community", round_robin_communities, community_add_nodes,
+      {"community",
+       {{"home_prob", field_at<&G::community, &Home::home_prob>},
+        {"speed_min", field_at<&G::community, &Home::speed_min>},
+        {"speed_max", field_at<&G::community, &Home::speed_max>},
+        {"pause_min", field_at<&G::community, &Home::pause_min>},
+        {"pause_max", field_at<&G::community, &Home::pause_max>}},
+       round_robin_communities, community_add_nodes,
        /*needs_routes=*/false, /*needs_trace=*/false, community_validate},
-      {"trace", round_robin_communities, trace_add_nodes,
+      // Trajectories come from the map source (map.kind = trace); the
+      // group has no parameters of its own.
+      {"trace", {}, round_robin_communities, trace_add_nodes,
        /*needs_routes=*/false, /*needs_trace=*/true},
-      {"stationary", round_robin_communities, stationary_add_nodes,
+      {"stationary",
+       {{"placement", field_at<&G::stationary, &Fixed::placement>, stationary_placements},
+        {"margin", field_at<&G::stationary, &Fixed::margin>}},
+       round_robin_communities, stationary_add_nodes,
        /*needs_routes=*/false, /*needs_trace=*/false, stationary_validate},
   };
   return builders;
@@ -449,6 +479,13 @@ const GroupBuilder* find_group_builder(const std::string& model) {
   return nullptr;
 }
 
+std::vector<std::string> group_model_names() {
+  std::vector<std::string> names;
+  names.reserve(registry().size());
+  for (const auto& b : registry()) names.push_back(b.model);
+  return names;
+}
+
 void validate_spec(const ScenarioSpec& spec) {
   if (spec.groups.empty()) {
     throw std::invalid_argument("spec has no node groups (add group.<name>.model)");
@@ -490,7 +527,7 @@ void validate_spec(const ScenarioSpec& spec) {
       throw std::invalid_argument("group '" + g.name + "': count must be >= 0");
     }
     const GroupBuilder* builder = find_group_builder(g.model);
-    if (mobility::find_mobility_model(g.model) == nullptr || builder == nullptr) {
+    if (builder == nullptr) {
       throw std::invalid_argument("group '" + g.name + "': unknown mobility model '" +
                                   g.model + "'");
     }

@@ -7,14 +7,14 @@
 //
 // Composition is table-driven end to end:
 //   - map.kind        -> geo::find_map_kind()        (downtown / open_field / trace)
-//   - group.*.model   -> mobility::find_mobility_model() for the parameter
-//                        vocabulary, plus the harness group-builder table
-//                        (find_group_builder) for node placement;
+//   - group.*.model   -> find_group_builder(): each model's `group.<name>.*`
+//                        keys and its node placement, in one table;
 //   - protocol.name   -> routing::create_router()'s protocol registry.
 // Maps and models are the built-in tables; protocols alone take new
 // entries at runtime (routing::register_protocol), which makes a custom
 // router addressable from scenario files and sweep axes with no harness
-// changes.
+// changes. Every scenario key is one util::KeyRow: the map kinds and group
+// builders list theirs, and spec_io.cpp lists the scalar sections'.
 //
 // Specs are value types: copyable, serializable to ONE-style `key = value`
 // config files (harness/spec_io.hpp), and overridable key-by-key
@@ -29,7 +29,10 @@
 #include <vector>
 
 #include "geo/map_registry.hpp"
-#include "mobility/registry.hpp"
+#include "mobility/bus_movement.hpp"
+#include "mobility/community_movement.hpp"
+#include "mobility/random_waypoint.hpp"
+#include "mobility/stationary.hpp"
 #include "routing/factory.hpp"
 #include "sim/traffic.hpp"
 #include "sim/world.hpp"
@@ -40,20 +43,33 @@ class World;
 
 namespace dtn::harness {
 
+/// Union-of-models parameter block for one node group. Only the block
+/// selected by the group's model name is meaningful; holding all blocks
+/// flat keeps the spec value-semantic (copyable, comparable, no virtuals).
+/// World rectangles / home rectangles / routes are NOT part of the group
+/// vocabulary — they derive from the map source and community layout at
+/// build time, so a scenario file has one source of truth for geometry.
+struct GroupParams {
+  mobility::RandomWaypointParams waypoint;
+  mobility::CommunityMovementParams community;
+  mobility::BusParams bus;
+  mobility::StationaryParams stationary;
+};
+
 /// One homogeneous node group: `count` nodes sharing a mobility model and
 /// its parameters. Heterogeneous worlds (buses + pedestrians in one run)
 /// are expressed as multiple groups; node indices are assigned in group
 /// order, first group first.
 struct GroupSpec {
   std::string name = "nodes";  ///< key segment: group.<name>.<param>
-  std::string model = "bus";   ///< mobility registry key
+  std::string model = "bus";   ///< group-builder table key
   int count = 0;
   /// Per-group router override (`group.<name>.protocol`): when non-empty,
   /// this group's nodes run the named protocol instead of the spec-wide
   /// `protocol.name` (heterogeneous routing in one world). The shared knobs
   /// (copies / alpha / window / communities) stay spec-wide.
   std::string protocol;
-  mobility::GroupParams params;
+  GroupParams params;
 };
 
 /// Map source: kind selects a geo::MapKindInfo registry entry; params holds
@@ -141,10 +157,10 @@ struct ScenarioSpec {
 };
 
 // ---- group-builder registry -------------------------------------------------
-// The composition half of a mobility model: how a group's nodes join a
-// World. Split from mobility::MobilityModelInfo because placement needs
-// sim/harness context (built map, community layout, router factory) that
-// the mobility layer must not depend on.
+// One row per mobility model: its `group.<name>.*` keys and how its nodes
+// join a World. It lives in the harness because placement needs sim/harness
+// context (built map, community layout, router factory) that the mobility
+// layer must not depend on.
 
 struct GroupBuildContext {
   const ScenarioSpec& spec;
@@ -159,7 +175,10 @@ struct GroupBuildContext {
 };
 
 struct GroupBuilder {
-  std::string model;  ///< mobility registry key this builder serves
+  std::string model;  ///< `group.<name>.model` value this builder serves
+  /// The model's own `group.<name>.<key>` vocabulary, in canonical order
+  /// (after the model, count and protocol keys every group has).
+  std::vector<util::KeyRow<GroupParams>> fields;
   /// Appends one community id per node of `group` to `cid` ("auto" source;
   /// see CommunitySpec).
   void (*assign_communities)(const GroupBuildContext& ctx, const GroupSpec& group,
@@ -183,6 +202,9 @@ struct GroupBuilder {
 };
 
 const GroupBuilder* find_group_builder(const std::string& model);
+
+/// Model names in table order.
+std::vector<std::string> group_model_names();
 
 /// The assign_communities fallback for models without intrinsic community
 /// structure: group-local index % CommunitySpec::count. Also used for

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -48,133 +49,162 @@ std::string suggestion_for(const ScenarioSpec& spec, const std::string& key) {
   return best.empty() ? "" : " (did you mean '" + best + "'?)";
 }
 
-std::string join_names(const std::vector<std::string>& names) {
+std::string join_names(const std::vector<std::string>& names, const char* separator = ", ") {
   std::string out;
   for (const auto& n : names) {
-    if (!out.empty()) out += ", ";
+    if (!out.empty()) out += separator;
     out += n;
   }
   return out;
 }
 
-template <typename T>
-std::string set_num(T& field, const std::string& key, const std::string& value) {
-  T v{};
-  if (!util::parse_value(value, v)) {
-    return "bad value '" + value + "' for " + key;
-  }
-  field = v;
-  return "";
+using util::field_at;
+using S = ScenarioSpec;
+using World = sim::WorldConfig;
+using Traffic = sim::TrafficParams;
+using Protocol = routing::ProtocolConfig;
+using Communities = CommunitySpec;
+
+/// The scalar sections' keys, in listing and printing order. The two rows
+/// without a field stay explicit in apply_key and to_config: the
+/// write-only alias `scenario.nodes` and the enum-valued `traffic.profile`.
+const std::vector<util::KeyRow<S>>& spec_rows() {
+  static const std::vector<util::KeyRow<S>> rows{
+      {"scenario.name", field_at<&S::name>},
+      {"scenario.duration", field_at<&S::duration_s>},
+      {"scenario.seed", field_at<&S::seed>},
+      {"scenario.full_ttl_window", field_at<&S::full_ttl_window>},
+      {"scenario.nodes", nullptr},
+      // Vetted against the map kinds in apply_key; the kind's own keys
+      // print right after it.
+      {"map.kind", field_at<&S::map, &MapSpec::kind>},
+      {"world.step_dt", field_at<&S::world, &World::step_dt>},
+      {"world.radio_range", field_at<&S::world, &World::radio_range>},
+      {"world.bitrate_bps", field_at<&S::world, &World::bitrate_bps>},
+      {"world.buffer_bytes", field_at<&S::world, &World::buffer_bytes>},
+      {"world.ttl_sweep_interval", field_at<&S::world, &World::ttl_sweep_interval>},
+      // Engaged-only: a fixed-dt config's canonical form, and so its
+      // campaign fingerprint, does not mention the kernel.
+      {"world.event_kernel", field_at<&S::world, &World::event_kernel>, nullptr, true},
+      {"traffic.interval_min", field_at<&S::traffic, &Traffic::interval_min>},
+      {"traffic.interval_max", field_at<&S::traffic, &Traffic::interval_max>},
+      {"traffic.start", field_at<&S::traffic, &Traffic::start>},
+      {"traffic.stop", field_at<&S::traffic, &Traffic::stop>},
+      {"traffic.size_bytes", field_at<&S::traffic, &Traffic::size_bytes>},
+      {"traffic.ttl", field_at<&S::traffic, &Traffic::ttl>},
+      {"traffic.profile", nullptr},
+      {"traffic.on", field_at<&S::traffic, &Traffic::on_s>},
+      {"traffic.off", field_at<&S::traffic, &Traffic::off_s>},
+      {"traffic.period", field_at<&S::traffic, &Traffic::period_s>},
+      {"traffic.phase", field_at<&S::traffic, &Traffic::phase_s>},
+      // Engaged-only: the empty string means "no trace file", which is not
+      // a serializable value.
+      {"traffic.file", field_at<&S::traffic_file>, nullptr, true},
+      // Accepted verbatim: protocols may be registered after parsing
+      // (custom routers); validate_spec / create_router reject unknown
+      // names at run.
+      {"protocol.name", field_at<&S::protocol, &Protocol::name>},
+      {"protocol.copies", field_at<&S::protocol, &Protocol::copies>},
+      {"protocol.alpha", field_at<&S::protocol, &Protocol::alpha>},
+      {"protocol.window", field_at<&S::protocol, &Protocol::window>},
+      {"communities.source", field_at<&S::communities, &Communities::source>,
+       community_source_names},
+      {"communities.count", field_at<&S::communities, &Communities::count>},
+      {"communities.warmup", field_at<&S::communities, &Communities::warmup_s>},
+  };
+  return rows;
 }
 
-std::string scenario_key(ScenarioSpec& spec, const std::string& key,
-                         const std::string& value) {
-  if (key == "name") {
-    spec.name = value;
-    return "";
-  }
-  if (key == "duration") return set_num(spec.duration_s, "scenario.duration", value);
-  if (key == "seed") return set_num(spec.seed, "scenario.seed", value);
-  if (key == "full_ttl_window") {
-    return set_num(spec.full_ttl_window, "scenario.full_ttl_window", value);
-  }
-  if (key == "nodes") {
-    // Convenience alias for single-group scenarios (the common sweep axis).
-    if (spec.groups.size() != 1) {
-      return "scenario.nodes requires exactly one group (have " +
-             std::to_string(spec.groups.size()) + "); set group.<name>.count instead";
-    }
-    return set_num(spec.groups[0].count, "scenario.nodes", value);
-  }
-  return std::string("__unknown__");
+/// The keys of one `traffic.<src>.<dst>.*` matrix entry.
+const std::vector<util::KeyRow<TrafficEntrySpec>>& matrix_rows() {
+  using E = TrafficEntrySpec;
+  static const std::vector<util::KeyRow<E>> rows{
+      {"interval_min", field_at<&E::interval_min>},
+      {"interval_max", field_at<&E::interval_max>},
+      {"size_bytes", field_at<&E::size_bytes>},
+      {"weight", field_at<&E::weight>},
+  };
+  return rows;
 }
 
-std::string map_key(ScenarioSpec& spec, const std::string& key, const std::string& value) {
-  if (key == "kind") {
-    if (geo::find_map_kind(value) == nullptr) {
-      return "unknown map kind '" + value + "' (known: " + join_names(geo::map_kind_names()) +
-             ")";
-    }
-    spec.map.kind = value;
-    return "";
+/// The keys every group has ahead of its model's own.
+constexpr const char* kGroupKeys[] = {"model", "count", "protocol"};
+
+template <typename Block>
+const util::KeyRow<Block>* find_row(const std::vector<util::KeyRow<Block>>& rows,
+                                    const std::string& key) {
+  for (const auto& row : rows) {
+    if (key == row.key) return &row;
   }
+  return nullptr;
+}
+
+template <typename Block>
+std::vector<std::string> row_keys(const std::vector<util::KeyRow<Block>>& rows,
+                                  const std::string& prefix = "") {
+  std::vector<std::string> keys;
+  for (const auto& row : rows) keys.push_back(prefix + row.key);
+  return keys;
+}
+
+std::string bad_value(const std::string& key, const std::string& value) {
+  return "bad value '" + value + "' for " + key;
+}
+
+/// Sets `row`'s field; "" on success, else the bad-value diagnostic (with
+/// the allowed values when the row has a closed set).
+template <typename Block>
+std::string set_row(const util::KeyRow<Block>& row, Block& block, const std::string& key,
+                    const std::string& value) {
+  if (row.set(block, value)) return "";
+  if (row.allowed == nullptr) return bad_value(key, value);
+  return bad_value(key, value) + " (" + join_names(row.allowed(), " | ") + ")";
+}
+
+/// Prints "<prefix><key> = <value>" for each row of `block`.
+template <typename Block>
+void print_rows(std::ostream& out, const std::string& prefix,
+                const std::vector<util::KeyRow<Block>>& rows, const Block& block) {
+  for (const auto& row : rows) {
+    if (row.printed(block)) out << prefix << row.key << " = " << row.get(block) << "\n";
+  }
+}
+
+std::string unknown_key(const ScenarioSpec& spec, const std::string& key) {
+  return "unknown key '" + key + "'" + suggestion_for(spec, key);
+}
+
+std::string map_key(ScenarioSpec& spec, const std::string& key, const std::string& rest,
+                    const std::string& value) {
   const auto* kind = geo::find_map_kind(spec.map.kind);
   if (kind == nullptr) {
     return "map.kind '" + spec.map.kind + "' is not registered";
   }
-  switch (kind->set(spec.map.params, key, value)) {
-    case util::KvResult::kOk:
-      return "";
-    case util::KvResult::kBadValue:
-      return "bad value '" + value + "' for map." + key;
-    case util::KvResult::kUnknownKey:
-      break;
+  if (const auto* row = find_row(kind->fields, rest)) {
+    return set_row(*row, spec.map.params, key, value);
   }
-  std::vector<std::pair<std::string, std::string>> kv;
-  kind->emit(spec.map.params, kv);
-  std::vector<std::string> names;
-  for (const auto& [k, v] : kv) names.push_back(k);
-  return "unknown key 'map." + key + "' for map kind '" + spec.map.kind +
-         "' (known: " + join_names(names) + ")";
+  return "unknown key '" + key + "' for map kind '" + spec.map.kind +
+         "' (known: " + join_names(row_keys(kind->fields)) + ")";
 }
 
-std::string world_key(ScenarioSpec& spec, const std::string& key,
-                      const std::string& value) {
-  sim::WorldConfig& w = spec.world;
-  if (key == "step_dt") return set_num(w.step_dt, "world.step_dt", value);
-  if (key == "radio_range") return set_num(w.radio_range, "world.radio_range", value);
-  if (key == "bitrate_bps") return set_num(w.bitrate_bps, "world.bitrate_bps", value);
-  if (key == "buffer_bytes") return set_num(w.buffer_bytes, "world.buffer_bytes", value);
-  if (key == "ttl_sweep_interval") {
-    return set_num(w.ttl_sweep_interval, "world.ttl_sweep_interval", value);
+/// Matrix entries: traffic.<src>.<dst>.<param>. Group names are vetted by
+/// validate_spec, not here — the canonical form serializes the traffic
+/// section before any group declaration.
+std::string matrix_key(ScenarioSpec& spec, const std::string& key, const std::string& rest,
+                       const std::string& value) {
+  const auto d1 = rest.find('.');
+  const auto d2 = d1 == std::string::npos ? std::string::npos : rest.find('.', d1 + 1);
+  if (d2 == std::string::npos || d1 == 0 || d2 == d1 + 1 || d2 + 1 == rest.size()) {
+    return unknown_key(spec, key);
   }
-  if (key == "event_kernel") {
-    return set_num(w.event_kernel, "world.event_kernel", value);
-  }
-  return std::string("__unknown__");
-}
-
-std::string traffic_key(ScenarioSpec& spec, const std::string& key,
-                        const std::string& value) {
-  sim::TrafficParams& t = spec.traffic;
-  if (key == "interval_min") return set_num(t.interval_min, "traffic.interval_min", value);
-  if (key == "interval_max") return set_num(t.interval_max, "traffic.interval_max", value);
-  if (key == "start") return set_num(t.start, "traffic.start", value);
-  if (key == "stop") return set_num(t.stop, "traffic.stop", value);
-  if (key == "size_bytes") return set_num(t.size_bytes, "traffic.size_bytes", value);
-  if (key == "ttl") return set_num(t.ttl, "traffic.ttl", value);
-  if (key == "profile") {
-    if (!parse_traffic_profile(value, t.profile)) {
-      return "bad value '" + value + "' for traffic.profile (" +
-             traffic_profile_list() + ")";
-    }
-    return "";
-  }
-  if (key == "on") return set_num(t.on_s, "traffic.on", value);
-  if (key == "off") return set_num(t.off_s, "traffic.off", value);
-  if (key == "period") return set_num(t.period_s, "traffic.period", value);
-  if (key == "phase") return set_num(t.phase_s, "traffic.phase", value);
-  if (key == "file") {
-    spec.traffic_file = value;
-    return "";
-  }
-  // Matrix entries: traffic.<src>.<dst>.<param>. Group names are vetted by
-  // validate_spec, not here — the canonical form serializes the traffic
-  // section before any group declaration.
-  const auto d1 = key.find('.');
-  const auto d2 = d1 == std::string::npos ? std::string::npos : key.find('.', d1 + 1);
-  if (d2 == std::string::npos || d1 == 0 || d2 == d1 + 1 || d2 + 1 == key.size()) {
-    return std::string("__unknown__");
-  }
-  const std::string src = key.substr(0, d1);
-  const std::string dst = key.substr(d1 + 1, d2 - d1 - 1);
-  const std::string param = key.substr(d2 + 1);
-  if (param != "interval_min" && param != "interval_max" && param != "size_bytes" &&
-      param != "weight") {
+  const std::string src = rest.substr(0, d1);
+  const std::string dst = rest.substr(d1 + 1, d2 - d1 - 1);
+  const auto* row = find_row(matrix_rows(), rest.substr(d2 + 1));
+  if (row == nullptr) {
     // Vet the param BEFORE find-or-create so a typo cannot leave a stray
     // entry behind in the spec.
-    return "unknown key 'traffic." + key +
-           "' (matrix entry keys: interval_min, interval_max, size_bytes, weight)";
+    return "unknown key '" + key +
+           "' (matrix entry keys: " + join_names(row_keys(matrix_rows())) + ")";
   }
   TrafficEntrySpec* entry = nullptr;
   for (auto& e : spec.traffic_matrix) {
@@ -190,47 +220,10 @@ std::string traffic_key(ScenarioSpec& spec, const std::string& key,
     spec.traffic_matrix.push_back(std::move(e));
     entry = &spec.traffic_matrix.back();
   }
-  const std::string full = "traffic." + key;
-  if (param == "interval_min") return set_num(entry->interval_min, full, value);
-  if (param == "interval_max") return set_num(entry->interval_max, full, value);
-  if (param == "size_bytes") return set_num(entry->size_bytes, full, value);
-  return set_num(entry->weight, full, value);
+  return set_row(*row, *entry, key, value);
 }
 
-std::string protocol_key(ScenarioSpec& spec, const std::string& key,
-                         const std::string& value) {
-  routing::ProtocolConfig& p = spec.protocol;
-  if (key == "name") {
-    // Accepted verbatim: protocols may be registered after parsing (custom
-    // routers); validate_spec / create_router reject unknown names at run.
-    p.name = value;
-    return "";
-  }
-  if (key == "copies") return set_num(p.copies, "protocol.copies", value);
-  if (key == "alpha") return set_num(p.alpha, "protocol.alpha", value);
-  if (key == "window") return set_num(p.window, "protocol.window", value);
-  return std::string("__unknown__");
-}
-
-std::string communities_key(ScenarioSpec& spec, const std::string& key,
-                            const std::string& value) {
-  if (key == "source") {
-    const std::vector<std::string> sources = community_source_names();
-    if (std::find(sources.begin(), sources.end(), value) == sources.end()) {
-      return "bad value '" + value + "' for communities.source (" +
-             community_source_list() + ")";
-    }
-    spec.communities.source = value;
-    return "";
-  }
-  if (key == "count") return set_num(spec.communities.count, "communities.count", value);
-  if (key == "warmup") {
-    return set_num(spec.communities.warmup_s, "communities.warmup", value);
-  }
-  return std::string("__unknown__");
-}
-
-std::string group_key(ScenarioSpec& spec, const std::string& rest,
+std::string group_key(ScenarioSpec& spec, const std::string& key, const std::string& rest,
                       const std::string& value) {
   const auto dot = rest.find('.');
   if (dot == std::string::npos || dot == 0 || dot + 1 == rest.size()) {
@@ -246,33 +239,28 @@ std::string group_key(ScenarioSpec& spec, const std::string& rest,
       break;
     }
   }
-  if (group == nullptr) {
+  if (group == nullptr && param != "model") {
     // A group comes into existence through its model key, so every later
     // parameter is interpreted under the right vocabulary.
-    if (param != "model") {
-      return "unknown group '" + name + "' — declare it with group." + name +
-             ".model = <" + join_names(mobility::mobility_model_names()) + "> first";
-    }
-    if (mobility::find_mobility_model(value) == nullptr) {
-      return "unknown mobility model '" + value +
-             "' (known: " + join_names(mobility::mobility_model_names()) + ")";
-    }
-    GroupSpec g;
-    g.name = name;
-    g.model = value;
-    spec.groups.push_back(std::move(g));
-    return "";
+    return "unknown group '" + name + "' — declare it with group." + name +
+           ".model = <" + join_names(group_model_names()) + "> first";
   }
   if (param == "model") {
-    if (mobility::find_mobility_model(value) == nullptr) {
+    if (find_group_builder(value) == nullptr) {
       return "unknown mobility model '" + value +
-             "' (known: " + join_names(mobility::mobility_model_names()) + ")";
+             "' (known: " + join_names(group_model_names()) + ")";
+    }
+    if (group == nullptr) {
+      GroupSpec g;
+      g.name = name;
+      spec.groups.push_back(std::move(g));
+      group = &spec.groups.back();
     }
     group->model = value;
     return "";
   }
   if (param == "count") {
-    return set_num(group->count, "group." + name + ".count", value);
+    return util::parse_value(value, group->count) ? "" : bad_value(key, value);
   }
   if (param == "protocol") {
     // Accepted verbatim like protocol.name (custom routers may register
@@ -281,24 +269,17 @@ std::string group_key(ScenarioSpec& spec, const std::string& rest,
     group->protocol = value;
     return "";
   }
-  const auto* model = mobility::find_mobility_model(group->model);
-  if (model == nullptr) {
+  const GroupBuilder* builder = find_group_builder(group->model);
+  if (builder == nullptr) {
     return "group '" + name + "' has unknown model '" + group->model + "'";
   }
-  switch (model->set(group->params, param, value)) {
-    case util::KvResult::kOk:
-      return "";
-    case util::KvResult::kBadValue:
-      return "bad value '" + value + "' for group." + name + "." + param;
-    case util::KvResult::kUnknownKey:
-      break;
+  if (const auto* row = find_row(builder->fields, param)) {
+    return set_row(*row, group->params, key, value);
   }
-  std::vector<std::pair<std::string, std::string>> kv;
-  model->emit(group->params, kv);
-  std::vector<std::string> names{"model", "count", "protocol"};
-  for (const auto& [k, v] : kv) names.push_back(k);
-  return "unknown key 'group." + name + "." + param + "' for mobility model '" +
-         group->model + "' (known: " + join_names(names) + ")";
+  std::vector<std::string> names(std::begin(kGroupKeys), std::end(kGroupKeys));
+  for (const auto& row : builder->fields) names.push_back(row.key);
+  return "unknown key '" + key + "' for mobility model '" + group->model +
+         "' (known: " + join_names(names) + ")";
 }
 
 /// Applies one assignment; returns "" on success, a diagnostic message
@@ -306,30 +287,36 @@ std::string group_key(ScenarioSpec& spec, const std::string& rest,
 std::string apply_key(ScenarioSpec& spec, const std::string& key,
                       const std::string& value) {
   const auto dot = key.find('.');
-  const std::string section = dot == std::string::npos ? key : key.substr(0, dot);
-  const std::string rest = dot == std::string::npos ? "" : key.substr(dot + 1);
-  std::string result = "__unknown__";
-  if (rest.empty()) {
-    result = "__unknown__";
-  } else if (section == "scenario") {
-    result = scenario_key(spec, rest, value);
-  } else if (section == "map") {
-    result = map_key(spec, rest, value);
-  } else if (section == "world") {
-    result = world_key(spec, rest, value);
-  } else if (section == "traffic") {
-    result = traffic_key(spec, rest, value);
-  } else if (section == "protocol") {
-    result = protocol_key(spec, rest, value);
-  } else if (section == "communities") {
-    result = communities_key(spec, rest, value);
-  } else if (section == "group") {
-    result = group_key(spec, rest, value);
+  if (dot == std::string::npos || dot + 1 == key.size()) return unknown_key(spec, key);
+  const std::string section = key.substr(0, dot);
+  const std::string rest = key.substr(dot + 1);
+  if (key == "scenario.nodes") {
+    // Convenience alias for single-group scenarios (the common sweep axis).
+    if (spec.groups.size() != 1) {
+      return "scenario.nodes requires exactly one group (have " +
+             std::to_string(spec.groups.size()) + "); set group.<name>.count instead";
+    }
+    return util::parse_value(value, spec.groups[0].count) ? "" : bad_value(key, value);
   }
-  if (result == "__unknown__") {
-    return "unknown key '" + key + "'" + suggestion_for(spec, key);
+  if (key == "map.kind") {
+    if (geo::find_map_kind(value) == nullptr) {
+      return "unknown map kind '" + value + "' (known: " + join_names(geo::map_kind_names()) +
+             ")";
+    }
+    spec.map.kind = value;
+    return "";
   }
-  return result;
+  if (key == "traffic.profile") {
+    if (!parse_traffic_profile(value, spec.traffic.profile)) {
+      return bad_value(key, value) + " (" + traffic_profile_list() + ")";
+    }
+    return "";
+  }
+  if (const auto* row = find_row(spec_rows(), key)) return set_row(*row, spec, key, value);
+  if (section == "map") return map_key(spec, key, rest, value);
+  if (section == "traffic") return matrix_key(spec, key, rest, value);
+  if (section == "group") return group_key(spec, key, rest, value);
+  return unknown_key(spec, key);
 }
 
 std::string diagnostics_text(const std::vector<SpecDiagnostic>& diagnostics,
@@ -376,39 +363,21 @@ bool parse_into(const std::string& text, ScenarioSpec& spec,
 }  // namespace
 
 std::vector<std::string> spec_key_names(const ScenarioSpec& spec) {
-  std::vector<std::string> keys{
-      "scenario.name",       "scenario.duration", "scenario.seed",
-      "scenario.full_ttl_window", "scenario.nodes",
-      "map.kind",
-      "world.step_dt",       "world.radio_range", "world.bitrate_bps",
-      "world.buffer_bytes",  "world.ttl_sweep_interval",
-      "world.event_kernel",
-      "traffic.interval_min", "traffic.interval_max", "traffic.start",
-      "traffic.stop",        "traffic.size_bytes", "traffic.ttl",
-      "traffic.profile",     "traffic.on",        "traffic.off",
-      "traffic.period",      "traffic.phase",     "traffic.file",
-      "protocol.name",       "protocol.copies",   "protocol.alpha",
-      "protocol.window",
-      "communities.source",  "communities.count", "communities.warmup"};
-  std::vector<std::pair<std::string, std::string>> kv;
+  std::vector<std::string> keys = row_keys(spec_rows());
+  const auto append = [&keys](std::vector<std::string> more) {
+    keys.insert(keys.end(), more.begin(), more.end());
+  };
   if (const auto* kind = geo::find_map_kind(spec.map.kind)) {
-    kv.clear();
-    kind->emit(spec.map.params, kv);
-    for (const auto& [k, v] : kv) keys.push_back("map." + k);
+    append(row_keys(kind->fields, "map."));
   }
   for (const auto& e : spec.traffic_matrix) {
-    for (const char* param : {"interval_min", "interval_max", "size_bytes", "weight"}) {
-      keys.push_back("traffic." + e.src + "." + e.dst + "." + param);
-    }
+    append(row_keys(matrix_rows(), "traffic." + e.src + "." + e.dst + "."));
   }
   for (const auto& g : spec.groups) {
-    keys.push_back("group." + g.name + ".model");
-    keys.push_back("group." + g.name + ".count");
-    keys.push_back("group." + g.name + ".protocol");
-    if (const auto* model = mobility::find_mobility_model(g.model)) {
-      kv.clear();
-      model->emit(g.params, kv);
-      for (const auto& [k, v] : kv) keys.push_back("group." + g.name + "." + k);
+    const std::string prefix = "group." + g.name + ".";
+    for (const char* key : kGroupKeys) keys.push_back(prefix + key);
+    if (const auto* builder = find_group_builder(g.model)) {
+      append(row_keys(builder->fields, prefix));
     }
   }
   return keys;
@@ -451,79 +420,40 @@ ScenarioSpec load_spec(const std::string& path) {
 std::string to_config(const ScenarioSpec& spec) {
   std::ostringstream out;
   out << "# scenario '" << spec.name << "' — dtnsim config (canonical form)\n";
-  out << "scenario.name = " << spec.name << "\n";
-  out << "scenario.duration = " << util::format_value(spec.duration_s) << "\n";
-  out << "scenario.seed = " << util::format_value(spec.seed) << "\n";
-  out << "scenario.full_ttl_window = " << util::format_value(spec.full_ttl_window)
-      << "\n";
-
-  out << "\nmap.kind = " << spec.map.kind << "\n";
-  std::vector<std::pair<std::string, std::string>> kv;
-  if (const auto* kind = geo::find_map_kind(spec.map.kind)) {
-    kind->emit(spec.map.params, kv);
-    for (const auto& [k, v] : kv) out << "map." << k << " = " << v << "\n";
-  }
-
-  const sim::WorldConfig& w = spec.world;
-  out << "\nworld.step_dt = " << util::format_value(w.step_dt) << "\n";
-  out << "world.radio_range = " << util::format_value(w.radio_range) << "\n";
-  out << "world.bitrate_bps = " << util::format_value(w.bitrate_bps) << "\n";
-  out << "world.buffer_bytes = " << util::format_value(w.buffer_bytes) << "\n";
-  out << "world.ttl_sweep_interval = " << util::format_value(w.ttl_sweep_interval)
-      << "\n";
-  // Emitted only when engaged: a fixed-dt config's canonical form, and so
-  // its campaign fingerprint, does not mention the kernel.
-  if (w.event_kernel) out << "world.event_kernel = true\n";
-
-  const sim::TrafficParams& t = spec.traffic;
-  out << "\ntraffic.interval_min = " << util::format_value(t.interval_min) << "\n";
-  out << "traffic.interval_max = " << util::format_value(t.interval_max) << "\n";
-  out << "traffic.start = " << util::format_value(t.start) << "\n";
-  out << "traffic.stop = " << util::format_value(t.stop) << "\n";
-  out << "traffic.size_bytes = " << util::format_value(t.size_bytes) << "\n";
-  out << "traffic.ttl = " << util::format_value(t.ttl) << "\n";
-  out << "traffic.profile = " << traffic_profile_name(t.profile) << "\n";
-  out << "traffic.on = " << util::format_value(t.on_s) << "\n";
-  out << "traffic.off = " << util::format_value(t.off_s) << "\n";
-  out << "traffic.period = " << util::format_value(t.period_s) << "\n";
-  out << "traffic.phase = " << util::format_value(t.phase_s) << "\n";
-  // Engaged-only, like group.<g>.protocol: the empty string means "no
-  // trace file", which is not a serializable value.
-  if (!spec.traffic_file.empty()) out << "traffic.file = " << spec.traffic_file << "\n";
-  // Matrix entries in declaration order (= their RNG-stream index).
-  for (const auto& e : spec.traffic_matrix) {
-    const std::string prefix = "traffic." + e.src + "." + e.dst + ".";
-    out << prefix << "interval_min = " << util::format_value(e.interval_min) << "\n";
-    out << prefix << "interval_max = " << util::format_value(e.interval_max) << "\n";
-    out << prefix << "size_bytes = " << util::format_value(e.size_bytes) << "\n";
-    out << prefix << "weight = " << util::format_value(e.weight) << "\n";
-  }
-
-  const routing::ProtocolConfig& p = spec.protocol;
-  out << "\nprotocol.name = " << p.name << "\n";
-  out << "protocol.copies = " << util::format_value(p.copies) << "\n";
-  out << "protocol.alpha = " << util::format_value(p.alpha) << "\n";
-  out << "protocol.window = " << util::format_value(p.window) << "\n";
-
-  out << "\ncommunities.source = " << spec.communities.source << "\n";
-  out << "communities.count = " << util::format_value(spec.communities.count) << "\n";
-  out << "communities.warmup = " << util::format_value(spec.communities.warmup_s)
-      << "\n";
-
-  for (const auto& g : spec.groups) {
-    out << "\ngroup." << g.name << ".model = " << g.model << "\n";
-    out << "group." << g.name << ".count = " << util::format_value(g.count) << "\n";
-    // Inherit-from-protocol.name is the empty string; emitted only when an
-    // override is engaged, so homogeneous configs stay unchanged.
-    if (!g.protocol.empty()) {
-      out << "group." << g.name << ".protocol = " << g.protocol << "\n";
-    }
-    if (const auto* model = mobility::find_mobility_model(g.model)) {
-      kv.clear();
-      model->emit(g.params, kv);
-      for (const auto& [k, v] : kv) {
-        out << "group." << g.name << "." << k << " = " << v << "\n";
+  const auto* kind = geo::find_map_kind(spec.map.kind);
+  std::string section = "scenario";
+  for (const auto& row : spec_rows()) {
+    const std::string key = row.key;
+    const std::string row_section = key.substr(0, key.find('.'));
+    if (row_section != section) {
+      // Matrix entries close the traffic section, in declaration order
+      // (= their RNG-stream index).
+      if (section == "traffic") {
+        for (const auto& e : spec.traffic_matrix) {
+          print_rows(out, "traffic." + e.src + "." + e.dst + ".", matrix_rows(), e);
+        }
       }
+      section = row_section;
+      out << "\n";
+    }
+    if (key == "traffic.profile") {
+      out << key << " = " << traffic_profile_name(spec.traffic.profile) << "\n";
+    } else if (row.field != nullptr && row.printed(spec)) {  // null: scenario.nodes
+      out << key << " = " << row.get(spec) << "\n";
+    }
+    if (key == "map.kind" && kind != nullptr) {
+      print_rows(out, "map.", kind->fields, spec.map.params);
+    }
+  }
+  for (const auto& g : spec.groups) {
+    const std::string prefix = "group." + g.name + ".";
+    out << "\n" << prefix << "model = " << g.model << "\n";
+    out << prefix << "count = " << util::format_value(g.count) << "\n";
+    // Inherit-from-protocol.name is the empty string; printed only when an
+    // override is engaged, so homogeneous configs stay unchanged.
+    if (!g.protocol.empty()) out << prefix << "protocol = " << g.protocol << "\n";
+    if (const auto* builder = find_group_builder(g.model)) {
+      print_rows(out, prefix, builder->fields, g.params);
     }
   }
   return out.str();

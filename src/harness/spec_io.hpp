@@ -60,8 +60,8 @@ bool try_parse_spec(const std::string& text, ScenarioSpec& out,
 ScenarioSpec load_spec(const std::string& path);
 
 /// Serializes a spec to canonical config text: every serializable field,
-/// sections in fixed order, groups in declaration order, model-specific
-/// keys from the registries. parse_spec(to_config(s)) reproduces s for
+/// sections in fixed order, groups in declaration order, each key from its
+/// util::KeyRow (the map kind's and group model's keys from their tables). parse_spec(to_config(s)) reproduces s for
 /// any spec that validate_spec accepts (group names are key segments and
 /// restricted to [A-Za-z0-9_-]; string values must not contain '#' or
 /// newlines — '#' starts a comment).
@@ -83,12 +83,14 @@ ScenarioSpec load_spec_with_overrides(const std::string& path,
 /// Splits "key=value" (first '='); throws SpecError when '=' is missing.
 std::pair<std::string, std::string> split_assignment(const std::string& text);
 
-/// Every full key currently addressable on `spec` — the scalar section
-/// vocabulary plus the registry-driven `map.*` / `group.<name>.*` keys of
-/// the spec's map kind and group models. This is the list behind the
-/// parser's nearest-key suggestions; the override property test walks it so
-/// new keys are covered the moment they are registered. (`scenario.nodes`
-/// is a write-only alias and never serialized.)
+/// Every full key currently addressable on `spec`, read off the key rows:
+/// the scalar sections' keys, then the `map.*` keys of the spec's map kind,
+/// each matrix entry's keys, and each group's keys (model, count, protocol,
+/// then its model's). This is the list behind the parser's nearest-key
+/// suggestions, which take the first closest key, so the order breaks
+/// ties; the override property test walks it so a new row is covered the
+/// moment it is added. (`scenario.nodes` is a write-only alias and never
+/// serialized.)
 std::vector<std::string> spec_key_names(const ScenarioSpec& spec);
 
 }  // namespace dtn::harness

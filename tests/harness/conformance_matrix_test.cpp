@@ -1,6 +1,6 @@
 // Cross-registry conformance matrix: programmatically enumerates EVERY
 // registered (map kind x mobility model x protocol x communities source)
-// combination — walking geo::map_kind_names(), mobility_model_names(),
+// combination — walking geo::map_kind_names(), group_model_names(),
 // routing::known_protocols() and harness::community_source_names() at
 // runtime, so a registry entry added later is covered automatically with
 // no test edit — and, per cell, either
@@ -28,7 +28,6 @@
 #include "harness/scenario.hpp"
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
-#include "mobility/registry.hpp"
 #include "routing/factory.hpp"
 
 namespace dtn::harness {
@@ -170,7 +169,7 @@ TEST(ConformanceMatrix, EveryRegistryCombinationConformsOrIsRejectedLoudly) {
   int valid_cells = 0;
   int rejected_cells = 0;
   for (const auto& kind : geo::map_kind_names()) {
-    for (const auto& model : mobility::mobility_model_names()) {
+    for (const auto& model : group_model_names()) {
       for (const auto& source : community_source_names()) {
         for (const auto& protocol : routing::known_protocols()) {
           const ScenarioSpec spec = cell_spec(kind, model, protocol, source);
@@ -200,7 +199,7 @@ TEST(ConformanceMatrix, SweepAggregatesAreBitIdenticalAcrossThreadCounts) {
   // with the per-cell checks above this pins every matrix cell's metrics
   // across thread counts without re-running each protocol separately.
   for (const auto& kind : geo::map_kind_names()) {
-    for (const auto& model : mobility::mobility_model_names()) {
+    for (const auto& model : group_model_names()) {
       for (const auto& source : community_source_names()) {
         ScenarioSpec base = cell_spec(kind, model, "Epidemic", source);
         if (!spec_is_valid(base)) continue;

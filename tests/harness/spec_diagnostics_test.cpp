@@ -120,6 +120,16 @@ TEST(SpecDiagnostics, CommunitiesSourceIsValidated) {
   EXPECT_NE(diagnostics[0].message.find("auto | round_robin"), std::string::npos);
 }
 
+TEST(SpecDiagnostics, StationaryPlacementListsItsAllowedValues) {
+  const auto diagnostics = diagnostics_of(
+      "group.relays.model = stationary\n"
+      "group.relays.placement = random\n");
+  ASSERT_EQ(diagnostics.size(), 1u);
+  EXPECT_EQ(diagnostics[0].line, 2);
+  EXPECT_EQ(diagnostics[0].message,
+            "bad value 'random' for group.relays.placement (grid | uniform)");
+}
+
 TEST(SpecDiagnostics, ApplyOverrideThrowsSpecError) {
   ScenarioSpec spec = test::paper_bus_spec();
   EXPECT_THROW(apply_override(spec, "protocol.copeis", "3"), SpecError);

@@ -1,6 +1,6 @@
 // apply_override property tests over the ENTIRE key vocabulary: for every
-// key spec_key_names() reports (walking the map-kind and mobility-model
-// registries, so new keys are covered the moment they register),
+// key spec_key_names() reports (walking the map-kind and group-builder
+// tables, so new keys are covered the moment they are added),
 // override -> serialize -> parse must round-trip. Also pins the loud
 // rejection of scenario.seed / duplicate sweep axes.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "harness/scenario.hpp"
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
-#include "mobility/registry.hpp"
 #include "util/value_parse.hpp"
 
 namespace dtn::harness {

@@ -1000,7 +1000,7 @@ void print_names(const char* title, const std::vector<std::string>& names) {
 
 int cmd_list() {
   print_names("protocols", routing::known_protocols());
-  print_names("mobility models", mobility::mobility_model_names());
+  print_names("mobility models", harness::group_model_names());
   print_names("map kinds", geo::map_kind_names());
   print_names("community sources", harness::community_source_names());
   return 0;
