@@ -58,17 +58,16 @@ std::string join_names(const std::vector<std::string>& names, const char* separa
   return out;
 }
 
-using util::field_at;
-using S = ScenarioSpec;
-using World = sim::WorldConfig;
-using Traffic = sim::TrafficParams;
-using Protocol = routing::ProtocolConfig;
-using Communities = CommunitySpec;
-
 /// The scalar sections' keys, in listing and printing order. The two rows
 /// without a field stay explicit in apply_key and to_config: the
 /// write-only alias `scenario.nodes` and the enum-valued `traffic.profile`.
-const std::vector<util::KeyRow<S>>& spec_rows() {
+const std::vector<util::KeyRow<ScenarioSpec>>& spec_rows() {
+  using util::field_at;
+  using S = ScenarioSpec;
+  using World = sim::WorldConfig;
+  using Traffic = sim::TrafficParams;
+  using Protocol = routing::ProtocolConfig;
+  using Communities = CommunitySpec;
   static const std::vector<util::KeyRow<S>> rows{
       {"scenario.name", field_at<&S::name>},
       {"scenario.duration", field_at<&S::duration_s>},
@@ -117,6 +116,7 @@ const std::vector<util::KeyRow<S>>& spec_rows() {
 
 /// The keys of one `traffic.<src>.<dst>.*` matrix entry.
 const std::vector<util::KeyRow<TrafficEntrySpec>>& matrix_rows() {
+  using util::field_at;
   using E = TrafficEntrySpec;
   static const std::vector<util::KeyRow<E>> rows{
       {"interval_min", field_at<&E::interval_min>},
