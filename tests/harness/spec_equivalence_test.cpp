@@ -153,7 +153,7 @@ TEST(SpecEquivalence, CommunitySpecMatchesLegacyBuilder) {
   }
 }
 
-TEST(SpecEquivalence, MixedGroupsRunAndCountNodes) {
+TEST(SpecEquivalence, MixedGroupsRun) {
   // The capability the pre-spec builders could not express: two mobility
   // models in one world. Sanity-level assertions (no hand-rolled reference
   // exists, by definition).
