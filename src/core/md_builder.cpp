@@ -87,47 +87,32 @@ double MemdCache::memd(const MiMatrix& mi, const ContactHistory& history, NodeId
   return distances(mi, history, self, t).at(static_cast<std::size_t>(dst));
 }
 
-void MemdCache::sync_md(const MiMatrix& mi, const ContactHistory& history,
-                        NodeIdx self, double t) {
-  const NodeIdx n = mi.size();
-  const auto n_sz = static_cast<std::size_t>(n);
+void MemdCache::fill_own_row(const ContactHistory& history, NodeIdx self, NodeIdx n,
+                             double t) {
+  // Theorem 2 is elapsed-time dependent: recomputed on every rebuild.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  if (md_.size() != n_sz * n_sz) {
-    md_.assign(n_sz * n_sz, kInf);
-    synced_versions_.assign(n_sz, ~0ULL);
-  }
-  // Foreign rows: recopy only the rows whose MI content moved.
-  for (NodeIdx j = 0; j < n; ++j) {
-    if (j == self) continue;
-    const std::uint64_t v = mi.row_version(j);
-    if (synced_versions_[static_cast<std::size_t>(j)] == v) continue;
-    const double* src = mi.row_data(j);
-    double* dst = md_.data() + static_cast<std::size_t>(j) * n_sz;
-    std::copy_n(src, n_sz, dst);
-    dst[static_cast<std::size_t>(j)] = 0.0;
-    synced_versions_[static_cast<std::size_t>(j)] = v;
-  }
-  // Own row: Theorem 2 is elapsed-time dependent — recompute every sync.
-  double* own = md_.data() + static_cast<std::size_t>(self) * n_sz;
-  std::fill_n(own, n_sz, kInf);
-  own[static_cast<std::size_t>(self)] = 0.0;
+  own_row_.assign(static_cast<std::size_t>(n), kInf);
+  own_row_[static_cast<std::size_t>(self)] = 0.0;
   for (const auto& [peer, ph] : history.pairs()) {
     if (peer == self || peer < 0 || peer >= n) continue;
     if (!ph.met || ph.intervals.empty()) continue;
     const double elapsed = t - ph.last_contact;
     window_.assign(ph.intervals.begin(), ph.intervals.end());
-    own[static_cast<std::size_t>(peer)] = expected_meeting_delay(window_, elapsed);
+    own_row_[static_cast<std::size_t>(peer)] = expected_meeting_delay(window_, elapsed);
   }
 }
 
 const std::vector<double>& MemdCache::distances(const MiMatrix& mi,
                                                 const ContactHistory& history,
                                                 NodeIdx self, double t) {
-  const auto bucket = static_cast<std::int64_t>(std::floor(t / quantum_));
+  const std::int64_t bucket = memd_time_bucket(t);
   if (!valid_ || mi.version() != mi_version_ || bucket != time_bucket_ ||
       history.pair_count() != history_pairs_) {
-    sync_md(mi, history, self, t);
-    dist_ = dijkstra_dense(md_, mi.size(), self).dist;
+    const NodeIdx n = mi.size();
+    fill_own_row(history, self, n, t);
+    dist_ = mi.with_row(self, own_row_, [&](std::span<const double> md) {
+      return dijkstra_dense(md, n, self).dist;
+    });
     valid_ = true;
     mi_version_ = mi.version();
     time_bucket_ = bucket;

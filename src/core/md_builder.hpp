@@ -9,12 +9,11 @@
 //
 // MemdCache wraps this with version-based invalidation: the MD only needs
 // rebuilding when the node's MI or own history changed, which happens
-// exactly on the node's own contacts.
+// exactly on the node's own contacts, or when the time bucket advances.
 #pragma once
 
-#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/community.hpp"
@@ -24,9 +23,21 @@
 
 namespace dtn::core {
 
+/// Width in seconds of a MEMD time bucket. A cached MEMD is rebuilt when
+/// the query time enters a new bucket, so Theorem 2's elapsed-time term
+/// refreshes between contacts without a rebuild per query. EER and CR
+/// share it.
+inline constexpr double kMemdTimeBucket = 1.0;
+
+/// The bucket that holds time t.
+inline std::int64_t memd_time_bucket(double t) {
+  return static_cast<std::int64_t>(std::floor(t / kMemdTimeBucket));
+}
+
 /// Builds node `self`'s MD matrix at time t (row-major n×n).
 /// Row `self` uses Theorem 2 (EMD conditioned on elapsed time); other rows
-/// copy MI averages. Unknown entries are +inf (no edge).
+/// copy MI averages. Unknown entries are +inf (no edge). MemdCache gets the
+/// same distances without the n×n copy; tests compare the two.
 std::vector<double> build_md(const MiMatrix& mi, const ContactHistory& history,
                              NodeIdx self, double t);
 
@@ -38,25 +49,23 @@ std::vector<double> build_md_intra(const MiMatrix& mi, const ContactHistory& his
                                    NodeIdx self, double t);
 
 /// Caches the Dijkstra distance vector from `self` over its current MD.
-/// Rebuilds lazily when (mi.version, history generation marker, time bucket)
-/// changed. The time bucket quantizes t so the elapsed-time dependence of
-/// Theorem 2 still refreshes between contacts without rebuilding per query.
+/// Rebuilds lazily when (mi.version, history pair count, time bucket)
+/// changed.
 ///
-/// The MD matrix is kept persistent between rebuilds and synced
-/// incrementally: only MI rows whose row_version moved since the last sync
-/// are recopied, and the own row (Theorem 2, time-dependent) is recomputed
-/// every rebuild. This turns the per-contact cost from O(n²) copy + O(n²)
-/// Dijkstra into O(changed rows · n) + O(n²) Dijkstra, which is what makes
-/// EER tractable at the paper's 240-node scale.
+/// MD differs from MI only in row `self`, so the cache keeps no matrix of
+/// its own. A rebuild computes the Theorem 2 row into one n-vector, swaps
+/// it into the MI's storage for the length of one dijkstra_dense call
+/// (MiMatrix::with_row) and swaps the MI row back. For j != self, Dijkstra
+/// reads MD row j as the very bytes of MI row j, and MI's diagonal is
+/// already 0, so the distances are those of dijkstra_dense(build_md(...)),
+/// bit for bit. Per-router EER state is one n×n matrix, the MI.
 ///
 /// Theorem 2 reads each peer's interval window as a contiguous span, so the
-/// own-row sync copies every peer's deque into one reused member buffer.
-/// Once warm, a rebuild allocates only the Dijkstra result and its work
-/// list (three allocations), whatever the number of peers.
+/// own row copies every peer's deque into one reused member buffer. Once
+/// warm, a rebuild allocates only the Dijkstra result and its work list
+/// (three allocations), whatever the number of peers.
 class MemdCache {
  public:
-  explicit MemdCache(double time_quantum = 1.0) : quantum_(time_quantum) {}
-
   /// MEMD(self, dst) at time t; +inf when dst is unreachable in MD.
   double memd(const MiMatrix& mi, const ContactHistory& history, NodeIdx self,
               NodeIdx dst, double t);
@@ -66,30 +75,21 @@ class MemdCache {
                                        const ContactHistory& history, NodeIdx self,
                                        double t);
 
-  void invalidate() { valid_ = false; }
-
-  /// Forgets every synced row (buffers retained) — required when the
-  /// backing MiMatrix itself was reset, since its rewound row versions
-  /// could otherwise collide with the synced markers and leave stale MD
-  /// rows in place. Router::reset support.
-  void reset() {
-    valid_ = false;
-    std::fill(synced_versions_.begin(), synced_versions_.end(), ~0ULL);
-  }
+  /// Forces the next query to rebuild (buffers retained). Required when
+  /// the backing MiMatrix was reset, since its rewound version could
+  /// otherwise match the cached one. Router::reset support.
+  void reset() { valid_ = false; }
 
  private:
-  void sync_md(const MiMatrix& mi, const ContactHistory& history, NodeIdx self,
-               double t);
+  void fill_own_row(const ContactHistory& history, NodeIdx self, NodeIdx n, double t);
 
-  double quantum_;
   bool valid_ = false;
   std::uint64_t mi_version_ = 0;
   std::int64_t time_bucket_ = 0;
   std::size_t history_pairs_ = 0;
   std::vector<double> dist_;
-  std::vector<double> md_;                      ///< persistent MD buffer
-  std::vector<std::uint64_t> synced_versions_;  ///< per-row MI versions in md_
-  std::vector<double> window_;  ///< scratch: one peer's intervals, oldest first
+  std::vector<double> own_row_;  ///< Theorem 2 row, swapped into MI for Dijkstra
+  std::vector<double> window_;   ///< scratch: one peer's intervals, oldest first
 };
 
 }  // namespace dtn::core

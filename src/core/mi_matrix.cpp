@@ -7,8 +7,7 @@ namespace dtn::core {
 
 MiMatrix::MiMatrix(NodeIdx n)
     : n_(n), data_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n), kUnknown),
-      row_times_(static_cast<std::size_t>(n), -std::numeric_limits<double>::infinity()),
-      row_versions_(static_cast<std::size_t>(n), 0) {
+      row_times_(static_cast<std::size_t>(n), -std::numeric_limits<double>::infinity()) {
   for (NodeIdx i = 0; i < n_; ++i) {
     data_[static_cast<std::size_t>(i) * n_ + static_cast<std::size_t>(i)] = 0.0;
   }
@@ -21,7 +20,6 @@ void MiMatrix::reset() {
   }
   std::fill(row_times_.begin(), row_times_.end(),
             -std::numeric_limits<double>::infinity());
-  std::fill(row_versions_.begin(), row_versions_.end(), 0);
   version_ = 0;
 }
 
@@ -36,7 +34,6 @@ void MiMatrix::set_entry(NodeIdx i, NodeIdx j, double avg_interval, double t) {
   data_[static_cast<std::size_t>(i) * n_ + static_cast<std::size_t>(j)] = avg_interval;
   row_times_[static_cast<std::size_t>(i)] =
       std::max(row_times_[static_cast<std::size_t>(i)], t);
-  ++row_versions_[static_cast<std::size_t>(i)];
   ++version_;
 }
 
@@ -51,7 +48,6 @@ int MiMatrix::merge_from(const MiMatrix& other) {
                   static_cast<std::size_t>(n_),
                   data_.begin() + static_cast<std::ptrdiff_t>(begin));
       row_times_[row] = other.row_times_[row];
-      ++row_versions_[row];
       ++copied;
     }
   }

@@ -5,8 +5,12 @@
 // which is also what the control-overhead accounting charges.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <limits>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace dtn::core {
@@ -20,7 +24,7 @@ class MiMatrix {
   explicit MiMatrix(NodeIdx n);
 
   /// Restores the just-constructed state (all entries unknown, diagonal 0,
-  /// rows never updated, version counters rewound) without reallocating —
+  /// rows never updated, version rewound) without reallocating —
   /// Router::reset support for cross-run reuse.
   void reset();
 
@@ -50,23 +54,51 @@ class MiMatrix {
   /// derived from the matrix (e.g. MEMD vectors) and detect staleness.
   [[nodiscard]] std::uint64_t version() const noexcept { return version_; }
 
-  /// Per-row mutation counter (bumped when the row's content changes);
-  /// MemdCache uses it to resync only the rows that actually moved.
-  [[nodiscard]] std::uint64_t row_version(NodeIdx i) const {
-    return row_versions_.at(static_cast<std::size_t>(i));
-  }
+  /// The whole matrix, row-major: entry (i, j) at i * size() + j. Every
+  /// diagonal entry is +0.0 (the constructor and reset() write it,
+  /// set_entry skips it, merge_from copies whole rows of matrices that keep
+  /// the same rule), so the span is a ready Dijkstra delay graph.
+  [[nodiscard]] std::span<const double> storage() const noexcept { return data_; }
 
-  /// Raw row access for bulk consumers (row-major, n entries starting at
-  /// row i). The span stays valid until the matrix is destroyed.
-  [[nodiscard]] const double* row_data(NodeIdx i) const {
-    return data_.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(n_);
+  /// Calls `fn(storage())` with row `i` replaced by `row` (size() entries)
+  /// and returns what `fn` returns. The two rows trade places before the
+  /// call and trade back when `fn` returns or throws, so afterwards the
+  /// matrix holds its own bytes and `row` holds what it held. Row times and
+  /// version() never move: once the call is over nothing can tell it
+  /// happened. During the call, get(i, ·) reads `row` too, and `fn` must
+  /// not mutate this matrix or nest another with_row on it.
+  ///
+  /// The member is const but writes the storage, so it is not safe against
+  /// concurrent readers: a matrix is only ever touched from the thread that
+  /// steps its World.
+  template <typename Fn>
+  decltype(auto) with_row(NodeIdx i, std::span<double> row, Fn&& fn) const {
+    assert(i >= 0 && i < n_ && row.size() == static_cast<std::size_t>(n_));
+    // The elements are heap objects that were never const, so writing them
+    // through a const matrix is defined; `swapped` trades them back.
+    double* own = const_cast<double*>(data_.data()) +
+                  static_cast<std::size_t>(i) * static_cast<std::size_t>(n_);
+    class Swapped {
+     public:
+      Swapped(std::span<double> row, double* own) : row_(row), own_(own) {
+        std::swap_ranges(row_.begin(), row_.end(), own_);
+      }
+      Swapped(const Swapped&) = delete;
+      Swapped& operator=(const Swapped&) = delete;
+      ~Swapped() { std::swap_ranges(row_.begin(), row_.end(), own_); }
+
+     private:
+      std::span<double> row_;
+      double* own_;
+    };
+    const Swapped swapped(row, own);
+    return std::forward<Fn>(fn)(storage());
   }
 
  private:
   NodeIdx n_;
   std::vector<double> data_;       // row-major n×n
   std::vector<double> row_times_;  // -inf = never updated
-  std::vector<std::uint64_t> row_versions_;
   std::uint64_t version_ = 0;
 };
 

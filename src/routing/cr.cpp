@@ -53,7 +53,7 @@ double CrRouter::intra_memd(sim::NodeIdx dst, double t) {
     if (members[i] == dst) dst_pos = static_cast<sim::NodeIdx>(i);
   }
   if (self_pos < 0 || dst_pos < 0) return kInf;
-  const auto bucket = static_cast<std::int64_t>(std::floor(t));
+  const std::int64_t bucket = core::memd_time_bucket(t);
   if (mi_intra_->version() != intra_dist_version_ || bucket != intra_dist_bucket_) {
     const std::vector<double> md = core::build_md_intra(
         *mi_intra_, history_, *communities_, own, self(), t);

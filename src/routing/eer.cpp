@@ -9,7 +9,7 @@
 namespace dtn::routing {
 
 EerRouter::EerRouter(EerParams params)
-    : params_(params), history_(params.window), memd_cache_(params.md_time_quantum) {}
+    : params_(params), history_(params.window) {}
 
 void EerRouter::ensure_state() {
   if (!mi_) mi_ = std::make_unique<core::MiMatrix>(world().node_count());

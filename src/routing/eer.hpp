@@ -28,7 +28,6 @@ struct EerParams {
   int copies = 10;            ///< λ
   double alpha = 0.28;        ///< α (paper Sec. V-A)
   std::size_t window = 32;    ///< sliding-window capacity per pair
-  double md_time_quantum = 1.0;  ///< MEMD cache time bucket (s)
 };
 
 class EerRouter final : public sim::Router {

@@ -15,15 +15,9 @@ double MeedRouter::eed(sim::NodeIdx dst) {
   ensure_state();
   if (mi_->version() != dist_version_) {
     // MEED's delay graph is the MI of average intervals itself: the own row
-    // is our averages, foreign rows arrive via the link-state exchange.
-    const auto n = mi_->size();
-    std::vector<double> w(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-    for (core::NodeIdx i = 0; i < n; ++i) {
-      const double* row = mi_->row_data(i);
-      std::copy(row, row + n, w.begin() + static_cast<std::ptrdiff_t>(i) * n);
-      w[static_cast<std::size_t>(i) * n + static_cast<std::size_t>(i)] = 0.0;
-    }
-    dist_ = core::dijkstra_dense(w, n, self()).dist;
+    // is our averages, foreign rows arrive via the link-state exchange. Its
+    // diagonal is already 0, so Dijkstra reads the storage in place.
+    dist_ = core::dijkstra_dense(mi_->storage(), mi_->size(), self()).dist;
     dist_version_ = mi_->version();
   }
   return dist_.at(static_cast<std::size_t>(dst));

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "core/estimators.hpp"
+#include "util/rng.hpp"
 
 namespace dtn::core {
 namespace {
@@ -67,20 +72,98 @@ TEST(MdBuilder, IntraSubIndexRestrictsToMembers) {
   EXPECT_EQ(md.size(), static_cast<std::size_t>(m) * static_cast<std::size_t>(m));
 }
 
-TEST(MemdCache, ReturnsSameAsDirectComputation) {
-  const NodeIdx n = 4;
-  MiMatrix mi(n);
-  mi.set_entry(1, 2, 15.0, 1.0);
-  mi.set_entry(2, 3, 25.0, 1.0);
-  ContactHistory h(8);
-  h.record_contact(1, 0.0);
-  h.record_contact(1, 10.0);
+/// What a MEMD query must leave as it found it.
+struct MiSnapshot {
+  std::vector<double> storage;
+  std::vector<double> row_times;
+  std::uint64_t version;
+};
 
+MiSnapshot snapshot(const MiMatrix& mi) {
+  MiSnapshot s{{mi.storage().begin(), mi.storage().end()}, {}, mi.version()};
+  for (NodeIdx i = 0; i < mi.size(); ++i) s.row_times.push_back(mi.row_time(i));
+  return s;
+}
+
+bool unchanged(const MiSnapshot& before, const MiMatrix& mi) {
+  const MiSnapshot now = snapshot(mi);
+  return std::memcmp(before.storage.data(), now.storage.data(),
+                     before.storage.size() * sizeof(double)) == 0 &&
+         std::memcmp(before.row_times.data(), now.row_times.data(),
+                     before.row_times.size() * sizeof(double)) == 0 &&
+         before.version == now.version;
+}
+
+// A seeded run of what an EER router does to its MI and history between
+// queries: own-row and foreign-row set_entry, merges from a second matrix,
+// contacts, clock steps of at least one bucket, and one Router::reset in the
+// middle. After every step, each destination's MEMD must carry the bits of
+// Dijkstra over the reference MD, and no query may leave a trace in the MI.
+TEST(MemdCache, ReturnsSameAsDirectComputation) {
+  constexpr NodeIdx n = 40;
+  constexpr NodeIdx self = 7;
+  constexpr int kSteps = 600;
+  util::Pcg32 rng(2011, 19);
+  const auto any_node = [&] { return static_cast<NodeIdx>(rng.uniform_int(0, n - 1)); };
+  const auto other_node = [&] {
+    const NodeIdx j = any_node();
+    return j == self ? static_cast<NodeIdx>((j + 1) % n) : j;
+  };
+  MiMatrix mi(n);
+  MiMatrix gossip(n);  // the matrix peers merge in from
+  ContactHistory history(8);
   MemdCache cache;
-  const double via_cache = cache.memd(mi, h, 0, 3, 10.0);
-  const auto md = build_md(mi, h, 0, 10.0);
-  const auto direct = dijkstra_dense(md, n, 0);
-  EXPECT_NEAR(via_cache, direct.dist[3], 1e-12);
+  double t = 0.0;
+  int relayed = 0;  // finite MEMDs to nodes self has no interval with
+  for (int step = 0; step < kSteps; ++step) {
+    if (step == kSteps / 2) {
+      mi.reset();
+      history.clear();
+      cache.reset();
+    } else {
+      switch (rng.uniform_int(0, 9)) {
+        case 0:
+          mi.set_entry(self, other_node(), rng.uniform(5.0, 500.0), t);
+          break;
+        case 1:
+        case 2:
+          mi.set_entry(other_node(), any_node(), rng.uniform(5.0, 500.0), t);
+          break;
+        case 3:
+          gossip.set_entry(any_node(), any_node(), rng.uniform(5.0, 500.0),
+                           t + rng.uniform(0.0, 60.0));
+          mi.merge_from(gossip);
+          break;
+        case 4:
+        case 5:
+        case 6: {  // a contact, recorded as EerRouter::record_meeting does
+          const NodeIdx peer = other_node();
+          history.record_contact(peer, t);
+          const PairHistory* ph = history.pair(peer);
+          if (!ph->intervals.empty()) mi.set_entry(self, peer, ph->average_interval(), t);
+          break;
+        }
+        default:
+          t += kMemdTimeBucket * rng.uniform(1.0, 6.0);
+          break;
+      }
+    }
+    const std::vector<double> reference =
+        dijkstra_dense(build_md(mi, history, self, t), n, self).dist;
+    const MiSnapshot before = snapshot(mi);
+    for (NodeIdx dst = 0; dst < n; ++dst) {
+      const double got = cache.memd(mi, history, self, dst, t);
+      const double want = reference[static_cast<std::size_t>(dst)];
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(want))
+          << "step " << step << " dst " << dst << ": " << got << " vs " << want;
+      ASSERT_TRUE(unchanged(before, mi)) << "step " << step << " dst " << dst;
+      const PairHistory* ph = history.pair(dst);
+      if (dst != self && std::isfinite(want) && (ph == nullptr || ph->intervals.empty())) {
+        ++relayed;
+      }
+    }
+  }
+  EXPECT_GT(relayed, 0) << "the sequence never routed through a foreign row";
 }
 
 TEST(MemdCache, InvalidatesOnMiChange) {
@@ -105,11 +188,13 @@ TEST(MemdCache, InvalidatesWhenTimeBucketAdvances) {
   h.record_contact(1, 0.0);
   h.record_contact(1, 100.0);  // interval {100}, t0=100
 
-  MemdCache cache(1.0);
+  MemdCache cache;
   const double at_100 = cache.memd(mi, h, 0, 1, 100.0);
   const double at_150 = cache.memd(mi, h, 0, 1, 150.0);
   EXPECT_NEAR(at_100, 100.0, 1e-9);
   EXPECT_NEAR(at_150, 50.0, 1e-9);  // Theorem 2: elapsed time subtracts
+  // Within one bucket the cached value stands.
+  EXPECT_EQ(cache.memd(mi, h, 0, 1, 150.0 + 0.5 * kMemdTimeBucket), at_150);
 }
 
 TEST(MemdCache, SelfDistanceZero) {

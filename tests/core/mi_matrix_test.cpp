@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <vector>
 
 namespace dtn::core {
 namespace {
@@ -29,10 +32,58 @@ TEST(MiMatrix, SetEntryStampsRow) {
   EXPECT_TRUE(std::isinf(mi.get(1, 0)));  // asymmetric until u_1 updates
 }
 
+/// Every diagonal entry is +0.0, the bits Dijkstra reads in storage().
+bool diagonal_is_positive_zero(const MiMatrix& mi) {
+  for (NodeIdx i = 0; i < mi.size(); ++i) {
+    if (mi.get(i, i) != 0.0 || std::signbit(mi.get(i, i))) return false;
+  }
+  return true;
+}
+
 TEST(MiMatrix, DiagonalImmutable) {
   MiMatrix mi(3);
   mi.set_entry(1, 1, 99.0, 5.0);
+  mi.set_entry(2, 2, -0.0, 6.0);
   EXPECT_DOUBLE_EQ(mi.get(1, 1), 0.0);
+  EXPECT_TRUE(diagonal_is_positive_zero(mi));
+  MiMatrix other(3);
+  other.set_entry(0, 1, 7.0, 9.0);
+  other.set_entry(2, 0, 8.0, 9.0);
+  ASSERT_EQ(mi.merge_from(other), 2);
+  EXPECT_TRUE(diagonal_is_positive_zero(mi));
+  mi.reset();
+  EXPECT_TRUE(diagonal_is_positive_zero(mi));
+}
+
+TEST(MiMatrix, WithRowSwapsInForTheCallAndBackAfterIt) {
+  MiMatrix mi(3);
+  mi.set_entry(0, 1, 11.0, 4.0);
+  mi.set_entry(1, 2, 12.0, 5.0);
+  const std::vector<double> before(mi.storage().begin(), mi.storage().end());
+  const auto version = mi.version();
+  const auto same_bytes = [&] {
+    return std::memcmp(before.data(), mi.storage().data(),
+                       before.size() * sizeof(double)) == 0;
+  };
+  std::vector<double> row = {0.0, 3.0, 4.0};
+  const double seen = mi.with_row(0, row, [&](std::span<const double> m) {
+    EXPECT_EQ(m.data(), mi.storage().data());
+    return m[1] + m[2] + m[1 * 3 + 2];
+  });
+  EXPECT_DOUBLE_EQ(seen, 3.0 + 4.0 + 12.0);
+  EXPECT_EQ(row, (std::vector<double>{0.0, 3.0, 4.0}));
+  EXPECT_TRUE(same_bytes());
+  EXPECT_EQ(mi.version(), version);
+  EXPECT_DOUBLE_EQ(mi.row_time(0), 4.0);
+
+  EXPECT_THROW(mi.with_row(0, row,
+                           [](std::span<const double>) -> int {
+                             throw std::runtime_error("unwind");
+                           }),
+               std::runtime_error);
+  EXPECT_TRUE(same_bytes()) << "a throwing call must still restore the row";
+  EXPECT_EQ(row, (std::vector<double>{0.0, 3.0, 4.0}));
+  EXPECT_EQ(mi.version(), version);
 }
 
 TEST(MiMatrix, RowTimeKeepsMax) {

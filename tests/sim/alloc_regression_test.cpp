@@ -16,16 +16,22 @@
 //   - a ThreadPool::parallel_for dispatch on the warm shared pool must
 //     perform zero allocations on the coordinating thread (no per-task
 //     std::function, no futures, no queue nodes);
-//   - a warm MemdCache rebuild (EER's MEMD: MD sync + Dijkstra) must
-//     allocate at most the Dijkstra result and its work list, the same
-//     count at 10 peers as at 100.
+//   - a warm MemdCache rebuild (EER's MEMD: the Theorem 2 row + Dijkstra)
+//     must allocate at most the Dijkstra result and its work list, the same
+//     count at 10 peers as at 100;
+//   - a cold MemdCache's first query must allocate O(n) bytes, no n×n MD;
+//   - a rebuild whose Dijkstra runs out of memory must leave the MI it
+//     borrowed a row of exactly as it was.
 // If someone reintroduces a per-step vector return, a per-transfer hash
 // node, a per-insert list node, a per-task heap closure, a per-seed world
-// rebuild, or a per-peer window copy, this test fails.
+// rebuild, a per-peer window copy or a per-router MD matrix, this test
+// fails.
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <new>
@@ -46,12 +52,18 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::uint64_t> g_bytes{0};
 bool g_count_allocs = false;
+std::uint64_t g_fail_at = 0;  ///< while counting, this allocation throws (0: none)
 
 }  // namespace
 
 void* operator new(std::size_t size) {
-  if (g_count_allocs) g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (g_count_allocs) {
+    const std::uint64_t k = g_allocs.fetch_add(1, std::memory_order_relaxed) + 1;
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
+    if (k == g_fail_at) throw std::bad_alloc();
+  }
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
@@ -60,7 +72,10 @@ void* operator new[](std::size_t size) { return operator new(size); }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Kept out of line: inlined beside the operator new above, GCC 12 reports
+// its free() as a mismatched deallocation (-Wmismatched-new-delete), once
+// per TEST.
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dtn::sim {
@@ -77,10 +92,17 @@ StoredMessage stored(MsgId id, double created, double ttl = 1200.0) {
 
 std::uint64_t counted(const std::function<void()>& body) {
   g_allocs.store(0);
+  g_bytes.store(0);
   g_count_allocs = true;
   body();
   g_count_allocs = false;
   return g_allocs.load();
+}
+
+/// Heap bytes requested while `body` runs.
+std::uint64_t counted_bytes(const std::function<void()>& body) {
+  counted(body);
+  return g_bytes.load();
 }
 
 TEST(AllocRegression, BufferSteadyChurnIsAllocationFree) {
@@ -267,31 +289,44 @@ TEST(AllocRegression, ParallelForDispatchIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "parallel_for dispatch must not heap-allocate";
 }
 
-/// Heap allocations over `rebuilds` forced MemdCache rebuilds of node 0 in
-/// a 128-node world whose contact history holds `peers` met peers. Each
-/// rebuild bumps a foreign MI row and queries in a new time bucket, so the
-/// cache resyncs MD and reruns Dijkstra every time.
-std::uint64_t memd_rebuild_allocs(int peers, int rebuilds) {
-  constexpr core::NodeIdx kNodes = 128;
-  core::MiMatrix mi(kNodes);
-  for (core::NodeIdx i = 0; i < kNodes; ++i) {
-    for (core::NodeIdx j = 0; j < kNodes; ++j) {
+constexpr core::NodeIdx kMemdNodes = 128;
+
+/// A kMemdNodes-node MI with two thirds of its entries known.
+core::MiMatrix memd_mi() {
+  core::MiMatrix mi(kMemdNodes);
+  for (core::NodeIdx i = 0; i < kMemdNodes; ++i) {
+    for (core::NodeIdx j = 0; j < kMemdNodes; ++j) {
       if ((i + 2 * j) % 3 != 0) mi.set_entry(i, j, 20.0 + (i * 7 + j) % 300, 1.0);
     }
   }
+  return mi;
+}
+
+/// Node 0's contact history with `peers` met peers, five intervals each.
+core::ContactHistory memd_history(int peers) {
   core::ContactHistory history(32);
   for (int p = 1; p <= peers; ++p) {
     for (int k = 0; k < 6; ++k) history.record_contact(p, 100.0 * k + 3.0 * p);
   }
+  return history;
+}
+
+/// Heap allocations over `rebuilds` forced MemdCache rebuilds of node 0 in
+/// a 128-node world whose contact history holds `peers` met peers. Each
+/// rebuild bumps a foreign MI row and queries in a new time bucket, so the
+/// cache recomputes its own row and reruns Dijkstra every time.
+std::uint64_t memd_rebuild_allocs(int peers, int rebuilds) {
+  core::MiMatrix mi = memd_mi();
+  const core::ContactHistory history = memd_history(peers);
   core::MemdCache cache;
   double t = 5000.0;
   double sink = 0.0;
   const auto rebuild = [&](int k) {
-    mi.set_entry(1 + k % (kNodes - 1), (k + 5) % kNodes, 40.0 + k, t);
+    mi.set_entry(1 + k % (kMemdNodes - 1), (k + 5) % kMemdNodes, 40.0 + k, t);
     t += 1.0;
-    sink += cache.memd(mi, history, 0, kNodes - 1, t);
+    sink += cache.memd(mi, history, 0, kMemdNodes - 1, t);
   };
-  for (int k = 0; k < 4; ++k) rebuild(k);  // warm: MD buffer, window scratch
+  for (int k = 0; k < 4; ++k) rebuild(k);  // warm: own-row buffer, window scratch
   const std::uint64_t allocs = counted([&] {
     for (int k = 0; k < rebuilds; ++k) rebuild(k);
   });
@@ -306,6 +341,63 @@ TEST(AllocRegression, MemdRebuildAllocationsDoNotGrowWithPeers) {
   EXPECT_EQ(few, many) << "a MEMD rebuild regressed to allocating per peer";
   EXPECT_LE(few, 3u * kRebuilds)
       << "a MEMD rebuild allocates more than the Dijkstra result and work list";
+}
+
+TEST(AllocRegression, ColdMemdQueryAllocatesNoMatrix) {
+  const core::MiMatrix mi = memd_mi();
+  const core::ContactHistory history = memd_history(100);
+  core::MemdCache cache;
+  double memd = 0.0;
+  const std::uint64_t bytes = counted_bytes(
+      [&] { memd = cache.memd(mi, history, 0, kMemdNodes - 1, 5000.0); });
+  EXPECT_TRUE(std::isfinite(memd));
+  // O(n) vectors come to about 3.5 KiB at n = 128; an n×n MD is 128 KiB.
+  EXPECT_LT(bytes, 16u * 1024u) << "a MEMD query allocated an n×n matrix";
+}
+
+TEST(AllocRegression, MemdRebuildRestoresMiWhenDijkstraThrows) {
+  core::MiMatrix mi = memd_mi();
+  const core::ContactHistory history = memd_history(100);
+  core::MemdCache cache;
+  double t = 5000.0;
+  const auto query = [&] { return cache.memd(mi, history, 0, kMemdNodes - 1, t); };
+  const auto force_rebuild = [&](int k) {
+    mi.set_entry(3, 9 + k, 41.0 + k, t);
+    t += 1.0;
+  };
+  query();  // warm: own-row buffer, window scratch
+  // Once warm, every allocation of a rebuild is Dijkstra's, made while the
+  // cache's own row sits in the MI.
+  force_rebuild(0);
+  const std::uint64_t per_rebuild = counted([&] { query(); });
+  ASSERT_GT(per_rebuild, 0u);
+  for (std::uint64_t k = 1; k <= per_rebuild; ++k) {
+    force_rebuild(static_cast<int>(k));
+    const std::vector<double> before(mi.storage().begin(), mi.storage().end());
+    const std::uint64_t version = mi.version();
+    bool threw = false;
+    g_fail_at = k;
+    counted([&] {
+      try {
+        query();
+      } catch (const std::bad_alloc&) {
+        threw = true;
+      }
+    });
+    g_fail_at = 0;
+    ASSERT_TRUE(threw) << "allocation " << k << " of " << per_rebuild;
+    EXPECT_EQ(std::memcmp(before.data(), mi.storage().data(),
+                          before.size() * sizeof(double)),
+              0)
+        << "allocation " << k << " threw and left the own row swapped into MI";
+    EXPECT_EQ(mi.version(), version);
+    // The failed rebuild left nothing stale: the next query matches the
+    // reference MD.
+    const double want =
+        core::dijkstra_dense(core::build_md(mi, history, 0, t), kMemdNodes, 0)
+            .dist[kMemdNodes - 1];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(query()), std::bit_cast<std::uint64_t>(want));
+  }
 }
 
 }  // namespace
