@@ -3,10 +3,13 @@
 //  - Rebuild mode: clear() + insert() every pass. Kept for small clouds and
 //    as the reference the tests compare the incremental mode against.
 //  - Incremental mode: update(id, pos) moves a point between cells only
-//    when it actually crosses a cell boundary (a ~10 m cell at vehicular
-//    speeds and 0.1 s steps means ~90% of updates touch nothing but the
-//    stored position). Combined with all_pairs_into() this makes a full
-//    detection pass allocation- and hash-lookup-free in steady state.
+//    when it actually crosses a cell boundary. The simulator calls it for
+//    every node once per rebuild of its contact candidate list (see
+//    sim/world.hpp), not once per step, with cells of range + skin (30 m
+//    at a 10 m radio); a node moves less than 10 m between rebuilds, so
+//    most updates touch nothing but the stored position. Combined with
+//    all_pairs_into() this makes a rebuild allocation- and
+//    hash-lookup-free in steady state.
 //
 // Cells live in a slot vector; each cell caches the indices of its four
 // forward neighbors (E, NE, N, NW), patched when cells are created or
@@ -14,7 +17,10 @@
 // (cell key -> slot) is touched only when a point crosses into a cell that
 // is not already tracked. Cells that stay empty for kPruneAfter consecutive
 // epochs are pruned so long traces over unbounded terrain cannot grow the
-// structures forever.
+// structures forever. In the simulator one epoch is one candidate-list
+// rebuild (about one per 8 steps on the paper's bus map), so a cell
+// outlives its last visit by far more simulated time than kPruneAfter
+// steps.
 //
 // Pair sweeps walk the OCCUPIED-cell index (PR 3): cells enter/leave a
 // dense occupied list on their 0<->1 member transitions (cell crossings
@@ -58,8 +64,9 @@ class SpatialGrid {
   void update(std::int32_t id, Vec2 pos);
   /// Removes `id` if present; returns whether it was.
   bool remove(std::int32_t id);
-  /// Marks the start of a detection pass in incremental mode (update()
-  /// maintenance): advances the pruning epoch. clear() does this itself.
+  /// Marks the start of a pass in incremental mode (update() maintenance;
+  /// in the simulator, one candidate-list rebuild): advances the pruning
+  /// epoch. clear() does this itself.
   void advance_epoch();
 
   /// Ids of all inserted points within `radius` of `pos` (exact distance
@@ -74,8 +81,9 @@ class SpatialGrid {
   /// All unordered pairs (a < b) within `radius` of each other, via hash
   /// lookups per neighbor cell and a freshly allocated result (the simple
   /// reference the tests check all_pairs_into against; all_pairs_into is
-  /// the fast path). Precondition: radius <= cell_size() (the detector
-  /// constructs the grid with cell == radio range, so this always holds).
+  /// the fast path). Precondition: radius <= cell_size(). The simulator
+  /// builds its grid with cell = range + skin and sweeps with radius ==
+  /// cell_size(), so this always holds there.
   [[nodiscard]] std::vector<std::pair<std::int32_t, std::int32_t>> all_pairs(
       double radius) const;
 

@@ -9,7 +9,28 @@
 
 namespace dtn::sim {
 
-World::World(WorldConfig config) : config_(config), grid_(config.radio_range) {}
+namespace {
+
+// Skin of the contact candidate list, as a multiple of the radio range.
+// Skins of 1x to 3x the range measured within noise of each other on the
+// bus campaign.
+constexpr double kSkinPerRange = 2.0;
+// A node may stray this share of the skin from its anchor before the list
+// is rebuilt. Below one half, so two nodes closing head-on still end up 2%
+// of the skin (0.4 m at a 10 m radio) beyond range, far above rounding
+// error.
+constexpr double kSkinTravelShare = 0.49;
+
+// Candidate reach, range + skin: the grid's cell size, and through
+// cell_size() the radius of a rebuild's pair sweep.
+double candidate_reach(double radio_range) noexcept {
+  return radio_range + kSkinPerRange * radio_range;
+}
+
+}  // namespace
+
+World::World(WorldConfig config)
+    : config_(config), grid_(candidate_reach(config.radio_range)) {}
 
 World::~World() = default;
 
@@ -98,6 +119,10 @@ void World::clear_sim_state() {
     free_slots_.push_back(static_cast<std::uint32_t>(s));
   }
   live_connections_ = 0;
+  // The candidate list is sized for the old range and layout: a reset to a
+  // larger range over the same positions would otherwise miss pairs.
+  candidates_.clear();
+  anchors_.clear();
   prev_pairs_.clear();
   active_slots_.clear();
   metrics_.reset();
@@ -109,8 +134,8 @@ void World::reset(const WorldConfig& config) {
   const double old_range = config_.radio_range;
   config_ = config;
   if (config_.radio_range != old_range) {
-    // Cell size must match the radio range.
-    grid_ = geo::SpatialGrid(config_.radio_range);
+    // Cell size must match the candidate reach.
+    grid_ = geo::SpatialGrid(candidate_reach(config_.radio_range));
   } else {
     // Full cell reset: the rebuilt scenario's map (and thus its occupied
     // region) may differ, and clear()-retained foreign cells would slow
@@ -397,7 +422,7 @@ void World::link_down(NodeIdx a, NodeIdx b) {
 
 void World::sort_pair_keys(std::vector<std::uint64_t>& keys) {
   // Two-pass counting sort: each half of a pair key is a node id smaller
-  // than node_count, so it fits a single digit. O(pairs + nodes) per step
+  // than node_count, so it fits a single digit. O(pairs + nodes) per call
   // and allocation-free after warm-up, unlike a comparison sort.
   std::size_t buckets = 1;
   while (buckets < nodes_.size()) buckets <<= 1;
@@ -412,21 +437,50 @@ void World::sort_pair_keys(std::vector<std::uint64_t>& keys) {
   }
 }
 
-void World::detect_contacts() {
+bool World::candidates_stale(const std::vector<geo::Vec2>& pos) const {
+  if (anchors_.size() != nodes_.size()) return true;
+  const double h = kSkinTravelShare * kSkinPerRange * config_.radio_range;
+  const double h2 = h * h;
+  for (std::size_t i = 0; i < anchors_.size(); ++i) {
+    // Negated so that a non-finite displacement also forces a rebuild.
+    if (!(pos[i].distance2_to(anchors_[i]) <= h2)) return true;
+  }
+  return false;
+}
+
+void World::rebuild_candidates(const std::vector<geo::Vec2>& pos) {
   // Incremental grid maintenance: only boundary crossings touch cells. The
   // engine's contiguous position array feeds the grid without touching the
   // Node structs at all.
   grid_.advance_epoch();
-  const std::vector<geo::Vec2>& pos = engine_.positions();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     grid_.update(static_cast<NodeIdx>(i), pos[i]);
   }
-  grid_.all_pairs_into(config_.radio_range, pair_scratch_);
+  // The sweep radius is the cell size itself, so all_pairs_into's
+  // radius <= cell_size() precondition holds exactly.
+  grid_.all_pairs_into(grid_.cell_size(), pair_scratch_);
+  candidates_.clear();
+  for (const auto& [a, b] : pair_scratch_) candidates_.push_back(pair_key(a, b));
+  // Key order == ascending (a, b), whatever order the grid enumerated the
+  // pairs in; each step's in-range keys inherit it.
+  sort_pair_keys(candidates_);
+  anchors_.assign(pos.begin(), pos.begin() + static_cast<std::ptrdiff_t>(nodes_.size()));
+}
+
+void World::detect_contacts() {
+  const std::vector<geo::Vec2>& pos = engine_.positions();
+  if (candidates_stale(pos)) rebuild_candidates(pos);
+  // Only candidates can be in range (see the header). They are sorted, so
+  // the in-range keys come out ascending: link callbacks fire in a
+  // deterministic pair order.
+  const double r2 = config_.radio_range * config_.radio_range;
   curr_pairs_.clear();
-  for (const auto& [a, b] : pair_scratch_) curr_pairs_.push_back(pair_key(a, b));
-  // Key order == ascending (a, b): link callbacks fire in a deterministic
-  // pair order whatever order the grid enumerated the pairs in.
-  sort_pair_keys(curr_pairs_);
+  for (const std::uint64_t key : candidates_) {
+    const geo::Vec2 pa = pos[static_cast<std::size_t>(key >> 32)];
+    if (pa.distance2_to(pos[static_cast<std::size_t>(key & 0xffffffffu)]) <= r2) {
+      curr_pairs_.push_back(key);
+    }
+  }
 
   // Link-down: in range last step, out of range now.
   diff_scratch_.clear();

@@ -10,6 +10,15 @@
 //    `const std::vector<NodeIdx>&` view;
 //  - a slot pool of Connection records addressed through the adjacency
 //    lists (no per-link hash map), recycled across link churn;
+//  - a displacement-bounded candidate list (a Verlet neighbour list): a
+//    rebuild re-buckets every node in the spatial grid and keeps, sorted,
+//    every pair within range + skin, with each node's position as its
+//    anchor. Until some node strays 0.49 of the skin from its anchor, a
+//    step tests only those candidates, with the same
+//    `distance2_to <= range^2` predicate a full sweep would apply: a pair
+//    left out was more than range + skin apart at the rebuild and each end
+//    has moved under half the skin since, so it cannot be in range. On
+//    the paper's bus map that is one rebuild per ~8 steps;
 //  - sorted pair-key vectors diffed against the previous step's to derive
 //    link-up/link-down events without rebuilding any set structure;
 //  - an active-transfers index so progress_transfers() visits only
@@ -72,6 +81,10 @@ struct WorldConfig {
   /// bit-identical to the fixed-dt loop on closed-form workloads
   /// (sim_event_kernel_test). Falls back to fixed-dt stepping when a node
   /// has no closed-form trajectory (bus/custom movement). Set before run().
+  /// On a sparse field the fixed-dt loop, which tests only its contact
+  /// candidates, steps faster than the kernel (BENCH_world_step.json); the
+  /// kernel's gain there is memory, as it keeps no grid over the roamed
+  /// area.
   bool event_kernel = false;
 };
 
@@ -274,6 +287,10 @@ class World {
 
   void move_nodes();
   void sort_pair_keys(std::vector<std::uint64_t>& keys);
+  /// True when there is no candidate list for the current node set, or
+  /// some node has strayed too far from its anchor (see world.cpp).
+  [[nodiscard]] bool candidates_stale(const std::vector<geo::Vec2>& pos) const;
+  void rebuild_candidates(const std::vector<geo::Vec2>& pos);
   void detect_contacts();
   void progress_transfers();
   void complete_transfer(Transfer& tr);
@@ -305,6 +322,8 @@ class World {
   std::vector<Connection> conn_pool_;        // recycled connection slots
   std::vector<std::uint32_t> free_slots_;    // free list into conn_pool_
   std::size_t live_connections_ = 0;
+  std::vector<std::uint64_t> candidates_;    // sorted keys within reach at rebuild
+  std::vector<geo::Vec2> anchors_;           // per-node position at rebuild
   std::vector<std::uint64_t> prev_pairs_;    // sorted pair keys, last step
   std::vector<std::uint64_t> curr_pairs_;    // scratch: sorted keys, this step
   std::vector<std::uint64_t> diff_scratch_;  // scratch: ups/downs of the diff

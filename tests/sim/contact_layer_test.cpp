@@ -1,8 +1,10 @@
 // Invariants of the incremental contact-layer engine: the per-node
-// adjacency index must always agree with ground-truth geometry under random
-// link churn, and the reusable-scratch SpatialGrid APIs must match their
-// allocating reference forms. Whole simulations are pinned by the metrics
-// golden (harness_metrics_golden_test).
+// adjacency index must always agree with brute-force geometry under link
+// churn on every kind of world (walkers, buses, scripted jumps, pinned
+// nodes, and steps after an event-kernel run), and the reusable-scratch
+// SpatialGrid APIs must match their allocating reference forms. Whole
+// simulations are pinned by the metrics golden
+// (harness_metrics_golden_test).
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -10,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "../test_support.hpp"
+#include "geo/polyline.hpp"
 #include "geo/spatial_grid.hpp"
+#include "mobility/bus_movement.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "sim/world.hpp"
 #include "util/rng.hpp"
@@ -29,46 +33,163 @@ mobility::MovementModelPtr roaming(double area) {
   return std::make_unique<mobility::RandomWaypoint>(params);
 }
 
-TEST(ContactLayerTest, AdjacencyMatchesGeometryUnderChurn) {
+void add_walkers(World& world, int count) {
+  // A 45 m square with a 10 m radio: dense enough that links form and
+  // break every few steps.
+  for (int i = 0; i < count; ++i) {
+    world.add_node(roaming(45.0), std::make_unique<RecordingRouter>());
+  }
+}
+
+void add_buses(World& world) {
+  // Two hand-built closed loops that share a corridor, served at the
+  // paper's 2.7-13.9 m/s with short stops, so buses bunch, overtake and
+  // cross each other's line.
+  const auto loop = std::make_shared<const geo::Polyline>(
+      std::vector<geo::Vec2>{{0.0, 0.0}, {60.0, 0.0}, {60.0, 40.0}, {0.0, 40.0}}, true);
+  const auto triangle = std::make_shared<const geo::Polyline>(
+      std::vector<geo::Vec2>{{30.0, 0.0}, {90.0, 20.0}, {30.0, 40.0}}, true);
+  mobility::BusParams params;
+  params.stop_spacing = 50.0;
+  params.pause_min = 1.0;
+  params.pause_max = 4.0;
+  for (int i = 0; i < 16; ++i) {
+    world.add_node(i % 2 == 0 ? loop : triangle, params,
+                   std::make_unique<RecordingRouter>());
+  }
+}
+
+void add_jumpers(World& world) {
+  // Pinned posts 100 m apart, and scripted nodes that drift 1 m at a post
+  // for 0.95 s, then hop to another post within one 0.1 s step: 100 m or
+  // 200 m, at least five times the 20 m skin at a 10 m radio.
+  for (int p = 0; p < 3; ++p) {
+    world.add_node(test::pinned({100.0 * p, 0.0}), std::make_unique<RecordingRouter>());
+  }
+  for (int j = 0; j < 4; ++j) {
+    std::vector<std::pair<double, geo::Vec2>> keyframes;
+    const double y = 2.0 * j;
+    for (int hop = 0; hop < 12; ++hop) {
+      const double x = 100.0 * ((hop + j) % 3) + 4.0;
+      const double t = hop;
+      keyframes.push_back({t, {x, y}});
+      keyframes.push_back({t + 0.95, {x + 1.0, y}});
+    }
+    world.add_node(test::scripted(std::move(keyframes)),
+                   std::make_unique<RecordingRouter>());
+  }
+}
+
+void add_walkers_and_posts(World& world) {
+  add_walkers(world, 16);
+  for (int p = 0; p < 6; ++p) {
+    world.add_node(test::pinned({7.5 + 15.0 * (p % 3), 10.0 + 25.0 * (p / 3)}),
+                   std::make_unique<RecordingRouter>());
+  }
+}
+
+/// One world of the contact-set table.
+struct ChurnWorld {
+  const char* name;
+  void (*add_nodes)(World&);
+  int steps;
+  /// Simulated seconds run() on the event kernel before stepping (0: none).
+  double kernel_run = 0.0;
+};
+
+/// Checks the contact layer against brute force over every pair: in_contact
+/// equals `distance2_to <= r*r` both ways round, neighbors_of is exactly
+/// the geometric neighbour set, ascending, and there is one connection per
+/// in-range pair. Leaves the in-range pairs (a < b), ascending, in `pairs`.
+::testing::AssertionResult contacts_match_geometry(
+    const World& world, std::vector<std::pair<NodeIdx, NodeIdx>>& pairs) {
+  const double r2 = world.config().radio_range * world.config().radio_range;
+  pairs.clear();
+  for (NodeIdx a = 0; a < world.node_count(); ++a) {
+    std::vector<NodeIdx> expected;
+    for (NodeIdx b = 0; b < world.node_count(); ++b) {
+      if (a == b) continue;
+      const bool near = world.position_of(a).distance2_to(world.position_of(b)) <= r2;
+      if (world.in_contact(a, b) != near || world.in_contact(b, a) != near) {
+        return ::testing::AssertionFailure()
+               << "pair (" << a << "," << b << ") in range: " << near;
+      }
+      if (!near) continue;
+      expected.push_back(b);
+      if (a < b) pairs.emplace_back(a, b);
+    }
+    if (world.neighbors_of(a) != expected) {
+      return ::testing::AssertionFailure() << "neighbors_of(" << a << ")";
+    }
+  }
+  if (world.active_connection_count() != pairs.size()) {
+    return ::testing::AssertionFailure()
+           << world.active_connection_count() << " connections for " << pairs.size()
+           << " pairs in range";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Steps `spec`'s world, checking the contact layer after every step. A
+/// fatal failure ends this world only, so every world reports.
+void check_world_under_churn(const ChurnWorld& spec) {
   WorldConfig config;
   config.seed = 99;
+  config.event_kernel = spec.kernel_run > 0.0;
   World world(config);
-  constexpr int kNodes = 24;
-  std::vector<RecordingRouter*> routers;
-  for (int i = 0; i < kNodes; ++i) {
-    auto router = std::make_unique<RecordingRouter>();
-    routers.push_back(router.get());
-    // 45 m square with 10 m radio range: dense enough that links form and
-    // break every few steps.
-    world.add_node(roaming(45.0), std::move(router));
+  spec.add_nodes(world);
+  if (spec.kernel_run > 0.0) {
+    world.run(spec.kernel_run);
+    ASSERT_TRUE(world.event_kernel_used());
   }
-
-  for (int s = 0; s < 600; ++s) {
+  std::vector<std::pair<NodeIdx, NodeIdx>> prev;
+  std::vector<std::pair<NodeIdx, NodeIdx>> curr;
+  bool any_down = false;
+  for (int s = 0; s < spec.steps; ++s) {
     world.step();
-    const double r2 = config.radio_range * config.radio_range;
-    std::size_t pair_count = 0;
-    for (NodeIdx a = 0; a < kNodes; ++a) {
-      std::vector<NodeIdx> expected;
-      for (NodeIdx b = 0; b < kNodes; ++b) {
-        if (a == b) continue;
-        const bool near =
-            world.position_of(a).distance2_to(world.position_of(b)) <= r2;
-        ASSERT_EQ(world.in_contact(a, b), near)
-            << "step " << s << " pair (" << a << "," << b << ")";
-        ASSERT_EQ(world.in_contact(a, b), world.in_contact(b, a));
-        if (near) expected.push_back(b);
-      }
-      pair_count += expected.size();
-      // neighbors_of must be exactly the geometric neighbor set, ascending.
-      ASSERT_EQ(world.neighbors_of(a), expected) << "step " << s << " node " << a;
-    }
-    ASSERT_EQ(world.active_connection_count(), pair_count / 2);
+    ASSERT_TRUE(contacts_match_geometry(world, curr)) << "step " << s;
+    any_down |= !std::includes(curr.begin(), curr.end(), prev.begin(), prev.end());
+    std::swap(prev, curr);
   }
   EXPECT_GT(world.contact_events(), 0);
-  // Churn actually happened: someone saw a link drop.
-  bool any_down = false;
-  for (const auto* r : routers) any_down |= !r->contacts_down.empty();
+  // Churn actually happened: some link dropped.
   EXPECT_TRUE(any_down);
+}
+
+TEST(ContactLayerTest, AdjacencyMatchesGeometryUnderChurn) {
+  const ChurnWorld worlds[] = {
+      {"walkers", [](World& w) { add_walkers(w, 24); }, 600},
+      {"buses", add_buses, 1200},
+      {"scripted jumps", add_jumpers, 120},
+      {"walkers and pinned posts", add_walkers_and_posts, 600},
+      {"event kernel, then steps", [](World& w) { add_walkers(w, 24); }, 300, 30.0},
+  };
+  for (const ChurnWorld& spec : worlds) {
+    SCOPED_TRACE(spec.name);
+    check_world_under_churn(spec);
+  }
+}
+
+TEST(ContactLayerTest, ResetToLargerRangeLinksTheSameLayout) {
+  // 40 m apart: beyond a 10 m radio plus its 20 m skin, so a step at that
+  // range lists no candidate pair. After a reset to a 50 m radio the nodes
+  // stand where they stood, so nothing but the reset itself can make the
+  // first step look for the pair again.
+  WorldConfig config;
+  World world(config);
+  const auto add_layout = [&world] {
+    world.add_node(test::pinned({0.0, 0.0}), std::make_unique<RecordingRouter>());
+    world.add_node(test::pinned({40.0, 0.0}), std::make_unique<RecordingRouter>());
+  };
+  add_layout();
+  world.step();
+  ASSERT_FALSE(world.in_contact(0, 1));
+  config.radio_range = 50.0;
+  world.reset(config);
+  add_layout();
+  world.step();
+  EXPECT_TRUE(world.in_contact(0, 1));
+  EXPECT_EQ(world.contact_events(), 1);
 }
 
 TEST(ContactLayerTest, ContactCallbacksMirrorAdjacencyTransitions) {
