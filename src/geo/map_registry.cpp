@@ -46,10 +46,12 @@ struct CachedTrace {
 /// a campaign over one trace would re-read the file (and re-scan its
 /// extent) for every (protocol, seed) task — cache per path instead.
 /// Entries live for the process (fine for CLI/bench lifetimes); files are
-/// assumed immutable while cached.
+/// assumed immutable while cached. Never destroyed, like the kind table
+/// below: a detached, timed-out sweep attempt may still build a map while
+/// the process exits.
 CachedTrace load_trace_cached(const std::string& path) {
-  static std::mutex mutex;
-  static std::map<std::string, CachedTrace> cache;
+  static std::mutex& mutex = *new std::mutex;
+  static std::map<std::string, CachedTrace>& cache = *new std::map<std::string, CachedTrace>;
   const std::lock_guard<std::mutex> lock(mutex);
   auto& entry = cache[path];
   if (!entry.trace) {
@@ -87,7 +89,7 @@ const std::vector<MapKindInfo>& registry() {
   using util::field_at;
   using M = MapParams;
   using D = DowntownParams;
-  static const std::vector<MapKindInfo> kinds{
+  static const std::vector<MapKindInfo>& kinds = *new std::vector<MapKindInfo>{
       {"downtown",
        {{"rows", field_at<&M::downtown, &D::rows>},
         {"cols", field_at<&M::downtown, &D::cols>},

@@ -178,10 +178,13 @@ bool parse_sweep_assignment(const std::string& payload, SpecSweepOptions* out,
     const std::string key = field.substr(0, eq);
     const std::string value = field.substr(eq + 1);
     bool ok = true;
+    // Bounds are the CLI's (`dtnsim sweep --seeds`, `--seed-base`).
     if (key == "seeds") {
-      ok = parse_int_field(value, 0, INT32_MAX, &out->seeds);
+      ok = parse_int_field(value, 1, INT32_MAX, &out->seeds);
     } else if (key == "seed_base") {
-      ok = util::parse_value(value, out->seed_base);
+      std::int64_t base = -1;
+      ok = util::parse_value(value, base) && base >= 0;
+      out->seed_base = static_cast<std::uint64_t>(base);
     } else if (key == "shard") {
       const std::size_t slash = value.find('/');
       std::int64_t index = -1;

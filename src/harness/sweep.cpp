@@ -580,7 +580,9 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
       return false;
     }
     lock.unlock();
-    helper.detach();  // everything it touches is shared_ptr-owned
+    // It owns its runner (shared_ptr) and spec (a copy), and the registries
+    // it reads are never destroyed, so it may outlive main().
+    helper.detach();
     runner_slot = std::make_shared<ScenarioRunner>();  // abandoned World replaced
     error = "timed out after " + util::format_value(options.point_timeout_s) + " s";
     return false;

@@ -17,8 +17,17 @@ inline double map_uniform(double lo, double hi, double u) noexcept {
 
 }  // namespace
 
-int MovementEngine::add_waypoint(const RandomWaypointParams& p) {
+int MovementEngine::push_node(Kind kind, std::size_t lane, geo::Vec2 pos) {
   const int node = static_cast<int>(pos_.size());
+  pos_.push_back(pos);
+  pending_.push_back(0);
+  odo_.push_back(std::numeric_limits<double>::quiet_NaN());  // init_bus sets a bus's
+  kind_.push_back(kind);
+  lane_.push_back(static_cast<std::uint32_t>(lane));
+  return node;
+}
+
+int MovementEngine::add_waypoint(const RandomWaypointParams& p) {
   WpSpec spec;
   spec.world_min = p.world_min;
   spec.world_max = p.world_max;
@@ -28,9 +37,7 @@ int MovementEngine::add_waypoint(const RandomWaypointParams& p) {
   spec.pause_max = p.pause_max;
   spec.community = false;
   spec.arrival_draws = 4;  // pause, target.x, target.y, speed
-  pos_.emplace_back();
-  kind_.push_back(Kind::kWaypoint);
-  lane_.push_back(static_cast<std::uint32_t>(wp_node_.size()));
+  const int node = push_node(Kind::kWaypoint, wp_node_.size());
   wp_node_.push_back(node);
   wp_spec_.push_back(spec);
   wp_target_.emplace_back();
@@ -41,7 +48,6 @@ int MovementEngine::add_waypoint(const RandomWaypointParams& p) {
 }
 
 int MovementEngine::add_community(const CommunityMovementParams& p) {
-  const int node = static_cast<int>(pos_.size());
   WpSpec spec;
   spec.world_min = p.world_min;
   spec.world_max = p.world_max;
@@ -57,9 +63,7 @@ int MovementEngine::add_community(const CommunityMovementParams& p) {
   // (0, 1) — the degenerate cases return without touching the stream.
   const bool bern_draws = p.home_prob > 0.0 && p.home_prob < 1.0;
   spec.arrival_draws = static_cast<std::uint8_t>(bern_draws ? 5 : 4);
-  pos_.emplace_back();
-  kind_.push_back(Kind::kCommunity);
-  lane_.push_back(static_cast<std::uint32_t>(wp_node_.size()));
+  const int node = push_node(Kind::kCommunity, wp_node_.size());
   wp_node_.push_back(node);
   wp_spec_.push_back(spec);
   wp_target_.emplace_back();
@@ -71,10 +75,7 @@ int MovementEngine::add_community(const CommunityMovementParams& p) {
 
 int MovementEngine::add_bus(std::shared_ptr<const geo::Polyline> route,
                             const BusParams& p) {
-  const int node = static_cast<int>(pos_.size());
-  pos_.emplace_back();
-  kind_.push_back(Kind::kBus);
-  lane_.push_back(static_cast<std::uint32_t>(bus_node_.size()));
+  const int node = push_node(Kind::kBus, bus_node_.size());
   bus_node_.push_back(node);
   bus_route_.push_back(std::move(route));
   bus_params_.push_back(p);
@@ -88,19 +89,13 @@ int MovementEngine::add_bus(std::shared_ptr<const geo::Polyline> route,
 }
 
 int MovementEngine::add_stationary(const StationaryNodeSpec& spec) {
-  const int node = static_cast<int>(pos_.size());
-  pos_.push_back(spec.pos);
-  kind_.push_back(Kind::kStationary);
-  lane_.push_back(static_cast<std::uint32_t>(st_spec_.size()));
+  const int node = push_node(Kind::kStationary, st_spec_.size(), spec.pos);
   st_spec_.push_back(spec);
   return node;
 }
 
 int MovementEngine::add_custom(MovementModelPtr model) {
-  const int node = static_cast<int>(pos_.size());
-  pos_.emplace_back();
-  kind_.push_back(Kind::kCustom);
-  lane_.push_back(static_cast<std::uint32_t>(cust_node_.size()));
+  const int node = push_node(Kind::kCustom, cust_node_.size());
   cust_node_.push_back(node);
   cust_model_.push_back(std::move(model));
   return node;
@@ -126,6 +121,8 @@ int MovementEngine::add(MovementModelPtr model) {
 
 void MovementEngine::clear() {
   pos_.clear();
+  pending_.clear();
+  odo_.clear();
   kind_.clear();
   lane_.clear();
   wp_node_.clear();
@@ -212,11 +209,13 @@ void MovementEngine::init_bus(std::size_t lane, int node, double start_time) {
   pos_[static_cast<std::size_t>(node)] =
       route != nullptr ? route->point_at_hinted(bus_cursor_[lane], bus_seg_hint_[lane])
                        : geo::Vec2{};
+  odo_[static_cast<std::size_t>(node)] = bus_cursor_[lane];
 }
 
 void MovementEngine::init_node(int node, util::Pcg32 rng, double start_time) {
   const auto i = static_cast<std::size_t>(node);
   const std::size_t lane = lane_[i];
+  pending_[i] = 0;  // every lane's init writes pos_
   switch (kind_[i]) {
     case Kind::kWaypoint:
     case Kind::kCommunity:
@@ -339,14 +338,37 @@ void MovementEngine::step_buses(double now, double dt) {
       const double base = std::floor(cursor / len) * len;
       cursor -= base;
       next_stop -= base;
+      ++rebases_;
     }
-    pos_[static_cast<std::size_t>(bus_node_[k])] =
-        route->point_at_hinted(cursor, bus_seg_hint_[k]);
+    // The route is evaluated when the position is read (evaluate_route());
+    // a bus paused at a stop keeps the position it has.
+    if (cursor != bus_cursor_[k]) {
+      const auto node = static_cast<std::size_t>(bus_node_[k]);
+      pending_[node] = 1;
+      odo_[node] = cursor;
+    }
     bus_cursor_[k] = cursor;
     bus_next_stop_[k] = next_stop;
     bus_speed_[k] = speed;
     bus_pause_until_[k] = pause_until;
   }
+}
+
+geo::Vec2 MovementEngine::route_point(std::size_t i) const {
+  const std::size_t lane = lane_[i];
+  std::uint32_t hint = bus_seg_hint_[lane];  // a copy: the result ignores it
+  return bus_route_[lane]->point_at_hinted(bus_cursor_[lane], hint);
+}
+
+void MovementEngine::evaluate_route(std::size_t i) const {
+  const std::size_t lane = lane_[i];
+  pos_[i] = bus_route_[lane]->point_at_hinted(bus_cursor_[lane], bus_seg_hint_[lane]);
+  pending_[i] = 0;
+}
+
+const std::vector<geo::Vec2>& MovementEngine::positions() const {
+  for (const std::int32_t node : bus_node_) evaluate(node);
+  return pos_;
 }
 
 void MovementEngine::kinetic_begin_travel(KineticSegment& seg, std::size_t lane,

@@ -16,12 +16,26 @@
 // unchanged in a fallback lane that keeps the object and calls its
 // virtual step().
 //
+// The bus lane is lazy. step_all() advances every bus's route cursor
+// (same arithmetic, same draws) and marks a bus whose cursor moved as
+// pending; its route is evaluated (Polyline::point_at_hinted) only when a
+// reader asks for it through position(), evaluate() or positions(), so a
+// bus nobody looks at costs no evaluation, and a bus paused at a stop is
+// never re-evaluated. Every node also has an odometer, the distance
+// travelled along its path: a bus's route cursor, NaN for every other lane
+// (those keep their position as state). A chord is never longer than its
+// arc, so an odometer's advance bounds how far the node moved;
+// sim/world.hpp uses that to skip evaluating buses that cannot have
+// strayed far from their anchors.
+//
 // Equivalence contract: for the three lane models the kernel performs the
 // exact arithmetic of the heap model classes (mobility/random_waypoint.cpp,
 // community_movement.cpp, bus_movement.cpp) in the exact stream order, so
-// trajectories are bit-identical to stepping those objects
-// (sim_movement_engine_test enforces this). The classes stay as the
-// reference model and as the public MovementModel form that add() unpacks.
+// trajectories are bit-identical to stepping those objects, however many
+// steps pass between two reads of a bus, since point_at_hinted() returns
+// the same point whatever hint it starts from (sim_movement_engine_test
+// enforces both). The classes stay as the reference model and as the
+// public MovementModel form that add() unpacks.
 //
 // clear() drops all nodes but retains every lane's capacity, so a World
 // rebuilt across sweep seeds re-registers its nodes without allocating.
@@ -77,16 +91,50 @@ class MovementEngine {
   /// Called once after add_*() and again on every World reseed.
   void init_node(int node, util::Pcg32 rng, double start_time);
 
-  /// Advances every trajectory from `now` to `now + dt`.
+  /// Advances every trajectory from `now` to `now + dt`. A bus whose
+  /// cursor moved is left pending: its route is evaluated on the next read.
   void step_all(double now, double dt);
 
-  /// All node positions, indexed by node. Updated by step_all()/init_node().
-  [[nodiscard]] const std::vector<geo::Vec2>& positions() const noexcept {
+  /// All node positions, indexed by node; evaluates every pending bus
+  /// first. Positions are a memo of the lanes' state, so reading one
+  /// through a const engine fills it in: a const engine is not safe to
+  /// read from two threads at once.
+  [[nodiscard]] const std::vector<geo::Vec2>& positions() const;
+  /// One node's position, computed from its route if it is pending. It is
+  /// not stored, so an outside reader (a test, World::position_of) leaves
+  /// last_positions() as the contact detector left it. Bit-identical to
+  /// evaluating every bus on every step: a bus's position is a function of
+  /// its cursor alone.
+  [[nodiscard]] geo::Vec2 position(int node) const {
+    const auto i = static_cast<std::size_t>(node);
+    return pending_[i] != 0 ? route_point(i) : pos_[i];
+  }
+  /// Evaluates `node`'s route into last_positions() if it is pending.
+  void evaluate(int node) const {
+    const auto i = static_cast<std::size_t>(node);
+    if (pending_[i] != 0) evaluate_route(i);
+  }
+  /// Positions as last evaluated, evaluating nothing: exact for every node
+  /// but a pending bus, whose entry is where it was at its last
+  /// evaluation. For a reader that evaluates what it needs first
+  /// (sim::World's contact detection), so that nodes that are never
+  /// pending cost it no check.
+  [[nodiscard]] const std::vector<geo::Vec2>& last_positions() const noexcept {
     return pos_;
   }
-  [[nodiscard]] geo::Vec2 position(int node) const {
-    return pos_[static_cast<std::size_t>(node)];
+  /// The nodes that can be pending (the bus lane's), in lane order.
+  [[nodiscard]] const std::vector<std::int32_t>& lazy_nodes() const noexcept {
+    return bus_node_;
   }
+  /// Per-node distance travelled along the node's path, indexed by node:
+  /// a bus's route cursor, NaN ("no bound, read the position") for every
+  /// other lane. |position(now) - position(then)| <= odometer(now) -
+  /// odometer(then), up to rounding, until rebase_count() changes.
+  [[nodiscard]] const std::vector<double>& odometers() const noexcept { return odo_; }
+  /// Times, since construction, a bus cursor was rebased by whole route
+  /// lengths (past 1e12 m). A rebase makes the cursor jump backwards, so
+  /// an odometer difference that spans one bounds nothing.
+  [[nodiscard]] std::uint64_t rebase_count() const noexcept { return rebases_; }
 
   [[nodiscard]] std::size_t size() const noexcept { return pos_.size(); }
 
@@ -155,16 +203,24 @@ class MovementEngine {
   };
   static WpPick pick_waypoint(const WpSpec& spec, const double* u, std::size_t j);
 
+  /// Appends node `size()` to the per-node vectors; returns its index.
+  int push_node(Kind kind, std::size_t lane, geo::Vec2 pos = {});
   void init_waypoint(std::size_t lane, int node, double start_time);
   void init_bus(std::size_t lane, int node, double start_time);
   void step_waypoints(double now, double dt);
   void step_buses(double now, double dt);
+  /// Bus node `i`'s route at its cursor.
+  [[nodiscard]] geo::Vec2 route_point(std::size_t i) const;
+  /// Evaluates pending bus node `i`'s route at its cursor into pos_.
+  void evaluate_route(std::size_t i) const;
   /// Opens a travel segment from seg.origin toward the lane's stored
   /// waypoint at time t (shared by kinetic_start and kinetic_advance).
   void kinetic_begin_travel(KineticSegment& seg, std::size_t lane, double t);
 
   // ---- per-node (index == node id) ----
-  std::vector<geo::Vec2> pos_;
+  mutable std::vector<geo::Vec2> pos_;          ///< memo for pending buses
+  mutable std::vector<std::uint8_t> pending_;   ///< 1: bus moved, pos_ stale
+  std::vector<double> odo_;                     ///< see odometers()
   std::vector<Kind> kind_;
   std::vector<std::uint32_t> lane_;
 
@@ -184,8 +240,9 @@ class MovementEngine {
   std::vector<double> bus_next_stop_;
   std::vector<double> bus_speed_;
   std::vector<double> bus_pause_until_;
-  std::vector<std::uint32_t> bus_seg_hint_;  ///< point_at_hinted() cache
+  mutable std::vector<std::uint32_t> bus_seg_hint_;  ///< point_at_hinted() cache
   std::vector<util::Pcg32> bus_rng_;
+  std::uint64_t rebases_ = 0;  ///< see rebase_count(); never reset
 
   // ---- stationary lane (never stepped) ----
   std::vector<StationaryNodeSpec> st_spec_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "sim/event_kernel.hpp"
 #include "util/rng.hpp"
@@ -20,6 +21,12 @@ constexpr double kSkinPerRange = 2.0;
 // of the skin (0.4 m at a 10 m radio) beyond range, far above rounding
 // error.
 constexpr double kSkinTravelShare = 0.49;
+// The stale check leaves a bus unevaluated while its odometer has advanced
+// at most (1 - kArcMargin) of that trigger distance since its anchor. The
+// margin covers the rounding of two route evaluations: about 1e-12 m on a
+// map a few km across, and under the margin out to ~1e6 trigger distances
+// from the origin.
+constexpr double kArcMargin = 1e-9;
 
 // Candidate reach, range + skin: the grid's cell size, and through
 // cell_size() the radius of a rebuild's pair sweep.
@@ -122,7 +129,9 @@ void World::clear_sim_state() {
   // The candidate list is sized for the old range and layout: a reset to a
   // larger range over the same positions would otherwise miss pairs.
   candidates_.clear();
+  lazy_ends_.clear();
   anchors_.clear();
+  anchor_odo_.clear();
   prev_pairs_.clear();
   active_slots_.clear();
   metrics_.reset();
@@ -210,7 +219,10 @@ const Router& World::router_of(NodeIdx node) const {
 }
 
 geo::Vec2 World::position_of(NodeIdx node) const {
-  return engine_.positions().at(static_cast<std::size_t>(node));
+  if (node < 0 || static_cast<std::size_t>(node) >= engine_.size()) {
+    throw std::out_of_range("World::position_of");
+  }
+  return engine_.position(node);
 }
 
 std::uint32_t World::slot_of(NodeIdx a, NodeIdx b) const noexcept {
@@ -437,10 +449,26 @@ void World::sort_pair_keys(std::vector<std::uint64_t>& keys) {
   }
 }
 
-bool World::candidates_stale(const std::vector<geo::Vec2>& pos) const {
-  if (anchors_.size() != nodes_.size()) return true;
+bool World::candidates_stale() {
+  // A rebase moves a cursor back by whole route lengths, so odometer
+  // differences across it bound nothing: rebuild instead.
+  if (anchors_.size() != nodes_.size() || engine_.rebase_count() != anchor_rebases_) {
+    return true;
+  }
   const double h = kSkinTravelShare * kSkinPerRange * config_.radio_range;
   const double h2 = h * h;
+  // A chord is never longer than its arc. A bus that has travelled at most
+  // arc_bound since its anchor is left as last evaluated: that position,
+  // taken at the rebuild or since, is within arc_bound of the anchor, as
+  // is the one it has now, so the test below passes for both. Every other
+  // bus is evaluated, so the test reads where it is now.
+  const double arc_bound = h * (1.0 - kArcMargin);
+  const std::vector<double>& odo = engine_.odometers();
+  for (const std::int32_t v : engine_.lazy_nodes()) {
+    const auto i = static_cast<std::size_t>(v);
+    if (!(odo[i] - anchor_odo_[i] <= arc_bound)) engine_.evaluate(v);
+  }
+  const std::vector<geo::Vec2>& pos = engine_.last_positions();
   for (std::size_t i = 0; i < anchors_.size(); ++i) {
     // Negated so that a non-finite displacement also forces a rebuild.
     if (!(pos[i].distance2_to(anchors_[i]) <= h2)) return true;
@@ -448,7 +476,8 @@ bool World::candidates_stale(const std::vector<geo::Vec2>& pos) const {
   return false;
 }
 
-void World::rebuild_candidates(const std::vector<geo::Vec2>& pos) {
+void World::rebuild_candidates() {
+  const std::vector<geo::Vec2>& pos = engine_.positions();
   // Incremental grid maintenance: only boundary crossings touch cells. The
   // engine's contiguous position array feeds the grid without touching the
   // Node structs at all.
@@ -465,14 +494,27 @@ void World::rebuild_candidates(const std::vector<geo::Vec2>& pos) {
   // pairs in; each step's in-range keys inherit it.
   sort_pair_keys(candidates_);
   anchors_.assign(pos.begin(), pos.begin() + static_cast<std::ptrdiff_t>(nodes_.size()));
+  const std::vector<double>& odo = engine_.odometers();
+  anchor_odo_.assign(odo.begin(), odo.begin() + static_cast<std::ptrdiff_t>(nodes_.size()));
+  anchor_rebases_ = engine_.rebase_count();
+  // The candidates' ends that can be pending (those with an odometer); each
+  // step evaluates them before testing the candidates.
+  lazy_ends_.clear();
+  if (engine_.lazy_nodes().empty()) return;
+  for (const std::uint64_t key : candidates_) {
+    for (const std::uint64_t end : {key >> 32, key & 0xffffffffu}) {
+      if (!std::isnan(odo[end])) lazy_ends_.push_back(static_cast<std::int32_t>(end));
+    }
+  }
 }
 
 void World::detect_contacts() {
-  const std::vector<geo::Vec2>& pos = engine_.positions();
-  if (candidates_stale(pos)) rebuild_candidates(pos);
+  if (candidates_stale()) rebuild_candidates();
   // Only candidates can be in range (see the header). They are sorted, so
   // the in-range keys come out ascending: link callbacks fire in a
-  // deterministic pair order.
+  // deterministic pair order. Of the buses, only their ends are evaluated.
+  for (const std::int32_t v : lazy_ends_) engine_.evaluate(v);
+  const std::vector<geo::Vec2>& pos = engine_.last_positions();
   const double r2 = config_.radio_range * config_.radio_range;
   curr_pairs_.clear();
   for (const std::uint64_t key : candidates_) {

@@ -19,6 +19,19 @@
 //    left out was more than range + skin apart at the rebuild and each end
 //    has moved under half the skin since, so it cannot be in range. On
 //    the paper's bus map that is one rebuild per ~8 steps;
+//  - bus positions evaluated only where that list looks. A bus's route is
+//    evaluated on demand (mobility::MovementEngine), memoized per step: for
+//    every bus at a rebuild, for the bus ends of the candidates before they
+//    are tested, and in the stale check only for a bus whose odometer (its
+//    route cursor) has advanced more than the trigger distance, less a
+//    1e-9 relative margin, since its anchor. Any other bus is checked at
+//    its last evaluated position. A chord is never longer than its arc, so
+//    that position and the bus's current one both pass the check, and
+//    rebuild steps, candidates and contacts stay bit-identical to
+//    evaluating every bus on every step. A cursor rebase (past 1e12 m)
+//    forces a rebuild, since the odometer jumps back. Walkers and the other
+//    lanes keep their position current and have no odometer (NaN), so the
+//    loops read them with no check;
 //  - sorted pair-key vectors diffed against the previous step's to derive
 //    link-up/link-down events without rebuilding any set structure;
 //  - an active-transfers index so progress_transfers() visits only
@@ -287,10 +300,11 @@ class World {
 
   void move_nodes();
   void sort_pair_keys(std::vector<std::uint64_t>& keys);
-  /// True when there is no candidate list for the current node set, or
-  /// some node has strayed too far from its anchor (see world.cpp).
-  [[nodiscard]] bool candidates_stale(const std::vector<geo::Vec2>& pos) const;
-  void rebuild_candidates(const std::vector<geo::Vec2>& pos);
+  /// True when there is no candidate list for the current node set, a bus
+  /// cursor was rebased, or some node has strayed too far from its anchor
+  /// (see world.cpp). Evaluates only the positions it has to.
+  [[nodiscard]] bool candidates_stale();
+  void rebuild_candidates();
   void detect_contacts();
   void progress_transfers();
   void complete_transfer(Transfer& tr);
@@ -323,7 +337,10 @@ class World {
   std::vector<std::uint32_t> free_slots_;    // free list into conn_pool_
   std::size_t live_connections_ = 0;
   std::vector<std::uint64_t> candidates_;    // sorted keys within reach at rebuild
+  std::vector<std::int32_t> lazy_ends_;      // candidate ends that can be pending
   std::vector<geo::Vec2> anchors_;           // per-node position at rebuild
+  std::vector<double> anchor_odo_;           // per-node odometer at rebuild
+  std::uint64_t anchor_rebases_ = 0;         // engine rebase count at rebuild
   std::vector<std::uint64_t> prev_pairs_;    // sorted pair keys, last step
   std::vector<std::uint64_t> curr_pairs_;    // scratch: sorted keys, this step
   std::vector<std::uint64_t> diff_scratch_;  // scratch: ups/downs of the diff

@@ -150,8 +150,10 @@ TEST(RemoteAssignment, RejectsUnknownFieldsAndBadSpecs) {
 
 TEST(RemoteAssignment, RejectsPolicyValuesTheCliRefuses) {
   // The daemon parses ASSIGN off the network: each value below parsed at
-  // the parent, and was then narrowed (4294967297 retries ran as 1) or
-  // overflowed the point watchdog's duration_cast (a 2^1000 s timeout).
+  // the parent, and was then narrowed (4294967297 retries ran as 1),
+  // overflowed the point watchdog's duration_cast (a 2^1000 s timeout), or
+  // lay outside what `dtnsim sweep` accepts (0 seeds, a seed base past
+  // INT64_MAX).
   const std::string good = harness::serialize_sweep_assignment(fixture_options());
   const std::size_t line_start = good.find('\n') + 1;
   const std::string params = good.substr(line_start, good.find('\n', line_start) - line_start);
@@ -162,6 +164,7 @@ TEST(RemoteAssignment, RejectsPolicyValuesTheCliRefuses) {
       {"retries", "2147483648"},      {"retries", "1001"},
       {"retries", "-1"},              {"sync_every", "2147483648"},
       {"sync_every", "-1"},           {"seeds", "4294967298"},
+      {"seeds", "0"},                 {"seed_base", "9223372036854775808"},
   };
   for (const auto& [field, value] : rejected) {
     const std::size_t at = params.find(field + "=");
@@ -183,6 +186,8 @@ TEST(RemoteAssignment, RejectsPolicyValuesTheCliRefuses) {
   edge.retries = 1000;
   edge.sync_every = INT32_MAX;
   edge.point_timeout_s = 1e9;
+  edge.seeds = 1;
+  edge.seed_base = INT64_MAX;
   harness::SpecSweepOptions parsed;
   std::string error;
   ASSERT_TRUE(harness::parse_sweep_assignment(harness::serialize_sweep_assignment(edge),
@@ -191,6 +196,8 @@ TEST(RemoteAssignment, RejectsPolicyValuesTheCliRefuses) {
   EXPECT_EQ(parsed.retries, 1000);
   EXPECT_EQ(parsed.sync_every, INT32_MAX);
   EXPECT_EQ(parsed.point_timeout_s, 1e9);
+  EXPECT_EQ(parsed.seeds, 1);
+  EXPECT_EQ(parsed.seed_base, static_cast<std::uint64_t>(INT64_MAX));
 }
 
 TEST(RemoteProgress, RoundTrips) {

@@ -1,7 +1,8 @@
 // Invariants of the incremental contact-layer engine: the per-node
 // adjacency index must always agree with brute-force geometry under link
-// churn on every kind of world (walkers, buses, scripted jumps, pinned
-// nodes, and steps after an event-kernel run), and the reusable-scratch
+// churn on every kind of world (walkers, buses, two buses meeting head-on,
+// a bus whose cursor is rebased, scripted jumps, pinned nodes, and steps
+// after an event-kernel run), and the reusable-scratch
 // SpatialGrid APIs must match their allocating reference forms. Whole
 // simulations are pinned by the metrics golden
 // (harness_metrics_golden_test).
@@ -57,6 +58,43 @@ void add_buses(World& world) {
     world.add_node(i % 2 == 0 ? loop : triangle, params,
                    std::make_unique<RecordingRouter>());
   }
+}
+
+void add_buses_head_on(World& world) {
+  // Two buses on one 150 m street, each running it out and back, one in
+  // each direction: they meet head-on, closing at up to 27.8 m/s. Neither
+  // is near anything else, so each rebuild is triggered by one of them
+  // straying from its anchor, and a stale check that let a bus stray much
+  // past its trigger distance unevaluated would see them pass each other.
+  const std::vector<geo::Vec2> street{{0.0, 0.0}, {150.0, 0.0}};
+  mobility::BusParams params;
+  params.speed_min = 8.0;
+  for (const auto& ends : {street, std::vector<geo::Vec2>(street.rbegin(), street.rend())}) {
+    world.add_node(std::make_shared<const geo::Polyline>(ends, true), params,
+                   std::make_unique<RecordingRouter>());
+  }
+}
+
+void add_rebasing_bus(World& world) {
+  // Eight posts 25 m apart round a 200 m square loop, and one bus at
+  // ~1e11 m/s on it: ~37 m round the loop per step, so it lands near a
+  // different post most steps, and its cursor passes the 1e12 m rebase
+  // every ~100 steps. The rebase moves the cursor back by whole loops, so
+  // its odometer falls; the contact layer must not take that as "has not
+  // moved". Stops 2.5e11 m apart (far above the loop's length) keep the
+  // step loop to a few stop events.
+  const auto square = std::make_shared<const geo::Polyline>(
+      std::vector<geo::Vec2>{{0.0, 0.0}, {50.0, 0.0}, {50.0, 50.0}, {0.0, 50.0}}, true);
+  for (int p = 0; p < 8; ++p) {
+    world.add_node(test::pinned(square->point_at(25.0 * p)),
+                   std::make_unique<RecordingRouter>());
+  }
+  mobility::BusParams params;
+  params.speed_min = params.speed_max = 1e11 + 373.0;
+  params.stop_spacing = 2.5e11;
+  params.pause_min = 0.3;
+  params.pause_max = 0.6;
+  world.add_node(square, params, std::make_unique<RecordingRouter>());
 }
 
 void add_jumpers(World& world) {
@@ -160,6 +198,8 @@ TEST(ContactLayerTest, AdjacencyMatchesGeometryUnderChurn) {
   const ChurnWorld worlds[] = {
       {"walkers", [](World& w) { add_walkers(w, 24); }, 600},
       {"buses", add_buses, 1200},
+      {"buses head-on", add_buses_head_on, 2400},
+      {"bus past the cursor rebase", add_rebasing_bus, 450},
       {"scripted jumps", add_jumpers, 120},
       {"walkers and pinned posts", add_walkers_and_posts, 600},
       {"event kernel, then steps", [](World& w) { add_walkers(w, 24); }, 300, 30.0},

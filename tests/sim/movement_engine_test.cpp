@@ -111,6 +111,79 @@ TEST(MovementEngine, BusLaneMatchesLegacyModelExactly) {
   expect_lockstep(engine, model, 30000);
 }
 
+TEST(MovementEngine, LazyBusReadsEqualEagerReference) {
+  // A bus lane evaluates its route only when read. Whatever steps a reader
+  // skips, each read must equal the reference model stepped and evaluated
+  // every step, and the odometer must bound the distance moved since an
+  // anchor read, as the contact detector's stale check assumes.
+  const auto route = loop_route();
+  BusParams p;
+  p.stop_spacing = 321.0;  // pauses at stops that precess round the loop
+  for (const int stride : {1, 3, 8, 50}) {
+    SCOPED_TRACE(stride);
+    MovementEngine engine;
+    ASSERT_EQ(engine.add_bus(route, p), 0);
+    engine.init_node(0, stream(7), 0.0);
+    BusMovement model(route, p);
+    model.init(stream(7), 0.0);
+    geo::Vec2 anchor_pos = engine.position(0);
+    double anchor_odo = engine.odometers()[0];
+    int reads = 0;
+    int paused_steps = 0;
+    double t = 0.0;
+    for (int i = 1; i <= 30000; ++i) {
+      const geo::Vec2 before = model.position();
+      engine.step_all(t, kDt);
+      model.step(t, kDt);
+      t += kDt;
+      paused_steps += model.position() == before ? 1 : 0;
+      // Irregular: every stride-th step, plus every 7th step past 20 000.
+      if (i % stride != 0 && !(i > 20000 && i % 7 == 0)) continue;
+      // Alternate the two ways a reader evaluates one node.
+      geo::Vec2 got;
+      if (reads % 2 == 0) {
+        got = engine.position(0);
+      } else {
+        engine.evaluate(0);
+        got = engine.last_positions()[0];
+      }
+      ASSERT_EQ(got.x, model.position().x) << "step " << i;
+      ASSERT_EQ(got.y, model.position().y) << "step " << i;
+      const double odo = engine.odometers()[0];
+      ASSERT_EQ(odo, model.cursor()) << "step " << i;
+      const double arc = odo - anchor_odo;
+      // 1e-9 relative, plus 1 nm for the rounding of two route evaluations.
+      ASSERT_LE(got.distance_to(anchor_pos), arc * (1.0 + 1e-9) + 1e-9) << "step " << i;
+      if (++reads % 4 == 0) {  // re-anchor, as a candidate-list rebuild does
+        anchor_pos = got;
+        anchor_odo = odo;
+      }
+    }
+    EXPECT_EQ(engine.positions()[0], model.position());
+    EXPECT_GT(paused_steps, 0);                              // stopped at stops
+    EXPECT_GT(model.cursor(), 3.0 * route->total_length());  // wrapped the loop
+  }
+}
+
+TEST(MovementEngine, OnlyBusLanesReportAnOdometer) {
+  RandomWaypointParams rw;
+  rw.world_max = {300.0, 300.0};
+  CommunityMovementParams cm;
+  cm.home_max = {200.0, 200.0};
+  StationaryNodeSpec post;
+  post.pos = {5.0, 5.0};
+  MovementEngine engine;
+  ASSERT_EQ(engine.add_waypoint(rw), 0);
+  ASSERT_EQ(engine.add_community(cm), 1);
+  ASSERT_EQ(engine.add_stationary(post), 2);
+  ASSERT_EQ(engine.add_custom(std::make_unique<Stationary>(geo::Vec2{3.0, 4.0})), 3);
+  ASSERT_EQ(engine.add_bus(loop_route(), BusParams{}), 4);
+  for (int v = 0; v < 5; ++v) engine.init_node(v, stream(static_cast<std::uint64_t>(v)), 0.0);
+  for (int i = 0; i < 100; ++i) engine.step_all(i * kDt, kDt);
+  for (int v = 0; v < 4; ++v) EXPECT_TRUE(std::isnan(engine.odometers()[v])) << "node " << v;
+  EXPECT_TRUE(std::isfinite(engine.odometers()[4]));
+}
+
 TEST(MovementEngine, MixedLanesKeepPerNodeStreamsIndependent) {
   // One node per lane kind; each engine node must reproduce its own model
   // regardless of the others stepping in the same step_all call.
