@@ -7,6 +7,11 @@
 // aggregates are bit-identical: the thread count is a product choice
 // that must not change a result bit.
 //
+// A protocol axis gives runs that share their contact inputs (node count
+// and seed), so the campaign memo records each contact schedule once and
+// replays it for the other protocols: 24 of the full campaign's 36 runs
+// replay (`replayed_runs`).
+//
 // A second section measures the cross-seed reuse contract directly:
 // heap allocations per seed for a World::reseed()-driven campaign vs
 // building a fresh World per seed (same workload, same step counts).
@@ -16,15 +21,21 @@
 // matrix entries + on-off profile), with a fatal bit-identical replay
 // cross-check between executions.
 //
+// Each campaign is timed over --trials executions and reported as the
+// median with its quartiles (linear interpolation between order
+// statistics), plus every trial: one best-of number cannot tell a 20%
+// change from the spread of a shared host.
+//
 // Results land in BENCH_sweep.json (committed at the repo root); a change
 // is judged against that history.
 //
-// Flags: --trials N (timed repetitions, default 3; best-of wins),
+// Flags: --trials N (timed repetitions, default 5; smoke 2),
 //        --seeds N (seeds per grid point, default 6),
 //        --duration S (simulated seconds per run, default 600),
 //        --out PATH (default BENCH_sweep.json),
 //        --smoke (tiny campaign for CI: bench_smoke runs
 //                 `bench_sweep --smoke`).
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -177,6 +188,38 @@ double run_campaign(const harness::SpecSweepOptions& opt,
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
+/// Median and quartiles of a set of trials.
+struct Spread {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+
+/// The q-quantile of `sorted`, interpolating linearly between order
+/// statistics.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double at = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(at);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (at - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
+}
+
+Spread spread_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return {quantile(values, 0.25), quantile(values, 0.5), quantile(values, 0.75)};
+}
+
+/// "[a, b, c]" with three decimals.
+std::string json_list(const std::vector<double>& values) {
+  std::string out = "[";
+  char buf[32];
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%s%.3f", i == 0 ? "" : ", ", values[i]);
+    out += buf;
+  }
+  return out + "]";
+}
+
 /// Allocation cost of one additional seed, reused world vs fresh world.
 /// Workload: random waypoint + epidemic + paper traffic (the bench_world_step
 /// shape), small enough that the A/B below stays seconds-fast.
@@ -242,7 +285,7 @@ int main(int argc, char** argv) {
   using namespace dtn;
   const util::Flags flags = util::Flags::parse(argc, argv);
   const bool smoke = flags.get_bool("smoke", false);
-  const int trials = static_cast<int>(flags.get_int("trials", smoke ? 1 : 3));
+  const int trials = static_cast<int>(flags.get_int("trials", smoke ? 2 : 5));
   const int seeds = static_cast<int>(flags.get_int("seeds", 6));
   const double duration = flags.get_double("duration", 600.0);
   const std::string out_path = flags.get_string("out", "BENCH_sweep.json");
@@ -261,10 +304,16 @@ int main(int argc, char** argv) {
               points, opt.seeds, runs, opt.base.duration_s);
   std::fflush(stdout);
 
-  // Best of `trials` single-thread executions (filters scheduler noise).
-  double best = 1e300;
+  // `trials` single-thread executions, each on a fresh campaign memo.
+  std::vector<double> trial_rps;
   std::vector<harness::SpecPointResult> results;
-  for (int t = 0; t < trials; ++t) best = std::min(best, bench::run_campaign(opt, results));
+  std::size_t replayed = 0;
+  for (int t = 0; t < trials; ++t) {
+    opt.memo = std::make_shared<harness::CampaignMemo>();
+    trial_rps.push_back(static_cast<double>(runs) / bench::run_campaign(opt, results));
+    replayed = opt.memo->stats().replayed;
+  }
+  opt.memo = nullptr;
   // The thread count must not change a result bit.
   std::vector<harness::SpecPointResult> threaded;
   opt.threads = 3;
@@ -275,11 +324,11 @@ int main(int argc, char** argv) {
                  "campaign result depends on the thread count\n");
     return 1;
   }
-  const double rps = static_cast<double>(runs) / best;
-  const double pps = static_cast<double>(points) / best;
-  std::printf("%7.2f runs/s (%6.2f points/s) at 1 thread | 3-thread aggregates "
-              "bit-identical\n",
-              rps, pps);
+  const bench::Spread rps = bench::spread_of(trial_rps);
+  const double pps = rps.median / static_cast<double>(runs / points);
+  std::printf("%7.2f runs/s [%.2f, %.2f] (%6.2f points/s) at 1 thread, median of %d | "
+              "%zu of %zu runs replayed | 3-thread aggregates bit-identical\n",
+              rps.median, rps.q1, rps.q3, pps, trials, replayed, runs);
   std::fflush(stdout);
 
   // Cross-seed allocation contract.
@@ -301,19 +350,12 @@ int main(int argc, char** argv) {
   const harness::SpecSweepOptions hub_opt = bench::hub_campaign(smoke, seeds, duration);
   const std::size_t hub_points = hub_opt.axes[0].values.size();
   const std::size_t hub_runs = hub_points * static_cast<std::size_t>(hub_opt.seeds);
-  double hub_best = 1e300;
+  std::vector<double> hub_trial_rps;
   std::vector<harness::SpecPointResult> hub_first;
   std::vector<harness::SpecPointResult> hub_again;
-  for (int t = 0; t < trials + 1; ++t) {  // >= 2 executions for the replay check
-    const auto h0 = std::chrono::steady_clock::now();
-    auto results = harness::run_spec_sweep(hub_opt);
-    const auto h1 = std::chrono::steady_clock::now();
-    hub_best = std::min(hub_best, std::chrono::duration<double>(h1 - h0).count());
-    if (t == 0) {
-      hub_first = std::move(results);
-    } else {
-      hub_again = std::move(results);
-    }
+  for (int t = 0; t < std::max(trials, 2); ++t) {  // >= 2 executions for the replay check
+    const double wall = bench::run_campaign(hub_opt, t == 0 ? hub_first : hub_again);
+    hub_trial_rps.push_back(static_cast<double>(hub_runs) / wall);
   }
   if (!bench::identical_aggregates(hub_first, hub_again)) {
     std::fprintf(stderr,
@@ -321,10 +363,11 @@ int main(int argc, char** argv) {
                  "executions — the matrix workload is not deterministic\n");
     return 1;
   }
-  const double hub_rps = static_cast<double>(hub_runs) / hub_best;
-  const double hub_pps = static_cast<double>(hub_points) / hub_best;
-  std::printf("hub-load %6.2f runs/s (%6.2f points/s) | replay bit-identical\n",
-              hub_rps, hub_pps);
+  const bench::Spread hub_rps = bench::spread_of(hub_trial_rps);
+  const double hub_pps = hub_rps.median / static_cast<double>(hub_runs / hub_points);
+  std::printf("hub-load %6.2f runs/s [%.2f, %.2f] (%6.2f points/s), median of %zu | "
+              "replay bit-identical\n",
+              hub_rps.median, hub_rps.q1, hub_rps.q3, hub_pps, hub_trial_rps.size());
   std::fflush(stdout);
 
   char buf[4096];
@@ -334,21 +377,25 @@ int main(int argc, char** argv) {
       "  \"bench\": \"sweep\",\n"
       "  \"campaign\": \"bus-map screening sweep: %zu protocols x %zu node "
       "counts x %d seeds, %.0f s sim/run, threads=1\",\n"
-      "  \"runs\": %zu, \"trials\": %d,\n"
-      "  \"runs_per_sec\": %.3f,\n"
+      "  \"runs\": %zu, \"replayed_runs\": %zu, \"trials\": %d,\n"
+      "  \"runs_per_sec\": %.3f, \"runs_per_sec_q1\": %.3f, \"runs_per_sec_q3\": %.3f,\n"
+      "  \"runs_per_sec_trials\": %s,\n"
       "  \"points_per_sec\": %.3f,\n"
       "  \"aggregates_identical\": true,\n"
       "  \"allocs_per_reused_seed\": {\"nodes\": %d, \"steps\": %d, "
       "\"reused\": %.1f, \"reused_per_step\": %.4f, \"fresh\": %.0f},\n"
       "  \"hub_load\": {\"campaign\": \"matrix+onoff commuter->hub spec sweep "
       "over group.commuters.count, threads=1\", \"runs\": %zu,\n"
-      "    \"hub_runs_per_sec\": %.3f, \"hub_points_per_sec\": %.3f, "
-      "\"replay_identical\": true}\n"
+      "    \"hub_runs_per_sec\": %.3f, \"hub_runs_per_sec_q1\": %.3f, "
+      "\"hub_runs_per_sec_q3\": %.3f,\n"
+      "    \"hub_runs_per_sec_trials\": %s,\n"
+      "    \"hub_points_per_sec\": %.3f, \"replay_identical\": true}\n"
       "}\n",
-      protocols, node_counts, opt.seeds, opt.base.duration_s, runs, trials, rps,
-      pps, alloc_nodes, alloc_steps,
-      alloc.reused_allocs_per_seed, reused_allocs_per_step,
-      alloc.fresh_allocs_per_seed, hub_runs, hub_rps, hub_pps);
+      protocols, node_counts, opt.seeds, opt.base.duration_s, runs, replayed, trials,
+      rps.median, rps.q1, rps.q3, bench::json_list(trial_rps).c_str(), pps, alloc_nodes,
+      alloc_steps, alloc.reused_allocs_per_seed, reused_allocs_per_step,
+      alloc.fresh_allocs_per_seed, hub_runs, hub_rps.median, hub_rps.q1, hub_rps.q3,
+      bench::json_list(hub_trial_rps).c_str(), hub_pps);
 
   if (std::FILE* f = std::fopen(out_path.c_str(), "w")) {
     std::fputs(buf, f);

@@ -30,21 +30,34 @@ class ContactLoggerRouter final : public sim::Router {
   core::ContactCountGraph* graph_;
 };
 
-/// Memo key for the detected-communities warm-up: the canonical config of
-/// the spec with every field the routing-free warm-up cannot observe
-/// normalized away (contact loggers replace all routers, and the warm-up
-/// world generates no traffic). Anything left in the key can only cause a
-/// spurious miss — a recompute — never a wrong hit.
-std::string detection_cache_key(const ScenarioSpec& spec) {
+/// `spec` with every field reset that neither movement nor contact
+/// detection reads: a node's trajectory comes from (map, its group's model
+/// and parameters, communities.count for community walkers, seed), and a
+/// link event from those trajectories, the step and the radio range. No
+/// shipped router reads a position, and traffic draws from streams of its
+/// own (DESIGN.md §7). The base of both memo keys.
+ScenarioSpec contact_inputs(const ScenarioSpec& spec) {
+  const ScenarioSpec defaults;
   ScenarioSpec key = spec;
   key.name.clear();
-  key.duration_s = 0.0;  // warm-up length is communities.warmup, kept below
-  key.full_ttl_window = false;
-  key.protocol = routing::ProtocolConfig{};
-  key.traffic = sim::TrafficParams{};
+  key.full_ttl_window = defaults.full_ttl_window;
+  key.protocol = defaults.protocol;
+  for (auto& group : key.groups) group.protocol.clear();
+  key.traffic = defaults.traffic;
   key.traffic_matrix.clear();
   key.traffic_file.clear();
-  for (auto& group : key.groups) group.protocol.clear();
+  key.world.buffer_bytes = defaults.world.buffer_bytes;
+  key.world.bitrate_bps = defaults.world.bitrate_bps;
+  key.world.ttl_sweep_interval = defaults.world.ttl_sweep_interval;
+  return key;
+}
+
+/// Memo key for the detected-communities warm-up: the routing-free warm-up
+/// (contact loggers, no traffic) runs communities.warmup seconds of the
+/// spec's contact inputs, so its length replaces scenario.duration.
+std::string detection_key(const ScenarioSpec& spec) {
+  ScenarioSpec key = contact_inputs(spec);
+  key.duration_s = 0.0;
   return to_config(key);
 }
 
@@ -159,7 +172,104 @@ sim::TrafficParams resolve_traffic(const ScenarioSpec& spec) {
 
 }  // namespace
 
-ScenarioRunner::ScenarioRunner() = default;
+std::string contact_schedule_key(const ScenarioSpec& spec) {
+  if (spec.world.event_kernel) return "";
+  ScenarioSpec key = contact_inputs(spec);
+  const CommunitySpec defaults;
+  key.communities.source = defaults.source;
+  key.communities.warmup_s = defaults.warmup_s;
+  return to_config(key);
+}
+
+void CampaignMemo::expect(const std::string& key, int runs) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  schedules_[key].runs_left += runs;
+}
+
+CampaignMemo::Stats CampaignMemo::stats() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  Stats stats = stats_;
+  for (const auto& [key, entry] : schedules_) stats.held += entry.schedule != nullptr ? 1 : 0;
+  return stats;
+}
+
+std::shared_ptr<const sim::ContactSchedule> CampaignMemo::schedule(
+    const std::string& key) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = schedules_.find(key);
+  return it == schedules_.end() ? nullptr : it->second.schedule;
+}
+
+bool CampaignMemo::expecting() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return !schedules_.empty();
+}
+
+CampaignMemo::Take CampaignMemo::take(const std::string& key) {
+  Take take;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = schedules_.find(key);
+  if (it == schedules_.end()) return take;
+  Entry& entry = it->second;
+  --entry.runs_left;
+  if (entry.schedule != nullptr) {
+    take.schedule = entry.schedule;
+    ++stats_.replayed;
+  } else if (entry.runs_left > 0) {
+    take.record = true;
+    ++stats_.recorded;
+  }
+  if (entry.runs_left <= 0) schedules_.erase(it);
+  return take;
+}
+
+void CampaignMemo::offer(const std::string& key, sim::ContactSchedule schedule) {
+  schedule.downs.shrink_to_fit();  // held for the rest of the key's runs
+  schedule.ups.shrink_to_fit();
+  auto held = std::make_shared<const sim::ContactSchedule>(std::move(schedule));
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++stats_.offered;
+  const auto it = schedules_.find(key);
+  // No run of the key is left to start, or a concurrent recording won.
+  if (it == schedules_.end() || it->second.schedule != nullptr) return;
+  it->second.schedule = std::move(held);
+}
+
+std::shared_ptr<const core::CommunityTable> CampaignMemo::detected_communities(
+    const ScenarioSpec& spec) {
+  const std::string key = detection_key(spec);
+  std::unique_lock<std::mutex> lock(mutex_);
+  // A null table is being computed by another run. A warm-up waits on
+  // nothing, so this wait ends, even when that run's attempt was abandoned.
+  table_done_.wait(lock, [&] {
+    const auto it = tables_.find(key);
+    return it == tables_.end() || it->second != nullptr;
+  });
+  if (const auto it = tables_.find(key); it != tables_.end()) return it->second;
+  tables_.emplace(key, nullptr);
+  ++stats_.warmups;
+  lock.unlock();
+  std::shared_ptr<const core::CommunityTable> table;
+  try {
+    // The warm-up builds a throwaway World of its own, so the table depends
+    // only on (spec, seed): reused runners and any thread count see the
+    // same one.
+    table = std::make_shared<const core::CommunityTable>(
+        detect_spec_communities(spec, core::DetectionParams{}, spec.communities.warmup_s));
+  } catch (...) {
+    lock.lock();
+    tables_.erase(key);
+    table_done_.notify_all();
+    throw;
+  }
+  lock.lock();
+  tables_[key] = table;
+  table_done_.notify_all();
+  return table;
+}
+
+ScenarioRunner::ScenarioRunner() : memo_(std::make_shared<CampaignMemo>()) {}
+ScenarioRunner::ScenarioRunner(std::shared_ptr<CampaignMemo> memo) : memo_(std::move(memo)) {}
 ScenarioRunner::~ScenarioRunner() = default;
 ScenarioRunner::ScenarioRunner(ScenarioRunner&&) noexcept = default;
 ScenarioRunner& ScenarioRunner::operator=(ScenarioRunner&&) noexcept = default;
@@ -184,16 +294,7 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   // assignment ("auto") or uniform round-robin.
   std::shared_ptr<const core::CommunityTable> communities;
   if (spec.communities.source == "detected") {
-    // The warm-up pass builds its own throwaway World (it must not disturb
-    // this runner's reusable one), so detection depends only on
-    // (spec, seed) — reused runners and any thread count see the same
-    // table, which is also what makes the per-runner memo below safe.
-    auto& cached = detected_cache_[detection_cache_key(spec)];
-    if (!cached) {
-      cached = std::make_shared<const core::CommunityTable>(detect_spec_communities(
-          spec, core::DetectionParams{}, spec.communities.warmup_s));
-    }
-    communities = cached;
+    communities = memo_->detected_communities(spec);
   } else {
     std::vector<int> cid;
     cid.reserve(static_cast<std::size_t>(spec.node_count()));
@@ -224,12 +325,35 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   }
 
   world.set_traffic(resolve_traffic(spec));
+
+  recorded_key_.clear();
+  recorded_ = sim::ContactSchedule{};
+  std::string key;
+  CampaignMemo::Take take;
+  if (memo_->expecting()) key = contact_schedule_key(spec);
+  if (!key.empty()) take = memo_->take(key);
+  if (take.schedule != nullptr) {
+    world.replay_contacts(take.schedule);
+  } else if (take.record) {
+    world.record_contacts();
+  }
   world.run(spec.duration_s);
+  if (take.record) {
+    recorded_ = world.take_recorded_contacts();
+    recorded_key_ = std::move(key);
+  }
 
   ScenarioResult result;
   result.metrics = world.metrics();
   result.contact_events = world.contact_events();
   return result;
+}
+
+void ScenarioRunner::publish_recording() {
+  if (recorded_key_.empty()) return;
+  memo_->offer(recorded_key_, std::move(recorded_));
+  recorded_key_.clear();
+  recorded_ = sim::ContactSchedule{};
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec) {

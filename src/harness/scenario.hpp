@@ -5,8 +5,11 @@
 // communities = districts (examples/helsinki_buses.cfg).
 #pragma once
 
+#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 
@@ -22,6 +25,89 @@ struct ScenarioResult {
   std::int64_t contact_events = 0;
 };
 
+/// The contact-schedule key of `spec`: its canonical config (to_config) with
+/// every field that movement and contact detection never read normalized
+/// away — scenario.name and scenario.full_ttl_window, the protocol block and
+/// every group.<g>.protocol, the whole traffic section (scalars, profile,
+/// matrix, traffic.file), world.buffer_bytes, world.bitrate_bps,
+/// world.ttl_sweep_interval, communities.source and communities.warmup.
+/// Everything else stays in, so a field nobody classified can only cause a
+/// miss, never a wrong hit. communities.count stays: it tiles the community
+/// walkers' home bands. Two specs with the same key fire the same link
+/// events at the same steps. Event-kernel specs (world.event_kernel) have no
+/// key (""): they are never recorded or replayed. The detected-communities
+/// warm-up is memoized on the same normalization, with scenario.duration
+/// normalized instead of the communities fields.
+std::string contact_schedule_key(const ScenarioSpec& spec);
+
+/// Campaign-scoped memo that runs sharing their contact inputs draw on
+/// (run_spec_sweep holds one per call and hands it to every worker's
+/// runner):
+///  - contact schedules. The sweep announces how many of its runs will take
+///    each contact key (expect) before it deals them; only a key with two or
+///    more runs is ever recorded. A run of an announced key replays the
+///    schedule the memo holds, or, when there is none yet and more runs of
+///    the key are to come, records its own. A recording is offered back
+///    (ScenarioRunner::publish_recording) only by an attempt the caller
+///    accepts: the first offer of a key is kept and later ones are dropped,
+///    as is any offer after the key's last run has started. Each run that
+///    takes a key counts against its announced runs, and the memo lets go
+///    of the schedule when the count reaches zero, so it holds at most one
+///    schedule per key with runs still to come (16 bytes per link event;
+///    about 0.14 MB for an 80-bus, 4 000 s run);
+///  - detected-communities tables, one per distinct warm-up input, each
+///    computed once: a run that needs a table another run is computing
+///    waits for it, and if that computation throws, one waiter computes it
+///    anew. Tables are kept for the memo's lifetime.
+/// Thread-safe. A replayed run gives the same bits as a live one, so the
+/// memo changes how long a campaign takes, never what it returns.
+class CampaignMemo {
+ public:
+  /// What the memo has done so far (tests and diagnostics read it).
+  struct Stats {
+    std::size_t recorded = 0;   ///< runs that recorded their link events
+    std::size_t offered = 0;    ///< recordings offered back (kept or dropped)
+    std::size_t replayed = 0;   ///< runs that replayed a held schedule
+    std::size_t warmups = 0;    ///< detected-communities warm-ups started
+    std::size_t held = 0;       ///< schedules held right now
+  };
+
+  /// Announces `runs` more runs of contact key `key`.
+  void expect(const std::string& key, int runs);
+  [[nodiscard]] Stats stats() const;
+  /// The schedule held for `key`, or null.
+  [[nodiscard]] std::shared_ptr<const sim::ContactSchedule> schedule(
+      const std::string& key) const;
+
+ private:
+  friend class ScenarioRunner;
+
+  /// What one run of a key does: replay `schedule`, record, or neither.
+  struct Take {
+    std::shared_ptr<const sim::ContactSchedule> schedule;
+    bool record = false;
+  };
+  struct Entry {
+    int runs_left = 0;
+    std::shared_ptr<const sim::ContactSchedule> schedule;
+  };
+
+  /// True while some key has runs to come (else no run computes a key).
+  bool expecting() const;
+  /// Counts one run of `key` against its announced runs.
+  Take take(const std::string& key);
+  void offer(const std::string& key, sim::ContactSchedule schedule);
+  /// The detected-communities table of `spec` (communities.source = detected).
+  std::shared_ptr<const core::CommunityTable> detected_communities(const ScenarioSpec& spec);
+
+  mutable std::mutex mutex_;
+  std::condition_variable table_done_;  ///< a warm-up finished or failed
+  std::unordered_map<std::string, Entry> schedules_;
+  /// Null while a run computes the table.
+  std::unordered_map<std::string, std::shared_ptr<const core::CommunityTable>> tables_;
+  Stats stats_;
+};
+
 /// Reusable scenario executor: owns one sim::World whose allocated capacity
 /// (buffer slabs, spatial-grid cells, adjacency/connection/transfer pools,
 /// movement lanes, metrics buckets) is retained across run() calls via
@@ -32,7 +118,11 @@ struct ScenarioResult {
 /// integration_sweep_test).
 class ScenarioRunner {
  public:
+  /// A runner with a memo of its own: its runs share detected-communities
+  /// warm-ups, and record or replay nothing.
   ScenarioRunner();
+  /// A runner drawing on a campaign's memo.
+  explicit ScenarioRunner(std::shared_ptr<CampaignMemo> memo);
   ~ScenarioRunner();
   ScenarioRunner(ScenarioRunner&&) noexcept;
   ScenarioRunner& operator=(ScenarioRunner&&) noexcept;
@@ -40,25 +130,24 @@ class ScenarioRunner {
   /// THE execution entry: builds the spec's map, communities, and node
   /// groups through the registries and runs the simulation to completion.
   /// Throws std::invalid_argument (validate_spec / create_router) on
-  /// inconsistent specs.
+  /// inconsistent specs. With a campaign memo, the run replays its contact
+  /// key's schedule or records one (see CampaignMemo); a schedule that does
+  /// not fit the world throws std::logic_error.
   ScenarioResult run(const ScenarioSpec& spec);
+
+  /// Offers the schedule the last run() recorded to the memo; a no-op when
+  /// it recorded none. Call it only for a run whose result is accepted:
+  /// a run that threw or was abandoned must not publish.
+  void publish_recording();
 
  private:
   /// Builds or resets the owned World for a fresh run under `config`.
   sim::World& prepare(const sim::WorldConfig& config);
 
   std::unique_ptr<sim::World> world_;
-  /// Detected-communities warm-up memo. detect_spec_communities is
-  /// deterministic in (map, groups, world, warmup, seed) and routing-free,
-  /// so runs that differ only in routing/traffic knobs (a protocol.name or
-  /// group.<g>.protocol sweep axis) share one warm-up simulation instead of
-  /// re-running bit-identical ones per (point, seed) task. Keyed on the
-  /// canonical serialization of the detection-relevant spec fields; one
-  /// table per distinct (detection inputs, seed) THIS runner touches — the
-  /// memo's scope is the runner, so a threads=N sweep still computes each
-  /// warm-up up to once per worker (results identical either way).
-  std::unordered_map<std::string, std::shared_ptr<const core::CommunityTable>>
-      detected_cache_;
+  std::shared_ptr<CampaignMemo> memo_;
+  std::string recorded_key_;           ///< contact key of the last run's recording
+  sim::ContactSchedule recorded_;      ///< the last run's recording, if any
 };
 
 /// Runs one spec to completion on a fresh runner (single-shot convenience;

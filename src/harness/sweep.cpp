@@ -12,6 +12,7 @@
 #include <mutex>
 #include <numeric>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "harness/journal.hpp"
@@ -423,6 +424,23 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
     }
   }
 
+  // ---- contact schedules: count each contact key's runs before dealing ------
+  // A key that more than one task takes is recorded by its first run and
+  // replayed by the others (CampaignMemo). A detached, timed-out attempt
+  // may outlive this call, so the memo is shared, not owned by the stack.
+  const std::shared_ptr<CampaignMemo> memo =
+      options.memo != nullptr ? options.memo : std::make_shared<CampaignMemo>();
+  std::unordered_map<std::string, int> runs_per_key;
+  for (const Task& task : tasks) {
+    ScenarioSpec spec = specs[task.point];
+    spec.seed = task.seed;
+    std::string key = contact_schedule_key(spec);
+    if (!key.empty()) ++runs_per_key[std::move(key)];
+  }
+  for (const auto& [key, runs] : runs_per_key) {
+    if (runs > 1) memo->expect(key, runs);
+  }
+
   std::size_t workers = options.threads != 0
                             ? options.threads
                             : std::max<std::size_t>(1, std::thread::hardware_concurrency());
@@ -516,6 +534,7 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
         std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
       }
       out = sample_of(runner.run(spec));
+      runner.publish_recording();
       return true;
     } catch (const std::exception& e) {
       error = e.what();
@@ -534,6 +553,7 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
     std::mutex m;
     std::condition_variable cv;
     bool done = false;
+    bool abandoned = false;  ///< the watchdog gave up: publish nothing
     bool ok = false;
     SeedSample sample;
     std::string error;
@@ -559,6 +579,9 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
         attempt_error = "unknown exception";
       }
       const std::lock_guard<std::mutex> lock(shared->m);
+      // Under the lock the watchdog abandons under, so an attempt either
+      // counts and publishes its recording, or does neither.
+      if (ok && !shared->abandoned) runner->publish_recording();
       shared->sample = sample;
       shared->error = std::move(attempt_error);
       shared->ok = ok;
@@ -579,11 +602,13 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
       error = shared->error;
       return false;
     }
+    shared->abandoned = true;
     lock.unlock();
-    // It owns its runner (shared_ptr) and spec (a copy), and the registries
-    // it reads are never destroyed, so it may outlive main().
+    // It owns its runner (shared_ptr, holding the campaign memo) and spec
+    // (a copy), and the registries it reads are never destroyed, so it may
+    // outlive main().
     helper.detach();
-    runner_slot = std::make_shared<ScenarioRunner>();  // abandoned World replaced
+    runner_slot = std::make_shared<ScenarioRunner>(memo);  // abandoned World replaced
     error = "timed out after " + util::format_value(options.point_timeout_s) + " s";
     return false;
   };
@@ -657,13 +682,13 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
   };
 
   if (workers <= 1) {
-    auto runner = std::make_shared<ScenarioRunner>();  // one warm World, whole grid
+    auto runner = std::make_shared<ScenarioRunner>(memo);  // one warm World, whole grid
     for (std::size_t i = 0; i < tasks.size(); ++i) run_task(runner, i);
   } else {
     std::vector<std::shared_ptr<ScenarioRunner>> runners;  // one warm World per worker
     runners.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
-      runners.push_back(std::make_shared<ScenarioRunner>());
+      runners.push_back(std::make_shared<ScenarioRunner>(memo));
     }
     util::ThreadPool::shared().parallel_for(
         tasks.size(), workers,

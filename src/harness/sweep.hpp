@@ -17,6 +17,19 @@
 // BIT-IDENTICAL for any thread count, any scheduling, and fresh- vs
 // reused-world execution. The progress callback fires outside any merge
 // path, serialized only against itself.
+// Contact schedules: after resume filtering and shard selection, and before
+// dealing, the sweep counts its tasks per contact key
+// (contact_schedule_key: the spec and seed without the fields movement and
+// detection never read) and announces each key with two or more tasks to
+// one CampaignMemo per call, which every worker's runner shares. The first
+// run of such a key records its link events, and the key's later runs
+// replay them in place of moving nodes and detecting contacts, bit for
+// bit. Only an accepted attempt publishes its recording: one that threw,
+// or that the point watchdog abandoned, never does. The memo drops a
+// schedule once its key's last task has started, so it holds at most one
+// schedule per key with tasks to come (16 bytes per link event). It lives
+// in this process: a shard worker replays only within its own points.
+// Detected-communities warm-ups go through the same memo, once per call.
 // Multi-process fabric (PR 8): shard_index/shard_count restrict one
 // engine invocation to a deterministic slice of the point cross-product
 // (point index modulo shard_count), each shard journaling into its own
@@ -46,6 +59,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -144,6 +158,10 @@ struct SpecSweepOptions {
   std::function<void(const std::string&)> note;
   /// Test-only deterministic fault injection (see SweepFaultPlan).
   SweepFaultPlan* fault_plan = nullptr;
+  /// The campaign memo the sweep's runners share (harness/scenario.hpp).
+  /// Null (the default): a fresh memo for this call. Tests pass their own
+  /// to read its counters; it cannot change a result bit.
+  std::shared_ptr<CampaignMemo> memo;
 
   // ---- sharding (multi-process fabric) -------------------------------------
   /// Shard selector over the point cross-product: this invocation executes

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "sim/event_kernel.hpp"
 #include "util/rng.hpp"
@@ -137,6 +138,11 @@ void World::clear_sim_state() {
   metrics_.reset();
   contact_events_ = 0;
   next_msg_id_ = 0;
+  recording_ = false;
+  recorded_.downs.clear();
+  recorded_.ups.clear();
+  replay_.reset();
+  replay_down_ = replay_up_ = 0;
 }
 
 void World::reset(const WorldConfig& config) {
@@ -219,6 +225,10 @@ const Router& World::router_of(NodeIdx node) const {
 }
 
 geo::Vec2 World::position_of(NodeIdx node) const {
+  if (replay_ != nullptr) {
+    throw std::logic_error("World::position_of: no position is current while a "
+                           "contact schedule is replayed");
+  }
   if (node < 0 || static_cast<std::size_t>(node) >= engine_.size()) {
     throw std::out_of_range("World::position_of");
   }
@@ -354,12 +364,31 @@ void World::run(double duration) {
   const std::int64_t steps = step_count_for(duration, config_.step_dt);
   if (steps <= 0) return;
   // Kinetic advance needs every trajectory in closed form.
-  if (config_.event_kernel && engine_.kinetic_capable()) {
+  if (replay_ == nullptr && !recording_ && config_.event_kernel &&
+      engine_.kinetic_capable()) {
     event_kernel_used_ = true;
     EventKernel(*this).run(step_count_, step_count_ + steps);
     return;
   }
   for (std::int64_t i = 0; i < steps; ++i) step();
+  if (replay_ != nullptr &&
+      (replay_down_ < replay_->downs.size() || replay_up_ < replay_->ups.size())) {
+    throw std::logic_error("contact schedule replay: the schedule has events past "
+                           "the run's last step " + std::to_string(step_count_));
+  }
+}
+
+void World::record_contacts() { recording_ = true; }
+
+ContactSchedule World::take_recorded_contacts() {
+  ContactSchedule out;
+  std::swap(out, recorded_);
+  return out;
+}
+
+void World::replay_contacts(std::shared_ptr<const ContactSchedule> schedule) {
+  replay_ = std::move(schedule);
+  replay_down_ = replay_up_ = 0;
 }
 
 void World::step() {
@@ -368,8 +397,12 @@ void World::step() {
   ++step_count_;
   // Time grid contract: step k happens at exactly k * step_dt.
   now_ = static_cast<double>(step_count_) * config_.step_dt;
-  move_nodes();
-  detect_contacts();
+  if (replay_ != nullptr) {
+    replay_links();
+  } else {
+    move_nodes();
+    detect_contacts();
+  }
   generate_traffic();
   progress_transfers();
   if (now_ >= static_cast<double>(sweeps_done_ + 1) * config_.ttl_sweep_interval) {
@@ -384,7 +417,35 @@ void World::move_nodes() {
   engine_.step_all(static_cast<double>(step_count_ - 1) * dt, dt);
 }
 
+void World::replay_links() {
+  // detect_contacts' order: every down of the step, then every up.
+  replay_events(replay_->downs, replay_down_, false);
+  replay_events(replay_->ups, replay_up_, true);
+}
+
+void World::replay_events(const std::vector<LinkEvent>& events, std::size_t& next,
+                          bool up) {
+  const NodeIdx n = node_count();
+  for (; next < events.size() && events[next].step <= step_count_; ++next) {
+    const LinkEvent& e = events[next];
+    if (e.step != step_count_ || e.a < 0 || e.b < 0 || e.a >= n || e.b >= n ||
+        e.a == e.b || in_contact(e.a, e.b) == up) {
+      throw std::logic_error("contact schedule replay: link " +
+                             std::string(up ? "up " : "down ") + std::to_string(e.a) +
+                             "-" + std::to_string(e.b) + " of step " +
+                             std::to_string(e.step) + " does not fit step " +
+                             std::to_string(step_count_) + " of this world");
+    }
+    if (up) {
+      link_up(e.a, e.b);
+    } else {
+      link_down(e.a, e.b);
+    }
+  }
+}
+
 void World::link_up(NodeIdx a, NodeIdx b) {
+  if (recording_) recorded_.ups.push_back({step_count_, a, b});
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -412,6 +473,7 @@ void World::link_up(NodeIdx a, NodeIdx b) {
 }
 
 void World::link_down(NodeIdx a, NodeIdx b) {
+  if (recording_) recorded_.downs.push_back({step_count_, a, b});
   const std::uint32_t slot = slot_of(a, b);
   assert(slot != kNoSlot);
   Connection& conn = conn_pool_[slot];

@@ -46,6 +46,17 @@
 // structure-of-arrays lanes, batched RNG draws per waypoint event, and no
 // per-node virtual dispatch for the waypoint/community/bus models.
 //
+// Contact schedules: at a given seed, a run's link events depend only on
+// its contact inputs (the nodes' movement and the radio range), never on
+// routing, traffic or buffers. record_contacts() logs every link_up and
+// link_down of the next run() as a ContactSchedule; replay_contacts() makes
+// a later run() of the same contact inputs re-fire those events at their
+// steps, in their order, in place of moving the nodes and detecting
+// contacts. Every router callback, transfer, expiry and metric then follows
+// exactly as in the live run, while the movement engine is never stepped
+// (position_of() throws). A campaign records each schedule once and replays
+// it for every protocol (harness::CampaignMemo).
+//
 // Cross-run reuse (PR 3): one World can execute many simulation runs while
 // RETAINING its allocated capacity — buffer slabs, spatial-grid cells,
 // adjacency/connection/transfer pools, movement lanes, metrics buckets:
@@ -101,6 +112,24 @@ struct WorldConfig {
   bool event_kernel = false;
 };
 
+/// One link event of a run: at step `step` (step_count() once the step has
+/// begun) the pair (a, b) came into radio range or left it.
+struct LinkEvent {
+  std::int64_t step = 0;
+  NodeIdx a = -1;
+  NodeIdx b = -1;
+  friend bool operator==(const LinkEvent&, const LinkEvent&) = default;
+};
+
+/// Every link event of one run, 16 bytes each. Each list is in the order
+/// the World fired it, which is by step and, within a step, by ascending
+/// pair; a step fires its downs before its ups.
+struct ContactSchedule {
+  std::vector<LinkEvent> downs;  ///< links that went down
+  std::vector<LinkEvent> ups;    ///< links that came up
+  friend bool operator==(const ContactSchedule&, const ContactSchedule&) = default;
+};
+
 class World {
  public:
   explicit World(WorldConfig config);
@@ -147,7 +176,9 @@ class World {
   /// fresh build of the same scenario with the new seed.
   void reseed(std::uint64_t seed);
 
-  /// Runs the simulation until `duration` seconds of simulated time.
+  /// Runs the simulation until `duration` seconds of simulated time. With a
+  /// replayed schedule, throws std::logic_error if the schedule holds an
+  /// event past the run's last step.
   void run(double duration);
   /// Advances a single step (exposed for tests and incremental drivers).
   void step();
@@ -163,6 +194,24 @@ class World {
   /// than the fixed-dt loop (i.e. event_kernel was set and no fallback hit).
   [[nodiscard]] bool event_kernel_used() const noexcept { return event_kernel_used_; }
 
+  // ---- contact schedules (see header comment) ----
+  /// Records every link event from here on (normally: of the next run())
+  /// for take_recorded_contacts(); run() then takes the fixed-dt loop even
+  /// when world.event_kernel is set. reset() and reseed() stop recording.
+  void record_contacts();
+  /// Hands over what has been recorded so far and empties the record.
+  [[nodiscard]] ContactSchedule take_recorded_contacts();
+  /// From the next step on, each step fires `schedule`'s events of that
+  /// step in place of moving the nodes and detecting contacts; the
+  /// fixed-dt loop runs even when world.event_kernel is set. The schedule
+  /// must come from a run of the same contact inputs (node set, movement,
+  /// seed, step and radio range) that started at step 0. Every event is
+  /// checked as it fires: a down must find its link live, an up must find
+  /// none, and an event must not belong to an earlier step; a mismatch
+  /// throws std::logic_error instead of running a different simulation.
+  /// reset() and reseed() end the replay.
+  void replay_contacts(std::shared_ptr<const ContactSchedule> schedule);
+
   // ---- router-facing services ----
   [[nodiscard]] double now() const noexcept { return now_; }
   [[nodiscard]] NodeIdx node_count() const noexcept {
@@ -173,6 +222,8 @@ class World {
   [[nodiscard]] const Buffer& buffer_of(NodeIdx node) const;
   [[nodiscard]] Router& router_of(NodeIdx node);
   [[nodiscard]] const Router& router_of(NodeIdx node) const;
+  /// Throws std::logic_error while a schedule is replayed: the movement
+  /// engine is not stepped then, so no position is current.
   [[nodiscard]] geo::Vec2 position_of(NodeIdx node) const;
   [[nodiscard]] bool in_contact(NodeIdx a, NodeIdx b) const;
   /// Zero-copy view of `node`'s current neighbors, ascending. The reference
@@ -299,6 +350,10 @@ class World {
   void finalize_rebuild();
 
   void move_nodes();
+  /// Fires the replayed schedule's events of the current step.
+  void replay_links();
+  /// Fires `events[next...]` of the current step as ups or downs.
+  void replay_events(const std::vector<LinkEvent>& events, std::size_t& next, bool up);
   void sort_pair_keys(std::vector<std::uint64_t>& keys);
   /// True when there is no candidate list for the current node set, a bus
   /// cursor was rebased, or some node has strayed too far from its anchor
@@ -349,6 +404,11 @@ class World {
   std::vector<std::uint64_t> radix_tmp_;     // scratch: counting-sort output
   std::vector<std::uint32_t> active_slots_;  // connections with queued work
   std::vector<std::pair<std::uint64_t, std::uint32_t>> progress_scratch_;
+  bool recording_ = false;                   // link events go to recorded_
+  ContactSchedule recorded_;
+  std::shared_ptr<const ContactSchedule> replay_;  // replaces move + detect
+  std::size_t replay_down_ = 0;              // next down of replay_ to fire
+  std::size_t replay_up_ = 0;                // next up of replay_ to fire
 
   /// Multiset of message ids (id -> instance count) over the shared flat
   /// open-addressing table. Membership is O(1) like the former

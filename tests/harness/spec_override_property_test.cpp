@@ -20,25 +20,7 @@
 namespace dtn::harness {
 namespace {
 
-/// Serialized key -> value map of a spec's canonical config.
-std::map<std::string, std::string> config_map(const ScenarioSpec& spec) {
-  std::map<std::string, std::string> kv;
-  std::istringstream in(to_config(spec));
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const auto eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    auto trim = [](std::string s) {
-      const auto b = s.find_first_not_of(" \t");
-      const auto e = s.find_last_not_of(" \t");
-      return b == std::string::npos ? std::string() : s.substr(b, e - b + 1);
-    };
-    kv[trim(line.substr(0, eq))] = trim(line.substr(eq + 1));
-  }
-  return kv;
-}
+using test::config_map;
 
 /// Specs that together cover every registry entry's vocabulary: each map
 /// kind, and one group per mobility model (grouped by a compatible map).

@@ -4,11 +4,14 @@
 // of the campaign completes (isolate_failures).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
+#include "routing/factory.hpp"
 
 namespace dtn::harness {
 namespace {
@@ -202,6 +205,122 @@ TEST(SweepRobustness, IsolatedFailuresAppearInTheJsonSchema) {
   // filterability contract the crash-equivalence tooling relies on.
   EXPECT_NE(json.find("\"execution\""), std::string::npos);
   EXPECT_NE(json.find("\"exec\""), std::string::npos);
+}
+
+// ---- timeouts and the campaign memo ----------------------------------------
+// A protocol axis shares one contact key per seed, so its runs record and
+// replay contact schedules. An attempt the watchdog abandons may still run
+// to the end on its detached thread; it must not publish its recording.
+
+SpecSweepOptions protocol_axis_options() {
+  SpecSweepOptions opt;
+  opt.base = tiny_spec();
+  opt.axes = {{"protocol.name", {"EER", "Epidemic", "SprayAndWait"}}};
+  opt.seeds = 2;
+  opt.threads = 1;
+  return opt;
+}
+
+void expect_same_points(const std::vector<SpecPointResult>& got,
+                        const std::vector<SpecPointResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(want[i].label());
+    EXPECT_TRUE(got[i].exec.ok());
+    EXPECT_EQ(got[i].result.delivery_ratio.count(), want[i].result.delivery_ratio.count());
+    EXPECT_EQ(got[i].result.delivery_ratio.mean(), want[i].result.delivery_ratio.mean());
+    EXPECT_EQ(got[i].result.delivery_ratio.stddev(), want[i].result.delivery_ratio.stddev());
+    EXPECT_EQ(got[i].result.latency.mean(), want[i].result.latency.mean());
+    EXPECT_EQ(got[i].result.goodput.mean(), want[i].result.goodput.mean());
+    EXPECT_EQ(got[i].result.control_mb.mean(), want[i].result.control_mb.mean());
+    EXPECT_EQ(got[i].result.relayed.mean(), want[i].result.relayed.mean());
+    EXPECT_EQ(got[i].result.contacts.mean(), want[i].result.contacts.mean());
+  }
+}
+
+/// Waits until no abandoned attempt holds `memo` any more.
+void wait_for_abandoned_attempts(const std::shared_ptr<CampaignMemo>& memo) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (memo.use_count() > 1 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(memo.use_count(), 1) << "an abandoned attempt never finished";
+}
+
+TEST(SweepRobustness, HungAttemptOnAProtocolAxisChangesNoResult) {
+  // Point 0's first attempt stalls 1500 ms against a 200 ms budget; its
+  // retry and every other run record or replay as usual.
+  const auto want = run_spec_sweep(protocol_axis_options());
+  SweepFaultPlan fault;
+  fault.action = SweepFaultPlan::Action::kHang;
+  fault.point = 0;
+  fault.hang_ms = 1500;
+  fault.fires = 1;
+  SpecSweepOptions opt = protocol_axis_options();
+  opt.point_timeout_s = 0.2;
+  opt.retries = 1;
+  opt.fault_plan = &fault;
+  opt.memo = std::make_shared<CampaignMemo>();
+  const auto got = run_spec_sweep(opt);
+  expect_same_points(got, want);
+  EXPECT_EQ(got[0].exec.tries, opt.seeds + 1);
+  wait_for_abandoned_attempts(opt.memo);
+  const CampaignMemo::Stats stats = opt.memo->stats();
+  EXPECT_GT(stats.replayed, 0u);
+  EXPECT_LE(stats.offered, stats.recorded);
+  EXPECT_EQ(opt.memo->stats().held, 0u);
+}
+
+/// Sleeps in the first contact callback of the process while armed: a hang
+/// inside the run, after its attempt has taken its contact key.
+std::atomic<int> g_stalls{0};
+
+class StallingRouter final : public sim::Router {
+ public:
+  [[nodiscard]] std::string name() const override { return "Stalling"; }
+  void on_contact_up(sim::NodeIdx /*peer*/) override {
+    if (g_stalls.fetch_sub(1) > 0) std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  }
+};
+
+// Registered before main: the registry takes no new entry while detached
+// attempts of earlier tests may still read it.
+const bool kStallingRegistered = [] {
+  routing::register_protocol("Stalling", [](const routing::ProtocolConfig&) {
+    return std::make_unique<StallingRouter>();
+  });
+  return true;
+}();
+
+TEST(SweepRobustness, AbandonedAttemptPublishesNothing) {
+  ASSERT_TRUE(kStallingRegistered);
+  SpecSweepOptions clean = protocol_axis_options();
+  clean.seeds = 1;
+  clean.axes = {{"protocol.name", {"Epidemic", "SprayAndWait"}}};
+  const auto want = run_spec_sweep(clean);
+
+  // One seed, three runs of one contact key. The Stalling run takes the key
+  // first and records, stalls, and is abandoned at 300 ms; the Epidemic run
+  // then records and publishes, and the SprayAndWait run replays. The
+  // abandoned run finishes its recording later, and must not offer it.
+  g_stalls = 1;
+  SpecSweepOptions opt = clean;
+  opt.axes = {{"protocol.name", {"Stalling", "Epidemic", "SprayAndWait"}}};
+  opt.point_timeout_s = 0.3;
+  opt.isolate_failures = true;
+  opt.memo = std::make_shared<CampaignMemo>();
+  const auto got = run_spec_sweep(opt);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_FALSE(got[0].exec.ok());
+  EXPECT_NE(got[0].exec.error.find("timed out"), std::string::npos) << got[0].exec.error;
+  expect_same_points({got[1], got[2]}, want);
+
+  wait_for_abandoned_attempts(opt.memo);
+  const CampaignMemo::Stats stats = opt.memo->stats();
+  EXPECT_EQ(stats.recorded, 2u) << "the stalled run and the Epidemic run";
+  EXPECT_EQ(stats.offered, 1u) << "only the accepted recording is offered";
+  EXPECT_EQ(stats.replayed, 1u);
+  EXPECT_EQ(opt.memo->stats().held, 0u);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // deterministic, and the two reference scenarios as scenario-file text.
 #pragma once
 
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -101,6 +103,25 @@ inline sim::Message make_message(sim::MsgId id, sim::NodeIdx src, sim::NodeIdx d
   m.ttl = ttl;
   m.size_bytes = kb * 1024;
   return m;
+}
+
+/// Serialized key -> value map of a spec's canonical config (to_config).
+inline std::map<std::string, std::string> config_map(const harness::ScenarioSpec& spec) {
+  std::map<std::string, std::string> kv;
+  std::istringstream in(harness::to_config(spec));
+  for (std::string line; std::getline(in, line);) {
+    const auto hash = line.find('#');
+    if (hash != std::string::npos) line.resize(hash);
+    const auto eq = line.find('=');
+    if (eq == std::string::npos) continue;
+    const auto trim = [](const std::string& text) {
+      const auto b = text.find_first_not_of(" \t");
+      const auto e = text.find_last_not_of(" \t");
+      return b == std::string::npos ? std::string() : text.substr(b, e - b + 1);
+    };
+    kv[trim(line.substr(0, eq))] = trim(line.substr(eq + 1));
+  }
+  return kv;
 }
 
 /// The paper's evaluation scenario (Sec. V-A): 120 buses on the 12 x 16
