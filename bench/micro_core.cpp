@@ -141,8 +141,8 @@ void BM_DijkstraDense(benchmark::State& state) {
 }
 BENCHMARK(BM_DijkstraDense)->Arg(40)->Arg(120)->Arg(240);
 
-// Every edge present, as in a warm MEMD matrix once a node has heard of
-// every other node's meeting intervals.
+// Every edge present: the kernel's worst case, every vertex reachable. No
+// router passes such a matrix (see BM_DijkstraMemdShaped).
 void BM_DijkstraFullyDense(benchmark::State& state) {
   const auto n = static_cast<core::NodeIdx>(state.range(0));
   const std::vector<double> m = delay_matrix(n, 1.0);
@@ -151,6 +151,24 @@ void BM_DijkstraFullyDense(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraFullyDense)->Arg(40)->Arg(120)->Arg(240);
+
+// The shape of the MD matrices EER passes on the bus map at n = 120: about
+// 12% finite positive delays, a +0 diagonal, and a fifth of the vertices
+// with no finite in-edge, so the source reaches about 80% of them.
+void BM_DijkstraMemdShaped(benchmark::State& state) {
+  const auto n = static_cast<core::NodeIdx>(state.range(0));
+  std::vector<double> m = delay_matrix(n, 0.15);
+  for (core::NodeIdx i = 0; i < n; ++i) {
+    for (core::NodeIdx j = 2; j < n; j += 5) {
+      if (i == j) continue;
+      m[static_cast<std::size_t>(i) * n + j] = std::numeric_limits<double>::infinity();
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::dijkstra_dense(m, n, 0));
+  }
+}
+BENCHMARK(BM_DijkstraMemdShaped)->Arg(80)->Arg(120)->Arg(240);
 
 void BM_SpatialGridStep(benchmark::State& state) {
   // One full contact-detection step: rebuild the grid + enumerate pairs.

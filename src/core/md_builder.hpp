@@ -62,8 +62,8 @@ std::vector<double> build_md_intra(const MiMatrix& mi, const ContactHistory& his
 ///
 /// Theorem 2 reads each peer's interval window as a contiguous span, so the
 /// own row copies every peer's deque into one reused member buffer. Once
-/// warm, a rebuild allocates only the Dijkstra result and its work list
-/// (three allocations), whatever the number of peers.
+/// warm, a rebuild allocates only the Dijkstra result and its key array
+/// (two allocations), whatever the number of peers.
 class MemdCache {
  public:
   /// MEMD(self, dst) at time t; +inf when dst is unreachable in MD.
