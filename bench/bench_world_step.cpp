@@ -14,8 +14,8 @@
 // counter measures heap allocations per step after warm-up, (a) on a
 // traffic-free run where step() == move + detect_contacts, and (b) on the
 // buffer-pressure workload where the store churns every step. Both must
-// stay ~0 (residuals: rare spatial-grid cell discovery and
-// per-first-delivery metrics bookkeeping).
+// stay ~0 (residuals: per-first-delivery metrics bookkeeping and rare
+// container growth).
 //
 // A third, sparse-field workload A/Bs the two time engines a user picks
 // between: the kinetic event kernel (WorldConfig::event_kernel) against
@@ -352,8 +352,8 @@ int main(int argc, char** argv) {
   json += "    ]\n  },\n";
 
   // Allocation contract: traffic-free steady state must not heap-allocate.
-  // Warm-up must be long enough for the roaming nodes to have visited every
-  // grid cell of the bounded arena, or first-visit cell creation shows up.
+  // The warm-up lets the contact layer's vectors reach their high-water
+  // marks.
   const int alloc_nodes = smoke ? 200 : 1000;
   const int alloc_warmup = std::max(warmup, smoke ? 500 : 4000);
   const double allocs = bench::allocs_per_step(alloc_nodes, /*with_traffic=*/false,

@@ -278,7 +278,7 @@ sim::World& ScenarioRunner::prepare(const sim::WorldConfig& config) {
   if (!world_) {
     world_ = std::make_unique<sim::World>(config);
   } else {
-    world_->reset(config);  // retains slabs, pools, grid cells, lanes
+    world_->reset(config);  // retains slabs, pools, scratch, lanes
   }
   return *world_;
 }

@@ -109,7 +109,7 @@ class CampaignMemo {
 };
 
 /// Reusable scenario executor: owns one sim::World whose allocated capacity
-/// (buffer slabs, spatial-grid cells, adjacency/connection/transfer pools,
+/// (buffer slabs, cell-list scratch, adjacency/connection/transfer pools,
 /// movement lanes, metrics buckets) is retained across run() calls via
 /// World::reset(). A worker thread keeps one ScenarioRunner for a whole
 /// campaign, so per-run allocation work shrinks to what genuinely differs

@@ -57,7 +57,7 @@ std::int64_t EventKernel::step_at_or_after(double t) const {
 }
 
 std::uint64_t EventKernel::cell_key(std::int64_t cx, std::int64_t cy) noexcept {
-  // Same wrapped-int32 packing as geo::SpatialGrid.
+  // Each coordinate wrapped to 32 bits: x in the high half, y in the low.
   const auto ux = static_cast<std::uint32_t>(static_cast<std::int32_t>(cx));
   const auto uy = static_cast<std::uint32_t>(static_cast<std::int32_t>(cy));
   return (static_cast<std::uint64_t>(ux) << 32) | uy;

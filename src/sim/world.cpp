@@ -29,16 +29,14 @@ constexpr double kSkinTravelShare = 0.49;
 // from the origin.
 constexpr double kArcMargin = 1e-9;
 
-// Candidate reach, range + skin: the grid's cell size, and through
-// cell_size() the radius of a rebuild's pair sweep.
+// Candidate reach, range + skin: the radius of a rebuild's pair sweep.
 double candidate_reach(double radio_range) noexcept {
   return radio_range + kSkinPerRange * radio_range;
 }
 
 }  // namespace
 
-World::World(WorldConfig config)
-    : config_(config), grid_(candidate_reach(config.radio_range)) {}
+World::World(WorldConfig config) : config_(config) {}
 
 World::~World() = default;
 
@@ -146,17 +144,7 @@ void World::clear_sim_state() {
 }
 
 void World::reset(const WorldConfig& config) {
-  const double old_range = config_.radio_range;
   config_ = config;
-  if (config_.radio_range != old_range) {
-    // Cell size must match the candidate reach.
-    grid_ = geo::SpatialGrid(candidate_reach(config_.radio_range));
-  } else {
-    // Full cell reset: the rebuilt scenario's map (and thus its occupied
-    // region) may differ, and clear()-retained foreign cells would slow
-    // every pair sweep until pruning catches up.
-    grid_.reset();
-  }
   clear_sim_state();
   engine_.clear();
   has_traffic_ = false;  // re-armed by the next set_traffic(), if any
@@ -167,9 +155,6 @@ void World::reset(const WorldConfig& config) {
 void World::reseed(std::uint64_t seed) {
   finalize_rebuild();  // self-heal like run()/step(): trim a pending rebuild
   config_.seed = seed;
-  // Points-only clear: the scenario structure (and so the roamed region)
-  // is unchanged, so the discovered cell set stays warm.
-  grid_.clear();
   clear_sim_state();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node& node = nodes_[i];
@@ -540,16 +525,11 @@ bool World::candidates_stale() {
 
 void World::rebuild_candidates() {
   const std::vector<geo::Vec2>& pos = engine_.positions();
-  // Incremental grid maintenance: only boundary crossings touch cells. The
-  // engine's contiguous position array feeds the grid without touching the
-  // Node structs at all.
-  grid_.advance_epoch();
+  grid_.clear();
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     grid_.update(static_cast<NodeIdx>(i), pos[i]);
   }
-  // The sweep radius is the cell size itself, so all_pairs_into's
-  // radius <= cell_size() precondition holds exactly.
-  grid_.all_pairs_into(grid_.cell_size(), pair_scratch_);
+  grid_.all_pairs_into(candidate_reach(config_.radio_range), pair_scratch_);
   candidates_.clear();
   for (const auto& [a, b] : pair_scratch_) candidates_.push_back(pair_key(a, b));
   // Key order == ascending (a, b), whatever order the grid enumerated the

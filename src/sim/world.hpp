@@ -11,8 +11,9 @@
 //  - a slot pool of Connection records addressed through the adjacency
 //    lists (no per-link hash map), recycled across link churn;
 //  - a displacement-bounded candidate list (a Verlet neighbour list): a
-//    rebuild re-buckets every node in the spatial grid and keeps, sorted,
-//    every pair within range + skin, with each node's position as its
+//    rebuild sorts every node into a cell list built from scratch
+//    (geo::SpatialGrid, O(n) memory on any map) and keeps, sorted, every
+//    pair within range + skin, with each node's position as its
 //    anchor. Until some node strays 0.49 of the skin from its anchor, a
 //    step tests only those candidates, with the same
 //    `distance2_to <= range^2` predicate a full sweep would apply: a pair
@@ -58,7 +59,7 @@
 // it for every protocol (harness::CampaignMemo).
 //
 // Cross-run reuse (PR 3): one World can execute many simulation runs while
-// RETAINING its allocated capacity — buffer slabs, spatial-grid cells,
+// RETAINING its allocated capacity — buffer slabs, cell-list scratch,
 // adjacency/connection/transfer pools, movement lanes, metrics buckets:
 //   - reset(config) + add_node(...) per node + set_traffic/run rebuilds the
 //     world for a possibly different scenario (node count, protocol, map);
@@ -106,9 +107,9 @@ struct WorldConfig {
   /// (sim_event_kernel_test). Falls back to fixed-dt stepping when a node
   /// has no closed-form trajectory (bus/custom movement). Set before run().
   /// On a sparse field the fixed-dt loop, which tests only its contact
-  /// candidates, steps faster than the kernel (BENCH_world_step.json); the
-  /// kernel's gain there is memory, as it keeps no grid over the roamed
-  /// area.
+  /// candidates, steps about 3x faster than the kernel
+  /// (BENCH_world_step.json) and peaks at the same memory, since its cell
+  /// list is O(n) on any map: no measured workload favours the kernel.
   bool event_kernel = false;
 };
 

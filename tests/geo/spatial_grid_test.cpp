@@ -1,200 +1,193 @@
+// geo::SpatialGrid against an O(n^2) loop with the same predicate,
+// distance2_to <= radius^2: on every cloud, the sorted pairs that
+// all_pairs_into returns must equal the brute-force list, so no pair is
+// missed, invented or returned twice.
 #include "geo/spatial_grid.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
 namespace dtn::geo {
 namespace {
 
-TEST(SpatialGrid, QueryFindsInRangeOnly) {
-  SpatialGrid grid(10.0);
-  grid.insert(0, {0.0, 0.0});
-  grid.insert(1, {5.0, 0.0});
-  grid.insert(2, {20.0, 0.0});
-  auto near = grid.query({0.0, 0.0}, 10.0, 0);
-  std::sort(near.begin(), near.end());
-  EXPECT_EQ(near, (std::vector<std::int32_t>{1}));
+using Pairs = std::vector<std::pair<std::int32_t, std::int32_t>>;
+
+// World's sweep radius at a 10 m radio: range + a 2x-range skin.
+constexpr double kReach = 30.0;
+
+Pairs brute_force(const std::vector<Vec2>& pts, double radius) {
+  Pairs want;
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    for (std::size_t j = i + 1; j < pts.size(); ++j) {
+      if (pts[i].distance2_to(pts[j]) <= radius * radius) {
+        want.emplace_back(static_cast<std::int32_t>(i), static_cast<std::int32_t>(j));
+      }
+    }
+  }
+  return want;
 }
 
-TEST(SpatialGrid, QueryExcludesSelf) {
-  SpatialGrid grid(10.0);
-  grid.insert(7, {1.0, 1.0});
-  EXPECT_TRUE(grid.query({1.0, 1.0}, 5.0, 7).empty());
-  EXPECT_EQ(grid.query({1.0, 1.0}, 5.0).size(), 1u);
-}
-
-TEST(SpatialGrid, ClearKeepsNothing) {
-  SpatialGrid grid(10.0);
-  grid.insert(0, {0.0, 0.0});
-  EXPECT_EQ(grid.size(), 1u);
+/// Clears `grid`, sets `pts` as ids 0..n-1 and returns its sorted pairs.
+Pairs grid_pairs(SpatialGrid& grid, const std::vector<Vec2>& pts, double radius) {
   grid.clear();
-  EXPECT_EQ(grid.size(), 0u);
-  EXPECT_TRUE(grid.query({0.0, 0.0}, 100.0).empty());
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    grid.update(static_cast<std::int32_t>(i), pts[i]);
+  }
+  Pairs got;
+  grid.all_pairs_into(radius, got);
+  std::sort(got.begin(), got.end());
+  return got;
 }
 
-TEST(SpatialGrid, NegativeCoordinates) {
-  SpatialGrid grid(10.0);
-  grid.insert(0, {-15.0, -15.0});
-  grid.insert(1, {-12.0, -15.0});
-  const auto pairs = grid.all_pairs(10.0);
-  ASSERT_EQ(pairs.size(), 1u);
-  EXPECT_EQ(pairs[0], (std::pair<std::int32_t, std::int32_t>{0, 1}));
-}
-
-TEST(SpatialGrid, AllPairsAcrossCellBoundary) {
-  SpatialGrid grid(10.0);
-  // Points in adjacent cells but within range.
-  grid.insert(0, {9.5, 0.0});
-  grid.insert(1, {10.5, 0.0});
-  const auto pairs = grid.all_pairs(10.0);
-  ASSERT_EQ(pairs.size(), 1u);
-}
-
-TEST(SpatialGrid, AllPairsMatchesBruteForceOnRandomPoints) {
-  const double radius = 10.0;
-  SpatialGrid grid(radius);
-  util::Pcg32 rng(99, 1);
+std::vector<Vec2> uniform_cloud(std::uint64_t seed, int n, Vec2 lo, Vec2 hi) {
+  util::Pcg32 rng(seed, 3);
   std::vector<Vec2> pts;
-  for (std::int32_t i = 0; i < 200; ++i) {
-    const Vec2 p{rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0)};
-    pts.push_back(p);
-    grid.insert(i, p);
+  for (int i = 0; i < n; ++i) {
+    pts.push_back({rng.uniform(lo.x, hi.x), rng.uniform(lo.y, hi.y)});
   }
-  std::set<std::pair<std::int32_t, std::int32_t>> expected;
-  for (std::int32_t i = 0; i < 200; ++i) {
-    for (std::int32_t j = i + 1; j < 200; ++j) {
-      if (pts[static_cast<std::size_t>(i)].distance_to(
-              pts[static_cast<std::size_t>(j)]) <= radius) {
-        expected.insert({i, j});
-      }
-    }
-  }
-  auto pairs = grid.all_pairs(radius);
-  const std::set<std::pair<std::int32_t, std::int32_t>> actual(pairs.begin(),
-                                                               pairs.end());
-  EXPECT_EQ(actual, expected);
-  EXPECT_EQ(pairs.size(), actual.size()) << "no duplicate pairs";
+  return pts;
 }
 
-TEST(SpatialGrid, QueryMatchesBruteForce) {
-  const double radius = 7.5;
-  SpatialGrid grid(radius);
-  util::Pcg32 rng(123, 5);
+TEST(SpatialGrid, NoPointsAndOnePointHaveNoPairs) {
+  SpatialGrid grid;
+  EXPECT_TRUE(grid_pairs(grid, {}, kReach).empty());
+  EXPECT_TRUE(grid_pairs(grid, {{3.0, -4.0}}, kReach).empty());
+}
+
+TEST(SpatialGrid, MatchesBruteForceAcrossNegativeCoordinates) {
+  SpatialGrid grid;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    const auto pts = uniform_cloud(seed, 400, {-300.0, -250.0}, {60.0, 90.0});
+    ASSERT_EQ(grid_pairs(grid, pts, kReach), brute_force(pts, kReach)) << "seed " << seed;
+  }
+  const auto far = uniform_cloud(9, 300, {-9.0e5, -9.0e5}, {-8.9996e5, -8.9996e5});
+  EXPECT_EQ(grid_pairs(grid, far, kReach), brute_force(far, kReach));
+}
+
+TEST(SpatialGrid, MatchesBruteForceOnCellEdgesAndAtExactlyTheRadius) {
+  // A 6 m lattice over [-60, 60]^2: every cell edge (a multiple of 30) holds
+  // points, and pairs 30 m apart on an axis or as an 18-24-30 triangle are
+  // exactly the radius apart.
   std::vector<Vec2> pts;
-  for (std::int32_t i = 0; i < 150; ++i) {
-    const Vec2 p{rng.uniform(0.0, 80.0), rng.uniform(0.0, 80.0)};
-    pts.push_back(p);
-    grid.insert(i, p);
+  for (int i = -10; i <= 10; ++i) {
+    for (int j = -10; j <= 10; ++j) pts.push_back({6.0 * i, 6.0 * j});
   }
-  const Vec2 probe{40.0, 40.0};
-  auto found = grid.query(probe, radius);
-  std::sort(found.begin(), found.end());
-  std::vector<std::int32_t> expected;
-  for (std::int32_t i = 0; i < 150; ++i) {
-    if (probe.distance_to(pts[static_cast<std::size_t>(i)]) <= radius) {
-      expected.push_back(i);
+  const Pairs want = brute_force(pts, kReach);
+  ASSERT_NE(std::find(want.begin(), want.end(), Pairs::value_type{0, 5 * 21}), want.end())
+      << "the lattice holds a pair exactly the radius apart";
+  SpatialGrid grid;
+  EXPECT_EQ(grid_pairs(grid, pts, kReach), want);
+  // Other radii put the same lattice off the cell edges.
+  for (const double radius : {6.0, 7.5, 10.0, 12.0}) {
+    EXPECT_EQ(grid_pairs(grid, pts, radius), brute_force(pts, radius)) << radius;
+  }
+}
+
+TEST(SpatialGrid, CoincidentPointsPairWithEachOther) {
+  std::vector<Vec2> pts(12, Vec2{30.0, -30.0});
+  pts.resize(20, Vec2{44.5, 7.25});
+  pts.push_back({1000.0, 1000.0});
+  SpatialGrid grid;
+  const Pairs got = grid_pairs(grid, pts, kReach);
+  EXPECT_EQ(got, brute_force(pts, kReach));
+  EXPECT_EQ(got.size(), 12u * 11u / 2u + 8u * 7u / 2u);
+}
+
+TEST(SpatialGrid, NonFinitePointsPairWithNothing) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Vec2> pts{{kInf, 0.0},  {kInf, 0.0},   {0.0, -kInf},
+                              {1.0, 2.0},   {-kInf, kInf}, {std::nan(""), 5.0},
+                              {4.0, -3.0}};
+  SpatialGrid grid;
+  EXPECT_EQ(grid_pairs(grid, pts, kReach), (Pairs{{3, 6}}));
+  EXPECT_EQ(brute_force(pts, kReach), (Pairs{{3, 6}}));
+}
+
+TEST(SpatialGrid, MatchesBruteForceOnDenseClouds) {
+  // Several points per cell, at radii below the density's spacing and above.
+  SpatialGrid grid;
+  for (const int n : {2, 10, 50, 120, 600}) {
+    const auto pts =
+        uniform_cloud(static_cast<std::uint64_t>(n), n, {0.0, 0.0}, {90.0, 90.0});
+    for (const double radius : {3.0, 10.0, kReach}) {
+      ASSERT_EQ(grid_pairs(grid, pts, radius), brute_force(pts, radius))
+          << "n " << n << ", radius " << radius;
     }
   }
-  EXPECT_EQ(found, expected);
 }
 
-TEST(SpatialGrid, OccupiedIndexTracksCellTransitions) {
-  SpatialGrid grid(10.0);
-  EXPECT_EQ(grid.occupied_cell_count(), 0u);
-  grid.insert(0, {1.0, 1.0});
-  grid.insert(1, {2.0, 2.0});  // same cell
-  grid.insert(2, {25.0, 25.0});
-  EXPECT_EQ(grid.occupied_cell_count(), 2u);
-  // Moving within a cell changes nothing; crossing empties the old cell
-  // (1 -> 0, swap-removed) and occupies the new one (0 -> 1).
-  grid.update(2, {26.0, 26.0});
-  EXPECT_EQ(grid.occupied_cell_count(), 2u);
-  grid.update(2, {55.0, 55.0});
-  EXPECT_EQ(grid.occupied_cell_count(), 2u);  // old emptied, new occupied
-  grid.update(1, {55.0, 56.0});  // joins node 2's cell; old cell keeps node 0
-  EXPECT_EQ(grid.occupied_cell_count(), 2u);
-  ASSERT_TRUE(grid.remove(0));
-  EXPECT_EQ(grid.occupied_cell_count(), 1u);
-  grid.clear();
-  EXPECT_EQ(grid.occupied_cell_count(), 0u);
-  grid.insert(3, {0.0, 0.0});
-  EXPECT_EQ(grid.occupied_cell_count(), 1u);
-  grid.reset();
-  EXPECT_EQ(grid.occupied_cell_count(), 0u);
-}
-
-TEST(SpatialGrid, OccupiedIndexSurvivesCompactionAndChurn) {
-  // Enough cell discovery to trigger compact() (created_since_compact > 64)
-  // while points churn between cells; the occupied-index sweep must keep
-  // producing exactly the brute-force pair set throughout.
-  SpatialGrid grid(10.0);
-  util::Pcg32 rng(2024, 7);
-  constexpr int kPoints = 60;
-  std::vector<Vec2> pos(kPoints);
-  for (int i = 0; i < kPoints; ++i) {
-    pos[i] = {rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)};
-    grid.insert(i, pos[i]);
-  }
-  std::vector<std::pair<std::int32_t, std::int32_t>> pairs;
-  for (int round = 0; round < 120; ++round) {
-    grid.advance_epoch();
-    for (int i = 0; i < kPoints; ++i) {
-      // Teleporting walk: constant cell crossings and fresh cell discovery.
-      pos[i] = {rng.uniform(0.0, 400.0), rng.uniform(0.0, 400.0)};
-      grid.update(i, pos[i]);
-    }
-    grid.all_pairs_into(10.0, pairs);
-    std::set<std::pair<std::int32_t, std::int32_t>> got(pairs.begin(), pairs.end());
-    ASSERT_EQ(got.size(), pairs.size()) << "duplicate pair, round " << round;
-    std::set<std::pair<std::int32_t, std::int32_t>> want;
-    for (int a = 0; a < kPoints; ++a) {
-      for (int b = a + 1; b < kPoints; ++b) {
-        if (pos[a].distance_to(pos[b]) <= 10.0) want.emplace(a, b);
-      }
-    }
-    ASSERT_EQ(got, want) << "pair set diverged at round " << round;
-    ASSERT_LE(grid.occupied_cell_count(), static_cast<std::size_t>(kPoints));
-    ASSERT_LE(grid.occupied_cell_count(), grid.cell_count());
-  }
-}
-
-TEST(SpatialGrid, ZeroOrNegativeCellSizeSanitized) {
-  SpatialGrid g1(0.0);
-  EXPECT_GT(g1.cell_size(), 0.0);
-  SpatialGrid g2(-3.0);
-  EXPECT_GT(g2.cell_size(), 0.0);
-}
-
-class GridDensityTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(GridDensityTest, PairCountMatchesBruteForce) {
-  const int n = GetParam();
-  const double radius = 10.0;
-  SpatialGrid grid(radius);
-  util::Pcg32 rng(7, static_cast<std::uint64_t>(n));
+TEST(SpatialGrid, MatchesBruteForceOnABusDensityCloud) {
+  // 240 buses on 12 straight routes across a 4 km x 3 km map: sparse
+  // overall, with runs of neighbours along each route.
+  util::Pcg32 rng(2011, 5);
   std::vector<Vec2> pts;
-  for (std::int32_t i = 0; i < n; ++i) {
-    const Vec2 p{rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)};
-    pts.push_back(p);
-    grid.insert(i, p);
-  }
-  std::size_t expected = 0;
-  for (std::int32_t i = 0; i < n; ++i) {
-    for (std::int32_t j = i + 1; j < n; ++j) {
-      if (pts[static_cast<std::size_t>(i)].distance_to(
-              pts[static_cast<std::size_t>(j)]) <= radius) {
-        ++expected;
-      }
+  for (int route = 0; route < 12; ++route) {
+    const Vec2 a{rng.uniform(0.0, 4000.0), rng.uniform(0.0, 3000.0)};
+    const Vec2 b{rng.uniform(0.0, 4000.0), rng.uniform(0.0, 3000.0)};
+    for (int bus = 0; bus < 20; ++bus) {
+      const double s = rng.next_double();
+      pts.push_back({a.x + s * (b.x - a.x), a.y + s * (b.y - a.y)});
     }
   }
-  EXPECT_EQ(grid.all_pairs(radius).size(), expected);
+  SpatialGrid grid;
+  const Pairs want = brute_force(pts, kReach);
+  EXPECT_GT(want.size(), 20u);
+  EXPECT_EQ(grid_pairs(grid, pts, kReach), want);
 }
 
-INSTANTIATE_TEST_SUITE_P(Densities, GridDensityTest, ::testing::Values(2, 10, 50, 120));
+TEST(SpatialGrid, MatchesBruteForceOnA14KmSparseSpread) {
+  const auto pts = uniform_cloud(42, 4000, {0.0, 0.0}, {14000.0, 14000.0});
+  SpatialGrid grid;
+  const Pairs want = brute_force(pts, kReach);
+  EXPECT_GT(want.size(), 100u);
+  EXPECT_EQ(grid_pairs(grid, pts, kReach), want);
+}
+
+TEST(SpatialGrid, ClearDropsIdsThatAreNotSetAgain) {
+  // A warm grid reused for fewer ids must not pair the ids left over.
+  SpatialGrid grid;
+  const auto many = uniform_cloud(5, 300, {0.0, 0.0}, {200.0, 200.0});
+  ASSERT_EQ(grid_pairs(grid, many, kReach), brute_force(many, kReach));
+  const std::vector<Vec2> few(many.begin(), many.begin() + 40);
+  EXPECT_EQ(grid_pairs(grid, few, kReach), brute_force(few, kReach));
+  EXPECT_TRUE(grid_pairs(grid, {}, kReach).empty());
+}
+
+TEST(SpatialGrid, RepeatedUpdateKeepsTheLastPosition) {
+  SpatialGrid grid;
+  grid.update(0, {0.0, 0.0});
+  grid.update(3, {500.0, 500.0});
+  grid.update(3, {-500.0, 20.0});
+  grid.update(3, {10.0, 10.0});  // the one that counts: 14.1 m from id 0
+  grid.update(7, {600.0, 0.0});  // ids 1, 2 and 4-6 were never set
+  grid.update(7, {0.0, 40.0});   // 40 m from id 0, 31.6 m from id 3
+  Pairs got;
+  grid.all_pairs_into(kReach, got);
+  EXPECT_EQ(got, (Pairs{{0, 3}}));
+}
+
+TEST(SpatialGrid, MatchesBruteForceOnReusedScratch) {
+  // One grid across clouds of varying size and spread, as World reuses it
+  // across rebuilds and scenarios.
+  SpatialGrid grid;
+  util::Pcg32 rng(2026, 7);
+  for (int round = 0; round < 30; ++round) {
+    const int n = static_cast<int>(rng.uniform_int(0, 400));
+    const double side = rng.uniform(20.0, 3000.0);
+    const auto pts = uniform_cloud(static_cast<std::uint64_t>(round) + 100, n,
+                                   {-side / 3.0, -side / 2.0}, {side, side / 2.0});
+    ASSERT_EQ(grid_pairs(grid, pts, kReach), brute_force(pts, kReach))
+        << "round " << round;
+  }
+}
 
 }  // namespace
 }  // namespace dtn::geo

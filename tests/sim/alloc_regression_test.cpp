@@ -6,7 +6,8 @@
 //   - steady-state Buffer churn (insert/erase/evict/expire at a fixed
 //     high-water count) must perform exactly zero allocations;
 //   - a warmed-up traffic-free World::step loop must stay at ~0
-//     allocations/step (residual: rare spatial-grid cell discovery);
+//     allocations/step, on a dense field and on a sparse one whose walkers
+//     keep reaching ground none of them has visited;
 //   - a warmed-up traffic-bearing epidemic workload with buffer pressure
 //     must stay far below one allocation/step (residual: per-delivery
 //     metrics bookkeeping and rare container growth);
@@ -130,28 +131,40 @@ TEST(AllocRegression, BufferSteadyChurnIsAllocationFree) {
   EXPECT_EQ(allocs, 0u) << "slab Buffer churn must not heap-allocate";
 }
 
-TEST(AllocRegression, ContactLayerStepLoopStaysAllocationFree) {
+/// Allocations per step over `steps` steps of a traffic-free world of `n`
+/// random-waypoint walkers on a square of side `side` m, after `warmup`
+/// steps.
+double walker_allocs_per_step(int n, double side, int warmup, int steps) {
   WorldConfig config;
   config.seed = 9;
   World world(config);
   mobility::RandomWaypointParams move;
   move.world_min = {0.0, 0.0};
-  const double side = std::sqrt(120.0 * 150);  // 120 m^2/node at n=150
   move.world_max = {side, side};
   move.speed_min = 2.0;
   move.speed_max = 14.0;
-  for (int i = 0; i < 150; ++i) {
+  for (int i = 0; i < n; ++i) {
     world.add_node(std::make_unique<mobility::RandomWaypoint>(move),
                    std::make_unique<routing::EpidemicRouter>());
   }
-  // Warm-up long enough for the roaming nodes to discover every grid cell.
-  for (int i = 0; i < 4000; ++i) world.step();
-  constexpr int kSteps = 1000;
+  for (int i = 0; i < warmup; ++i) world.step();
   const std::uint64_t allocs = counted([&] {
-    for (int i = 0; i < kSteps; ++i) world.step();
+    for (int i = 0; i < steps; ++i) world.step();
   });
-  EXPECT_LT(static_cast<double>(allocs) / kSteps, 0.5)
+  return static_cast<double>(allocs) / steps;
+}
+
+TEST(AllocRegression, ContactLayerStepLoopStaysAllocationFree) {
+  const double side = std::sqrt(120.0 * 150);  // 120 m^2/node at n=150
+  EXPECT_LT(walker_allocs_per_step(150, side, 4000, 1000), 0.5)
       << "traffic-free step loop regressed to allocating";
+}
+
+TEST(AllocRegression, SparseRoamingStepLoopStaysAllocationFree) {
+  // On a 4 km square the walkers keep entering cells that no node has
+  // held before; a rebuild must cost no allocation for them.
+  EXPECT_LT(walker_allocs_per_step(150, 4000.0, 1000, 2000), 0.5)
+      << "a rebuild allocates for cells it has not seen before";
 }
 
 TEST(AllocRegression, BufferPressureWorkloadStaysNearZeroAllocs) {
@@ -188,7 +201,7 @@ TEST(AllocRegression, BufferPressureWorkloadStaysNearZeroAllocs) {
 
 TEST(AllocRegression, ReusedWorldSeedIsNearAllocationFree) {
   // A reseeded run must ride entirely on retained capacity: slab buffers,
-  // grid cells, adjacency/connection pools, movement lanes, metrics
+  // cell-list scratch, adjacency/connection pools, movement lanes, metrics
   // buckets, traffic generator — the campaign-sweep steady state.
   WorldConfig config;
   config.seed = 23;

@@ -2,10 +2,9 @@
 // adjacency index must always agree with brute-force geometry under link
 // churn on every kind of world (walkers, buses, two buses meeting head-on,
 // a bus whose cursor is rebased, scripted jumps, pinned nodes, and steps
-// after an event-kernel run), and the reusable-scratch
-// SpatialGrid APIs must match their allocating reference forms. Whole
-// simulations are pinned by the metrics golden
-// (harness_metrics_golden_test).
+// after an event-kernel run). The cell list that builds the candidates is
+// checked against brute force in geo_spatial_grid_test. Whole simulations
+// are pinned by the metrics golden (harness_metrics_golden_test).
 #include <algorithm>
 #include <memory>
 #include <vector>
@@ -14,11 +13,9 @@
 
 #include "../test_support.hpp"
 #include "geo/polyline.hpp"
-#include "geo/spatial_grid.hpp"
 #include "mobility/bus_movement.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "sim/world.hpp"
-#include "util/rng.hpp"
 
 namespace dtn::sim {
 namespace {
@@ -249,59 +246,6 @@ TEST(ContactLayerTest, ContactCallbacksMirrorAdjacencyTransitions) {
   ASSERT_EQ(rec->contacts_down.size(), 1u);
   EXPECT_FALSE(world.in_contact(0, 1));
   EXPECT_TRUE(world.neighbors_of(0).empty());
-}
-
-TEST(ContactLayerTest, AllPairsIntoMatchesAllPairsOnRandomClouds) {
-  util::Pcg32 rng(2026, 7);
-  geo::SpatialGrid grid(10.0);
-  std::vector<std::pair<std::int32_t, std::int32_t>> scratch;
-  for (int round = 0; round < 20; ++round) {
-    grid.clear();
-    const int n = 20 + static_cast<int>(rng.next_u32() % 180);
-    for (int i = 0; i < n; ++i) {
-      grid.insert(i, {rng.next_double() * 120.0, rng.next_double() * 120.0});
-    }
-    auto baseline = grid.all_pairs(10.0);
-    grid.all_pairs_into(10.0, scratch);
-    std::sort(baseline.begin(), baseline.end());
-    std::sort(scratch.begin(), scratch.end());
-    ASSERT_EQ(scratch, baseline) << "round " << round;
-  }
-}
-
-TEST(ContactLayerTest, QueryIntoMatchesQuery) {
-  util::Pcg32 rng(7, 11);
-  geo::SpatialGrid grid(5.0);
-  for (int i = 0; i < 200; ++i) {
-    grid.insert(i, {rng.next_double() * 80.0, rng.next_double() * 80.0});
-  }
-  std::vector<std::int32_t> scratch;
-  for (int q = 0; q < 50; ++q) {
-    const geo::Vec2 pos{rng.next_double() * 80.0, rng.next_double() * 80.0};
-    auto baseline = grid.query(pos, 12.5, q);
-    grid.query_into(pos, 12.5, scratch, q);
-    std::sort(baseline.begin(), baseline.end());
-    std::sort(scratch.begin(), scratch.end());
-    ASSERT_EQ(scratch, baseline) << "query " << q;
-  }
-}
-
-TEST(ContactLayerTest, StaleCellsArePruned) {
-  geo::SpatialGrid grid(10.0);
-  // Occupy a 10x10 block of distinct cells once.
-  for (int i = 0; i < 100; ++i) {
-    grid.insert(i, {static_cast<double>(i % 10) * 10.0 + 5.0,
-                    static_cast<double>(i / 10) * 10.0 + 5.0});
-  }
-  ASSERT_GE(grid.cell_count(), 100u);
-  // Then rebuild from a single far-away cell for a long time: the stale
-  // cells must eventually be dropped instead of accumulating forever.
-  const int rebuilds = static_cast<int>(geo::SpatialGrid::kPruneAfter) * 2 + 10;
-  for (int s = 0; s < rebuilds; ++s) {
-    grid.clear();
-    grid.insert(0, {5000.0, 5000.0});
-  }
-  EXPECT_LE(grid.cell_count(), 4u);
 }
 
 }  // namespace
