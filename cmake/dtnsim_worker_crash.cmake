@@ -20,6 +20,9 @@
 #   5. stall: a worker that hangs with `--worker-timeout` set is killed,
 #      its shard restarts without the fault, and the campaign still ends
 #      with exit 0 and the same bytes
+#   6. point timeout: an attempt that stalls past `--point-timeout` stops
+#      at its deadline and fails its point (exit 1); with `--retries 1` the
+#      retry succeeds and the bytes match, on threads and on workers
 #
 # Invoked by CTest with -DDTNSIM=... -DSOURCE_DIR=... -DWORK_DIR=...
 # (see CMakeLists.txt).
@@ -156,5 +159,42 @@ if(NOT clean STREQUAL stalled)
                       "single-process campaign\n--- clean ---\n${clean}\n"
                       "--- stalled ---\n${stalled}")
 endif()
-message(STATUS "worker-crash recovery, degrade-then-resume and stall-restart "
-               "equivalence hold")
+# 6. Point timeout: point 0's first attempt stalls a minute against a 0.5 s
+#    --point-timeout and stops at its deadline, so each command ends in
+#    about half a second. Without a retry point 0 fails with the timeout's
+#    error (exit 1). With one, the retry succeeds and the bytes match the
+#    reference, on threads and on workers; a worker that did not receive
+#    the timeout would stall past the TIMEOUT.
+set(HANG_ARGS ${SWEEP_ARGS} --fault hang@point=0:ms=60000 --point-timeout 0.5)
+execute_process(COMMAND ${DTNSIM} ${HANG_ARGS} --out timed_out.json --threads 2
+                WORKING_DIRECTORY ${SCRATCH}
+                TIMEOUT 45
+                RESULT_VARIABLE rv OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rv STREQUAL "1")
+  message(FATAL_ERROR "campaign with a timed-out point exited ${rv}, expected 1:\n${err}")
+endif()
+file(READ ${SCRATCH}/timed_out.json timed_out)
+string(FIND "${timed_out}" "\"error\": \"timed out after 0.5 s\"" at)
+string(FIND "${err}" "protocol.copies=2: timed out after 0.5 s" err_at)
+if(at EQUAL -1 OR err_at EQUAL -1)
+  message(FATAL_ERROR "point 0 did not report its timeout:\n${err}\n${timed_out}")
+endif()
+foreach(mode "--threads;2" "--workers;2")
+  string(REPLACE ";" "_" tag "${mode}")
+  execute_process(COMMAND ${DTNSIM} ${HANG_ARGS} --retries 1 --out retried${tag}.json
+                          ${mode}
+                  WORKING_DIRECTORY ${SCRATCH}
+                  TIMEOUT 45
+                  RESULT_VARIABLE rv OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rv STREQUAL "0")
+    message(FATAL_ERROR "retried timeout (${mode}) exited ${rv}, expected 0:\n${err}")
+  endif()
+  read_filtered(${SCRATCH}/retried${tag}.json retried)
+  if(NOT clean STREQUAL retried)
+    message(FATAL_ERROR "timeout-then-retry aggregates (${mode}) diverge from the "
+                        "single-process campaign\n--- clean ---\n${clean}\n"
+                        "--- retried ---\n${retried}")
+  endif()
+endforeach()
+message(STATUS "worker-crash recovery, degrade-then-resume, stall-restart and "
+               "point-timeout equivalence hold")

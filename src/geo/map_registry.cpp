@@ -46,12 +46,10 @@ struct CachedTrace {
 /// a campaign over one trace would re-read the file (and re-scan its
 /// extent) for every (protocol, seed) task — cache per path instead.
 /// Entries live for the process (fine for CLI/bench lifetimes); files are
-/// assumed immutable while cached. Never destroyed, like the kind table
-/// below: a detached, timed-out sweep attempt may still build a map while
-/// the process exits.
+/// assumed immutable while cached.
 CachedTrace load_trace_cached(const std::string& path) {
-  static std::mutex& mutex = *new std::mutex;
-  static std::map<std::string, CachedTrace>& cache = *new std::map<std::string, CachedTrace>;
+  static std::mutex mutex;
+  static std::map<std::string, CachedTrace> cache;
   const std::lock_guard<std::mutex> lock(mutex);
   auto& entry = cache[path];
   if (!entry.trace) {
@@ -89,7 +87,7 @@ const std::vector<MapKindInfo>& registry() {
   using util::field_at;
   using M = MapParams;
   using D = DowntownParams;
-  static const std::vector<MapKindInfo>& kinds = *new std::vector<MapKindInfo>{
+  static const std::vector<MapKindInfo> kinds{
       {"downtown",
        {{"rows", field_at<&M::downtown, &D::rows>},
         {"cols", field_at<&M::downtown, &D::cols>},

@@ -204,8 +204,8 @@ bool parse_sweep_assignment(const std::string& payload, SpecSweepOptions* out,
     } else if (key == "sync_every") {
       ok = parse_int_field(value, 0, INT32_MAX, &out->sync_every);
     } else if (key == "point_timeout") {
-      // 0 = no watchdog. A huge or non-finite timeout would overflow the
-      // watchdog's duration_cast and fail every attempt as timed out.
+      // 0 = none. The CLI's own bounds: a daemon runs only what the
+      // driver's flags could have asked for.
       double& timeout = out->point_timeout_s;
       ok = parse_hex_double(value, &timeout) && std::isfinite(timeout) && timeout >= 0.0 &&
            timeout <= 1e9;

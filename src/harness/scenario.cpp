@@ -236,15 +236,19 @@ void CampaignMemo::offer(const std::string& key, sim::ContactSchedule schedule) 
 }
 
 std::shared_ptr<const core::CommunityTable> CampaignMemo::detected_communities(
-    const ScenarioSpec& spec) {
+    const ScenarioSpec& spec, sim::Deadline deadline) {
   const std::string key = detection_key(spec);
   std::unique_lock<std::mutex> lock(mutex_);
-  // A null table is being computed by another run. A warm-up waits on
-  // nothing, so this wait ends, even when that run's attempt was abandoned.
-  table_done_.wait(lock, [&] {
+  // A null table is being computed by another run. That warm-up waits on
+  // nothing, so it finishes or stops at its own deadline; this run waits
+  // until its own deadline at most.
+  const bool settled = table_done_.wait_until(lock, deadline, [&] {
     const auto it = tables_.find(key);
     return it == tables_.end() || it->second != nullptr;
   });
+  if (!settled) {
+    throw sim::DeadlineExceeded("run stopped at its deadline waiting for a warm-up");
+  }
   if (const auto it = tables_.find(key); it != tables_.end()) return it->second;
   tables_.emplace(key, nullptr);
   ++stats_.warmups;
@@ -254,8 +258,8 @@ std::shared_ptr<const core::CommunityTable> CampaignMemo::detected_communities(
     // The warm-up builds a throwaway World of its own, so the table depends
     // only on (spec, seed): reused runners and any thread count see the
     // same one.
-    table = std::make_shared<const core::CommunityTable>(
-        detect_spec_communities(spec, core::DetectionParams{}, spec.communities.warmup_s));
+    table = std::make_shared<const core::CommunityTable>(detect_spec_communities(
+        spec, core::DetectionParams{}, spec.communities.warmup_s, deadline));
   } catch (...) {
     lock.lock();
     tables_.erase(key);
@@ -294,7 +298,7 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   // assignment ("auto") or uniform round-robin.
   std::shared_ptr<const core::CommunityTable> communities;
   if (spec.communities.source == "detected") {
-    communities = memo_->detected_communities(spec);
+    communities = memo_->detected_communities(spec, deadline_);
   } else {
     std::vector<int> cid;
     cid.reserve(static_cast<std::size_t>(spec.node_count()));
@@ -312,6 +316,7 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   sim::WorldConfig world_config = spec.world;
   world_config.seed = spec.seed;
   sim::World& world = prepare(world_config);
+  world.set_deadline(deadline_);
 
   for (const auto& group : spec.groups) {
     // Heterogeneous routing: each group resolves its own protocol (per-group
@@ -326,8 +331,6 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
 
   world.set_traffic(resolve_traffic(spec));
 
-  recorded_key_.clear();
-  recorded_ = sim::ContactSchedule{};
   std::string key;
   CampaignMemo::Take take;
   if (memo_->expecting()) key = contact_schedule_key(spec);
@@ -338,22 +341,14 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
     world.record_contacts();
   }
   world.run(spec.duration_s);
-  if (take.record) {
-    recorded_ = world.take_recorded_contacts();
-    recorded_key_ = std::move(key);
-  }
+  // Reached only by a run that ran to the end: one that threw or stopped
+  // offers nothing.
+  if (take.record) memo_->offer(key, world.take_recorded_contacts());
 
   ScenarioResult result;
   result.metrics = world.metrics();
   result.contact_events = world.contact_events();
   return result;
-}
-
-void ScenarioRunner::publish_recording() {
-  if (recorded_key_.empty()) return;
-  memo_->offer(recorded_key_, std::move(recorded_));
-  recorded_key_.clear();
-  recorded_ = sim::ContactSchedule{};
 }
 
 ScenarioResult run_scenario(const ScenarioSpec& spec) {
@@ -363,7 +358,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
 
 core::CommunityTable detect_spec_communities(const ScenarioSpec& spec,
                                              const core::DetectionParams& detection,
-                                             double warmup_s) {
+                                             double warmup_s, sim::Deadline deadline) {
   validate_spec(spec);
   const geo::MapKindInfo* kind = geo::find_map_kind(spec.map.kind);
   const geo::BuiltMap map = kind->build(spec.map.params, spec.seed);
@@ -372,6 +367,7 @@ core::CommunityTable detect_spec_communities(const ScenarioSpec& spec,
   sim::WorldConfig world_config = spec.world;
   world_config.seed = spec.seed;
   sim::World world(world_config);
+  world.set_deadline(deadline);
   for (const auto& group : spec.groups) {
     // Same map, same movement, same per-node seed streams as the real run —
     // only the routers differ (routing-free contact loggers).

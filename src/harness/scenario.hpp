@@ -47,18 +47,19 @@ std::string contact_schedule_key(const ScenarioSpec& spec);
 ///    each contact key (expect) before it deals them; only a key with two or
 ///    more runs is ever recorded. A run of an announced key replays the
 ///    schedule the memo holds, or, when there is none yet and more runs of
-///    the key are to come, records its own. A recording is offered back
-///    (ScenarioRunner::publish_recording) only by an attempt the caller
-///    accepts: the first offer of a key is kept and later ones are dropped,
-///    as is any offer after the key's last run has started. Each run that
-///    takes a key counts against its announced runs, and the memo lets go
-///    of the schedule when the count reaches zero, so it holds at most one
-///    schedule per key with runs still to come (16 bytes per link event;
-///    about 0.14 MB for an 80-bus, 4 000 s run);
+///    the key are to come, records its own. A run offers its recording back
+///    once its simulation has run to the end, so a run that throws or stops
+///    at its deadline offers nothing. The first offer of a key is kept and
+///    later ones are dropped, as is any offer after the key's last run has
+///    started. Each run that takes a key counts against its announced runs,
+///    and the memo lets go of the schedule when the count reaches zero, so
+///    it holds at most one schedule per key with runs still to come (16
+///    bytes per link event; about 0.14 MB for an 80-bus, 4 000 s run);
 ///  - detected-communities tables, one per distinct warm-up input, each
 ///    computed once: a run that needs a table another run is computing
-///    waits for it, and if that computation throws, one waiter computes it
-///    anew. Tables are kept for the memo's lifetime.
+///    waits for it until its own deadline at most, and if that computation
+///    throws or stops, one waiter computes it anew. Tables are kept for the
+///    memo's lifetime.
 /// Thread-safe. A replayed run gives the same bits as a live one, so the
 /// memo changes how long a campaign takes, never what it returns.
 class CampaignMemo {
@@ -97,8 +98,10 @@ class CampaignMemo {
   /// Counts one run of `key` against its announced runs.
   Take take(const std::string& key);
   void offer(const std::string& key, sim::ContactSchedule schedule);
-  /// The detected-communities table of `spec` (communities.source = detected).
-  std::shared_ptr<const core::CommunityTable> detected_communities(const ScenarioSpec& spec);
+  /// The detected-communities table of `spec` (communities.source =
+  /// detected). Throws sim::DeadlineExceeded once `deadline` has passed.
+  std::shared_ptr<const core::CommunityTable> detected_communities(const ScenarioSpec& spec,
+                                                                   sim::Deadline deadline);
 
   mutable std::mutex mutex_;
   std::condition_variable table_done_;  ///< a warm-up finished or failed
@@ -131,14 +134,14 @@ class ScenarioRunner {
   /// groups through the registries and runs the simulation to completion.
   /// Throws std::invalid_argument (validate_spec / create_router) on
   /// inconsistent specs. With a campaign memo, the run replays its contact
-  /// key's schedule or records one (see CampaignMemo); a schedule that does
-  /// not fit the world throws std::logic_error.
+  /// key's schedule or records one and offers it back (see CampaignMemo); a
+  /// schedule that does not fit the world throws std::logic_error.
   ScenarioResult run(const ScenarioSpec& spec);
 
-  /// Offers the schedule the last run() recorded to the memo; a no-op when
-  /// it recorded none. Call it only for a run whose result is accepted:
-  /// a run that threw or was abandoned must not publish.
-  void publish_recording();
+  /// The wall-clock time at which the next run() stops (sim::World's
+  /// deadline, which also bounds the detected-communities warm-up); it
+  /// then throws sim::DeadlineExceeded and the runner stays reusable.
+  void set_deadline(sim::Deadline deadline) noexcept { deadline_ = deadline; }
 
  private:
   /// Builds or resets the owned World for a fresh run under `config`.
@@ -146,8 +149,7 @@ class ScenarioRunner {
 
   std::unique_ptr<sim::World> world_;
   std::shared_ptr<CampaignMemo> memo_;
-  std::string recorded_key_;           ///< contact key of the last run's recording
-  sim::ContactSchedule recorded_;      ///< the last run's recording, if any
+  sim::Deadline deadline_ = sim::Deadline::max();
 };
 
 /// Runs one spec to completion on a fresh runner (single-shot convenience;
@@ -160,9 +162,10 @@ ScenarioResult run_scenario(const ScenarioSpec& spec);
 /// and per-node seed streams as the real run — runs it for `warmup_s`
 /// simulated seconds, and detects communities from the pairwise contact
 /// counts. Deterministic in (spec, seed); independent of runner reuse and
-/// thread count.
+/// thread count. Throws sim::DeadlineExceeded once `deadline` has passed.
 core::CommunityTable detect_spec_communities(const ScenarioSpec& spec,
                                              const core::DetectionParams& detection,
-                                             double warmup_s);
+                                             double warmup_s,
+                                             sim::Deadline deadline = sim::Deadline::max());
 
 }  // namespace dtn::harness

@@ -366,9 +366,7 @@ const std::vector<GroupBuilder>& registry() {
   using Walk = mobility::RandomWaypointParams;
   using Home = mobility::CommunityMovementParams;
   using Fixed = mobility::StationaryParams;
-  // Never destroyed, like the protocol registry: a detached, timed-out
-  // sweep attempt may still build groups while the process exits.
-  static const std::vector<GroupBuilder>& builders = *new std::vector<GroupBuilder>{
+  static const std::vector<GroupBuilder> builders{
       {"bus",
        {{"speed_min", field_at<&G::bus, &Bus::speed_min>},
         {"speed_max", field_at<&G::bus, &Bus::speed_max>},

@@ -68,9 +68,7 @@ const std::vector<util::KeyRow<ScenarioSpec>>& spec_rows() {
   using Traffic = sim::TrafficParams;
   using Protocol = routing::ProtocolConfig;
   using Communities = CommunitySpec;
-  // Never destroyed, like the group builders: a detached, timed-out sweep
-  // attempt may still serialize its contact key while the process exits.
-  static const std::vector<util::KeyRow<S>>& rows = *new std::vector<util::KeyRow<S>>{
+  static const std::vector<util::KeyRow<S>> rows{
       {"scenario.name", field_at<&S::name>},
       {"scenario.duration", field_at<&S::duration_s>},
       {"scenario.seed", field_at<&S::seed>},
@@ -120,8 +118,7 @@ const std::vector<util::KeyRow<ScenarioSpec>>& spec_rows() {
 const std::vector<util::KeyRow<TrafficEntrySpec>>& matrix_rows() {
   using util::field_at;
   using E = TrafficEntrySpec;
-  // Never destroyed, for the reason spec_rows gives.
-  static const std::vector<util::KeyRow<E>>& rows = *new std::vector<util::KeyRow<E>>{
+  static const std::vector<util::KeyRow<E>> rows{
       {"interval_min", field_at<&E::interval_min>},
       {"interval_max", field_at<&E::interval_max>},
       {"size_bytes", field_at<&E::size_bytes>},

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <csignal>
@@ -46,6 +47,17 @@ SeedSample sample_of(const ScenarioResult& run) {
   s.relayed = static_cast<double>(run.metrics.relayed());
   s.contacts = static_cast<double>(run.contact_events);
   return s;
+}
+
+/// The deadline `seconds` of wall time from now; none for 0. A timeout past
+/// half the clock's remaining range (about 146 years) is none as well, so
+/// the sum cannot overflow.
+sim::Deadline deadline_after(double seconds) {
+  const auto now = std::chrono::steady_clock::now();
+  const std::chrono::duration<double> half_left = (sim::Deadline::max() - now) / 2;
+  if (!(seconds > 0.0 && seconds < half_left.count())) return sim::Deadline::max();
+  return now + std::chrono::duration_cast<sim::Deadline::duration>(
+                   std::chrono::duration<double>(seconds));
 }
 
 void fold_sample(PointResult& point, const SeedSample& s) {
@@ -426,8 +438,7 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
 
   // ---- contact schedules: count each contact key's runs before dealing ------
   // A key that more than one task takes is recorded by its first run and
-  // replayed by the others (CampaignMemo). A detached, timed-out attempt
-  // may outlive this call, so the memo is shared, not owned by the stack.
+  // replayed by the others (CampaignMemo).
   const std::shared_ptr<CampaignMemo> memo =
       options.memo != nullptr ? options.memo : std::make_shared<CampaignMemo>();
   std::unordered_map<std::string, int> runs_per_key;
@@ -525,17 +536,25 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
     recorded.notify_all();
   };
 
-  /// One simulation attempt on the worker's runner, no timeout. Returns
-  /// true on success; false fills `error`.
-  const auto attempt_inline = [&](ScenarioRunner& runner, const ScenarioSpec& spec,
-                                  int hang_ms, SeedSample& out, std::string& error) {
+  /// One simulation attempt on the worker's runner. With point_timeout_s set
+  /// the attempt stops at its next step once that much wall time has
+  /// passed, and the runner stays reusable. Returns true on success; false
+  /// fills `error`.
+  const auto attempt = [&](ScenarioRunner& runner, const ScenarioSpec& spec, int hang_ms,
+                           SeedSample& out, std::string& error) {
+    const sim::Deadline deadline = deadline_after(options.point_timeout_s);
     try {
       if (hang_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
+        const auto hang_end =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(hang_ms);
+        std::this_thread::sleep_until(std::min(hang_end, deadline));
+        if (hang_end > deadline) throw sim::DeadlineExceeded("stalled past the deadline");
       }
+      runner.set_deadline(deadline);
       out = sample_of(runner.run(spec));
-      runner.publish_recording();
       return true;
+    } catch (const sim::DeadlineExceeded&) {
+      error = "timed out after " + util::format_value(options.point_timeout_s) + " s";
     } catch (const std::exception& e) {
       error = e.what();
     } catch (...) {
@@ -544,77 +563,7 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
     return false;
   };
 
-  /// One attempt supervised by a wall-clock watchdog: the simulation runs
-  /// on a helper thread; if it outlives point_timeout_s it is ABANDONED
-  /// (helper + its World stay alive on shared_ptrs until the run returns,
-  /// then evaporate) and the worker continues on a fresh World. Returns
-  /// true on success, false with `error` on failure or timeout.
-  struct AttemptShared {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    bool abandoned = false;  ///< the watchdog gave up: publish nothing
-    bool ok = false;
-    SeedSample sample;
-    std::string error;
-  };
-  const auto attempt_with_timeout = [&](std::shared_ptr<ScenarioRunner>& runner_slot,
-                                        const ScenarioSpec& spec, int hang_ms,
-                                        SeedSample& out, std::string& error) {
-    auto shared = std::make_shared<AttemptShared>();
-    std::shared_ptr<ScenarioRunner> runner = runner_slot;
-    std::thread helper([shared, runner, spec, hang_ms] {
-      SeedSample sample;
-      std::string attempt_error;
-      bool ok = false;
-      try {
-        if (hang_ms > 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(hang_ms));
-        }
-        sample = sample_of(runner->run(spec));
-        ok = true;
-      } catch (const std::exception& e) {
-        attempt_error = e.what();
-      } catch (...) {
-        attempt_error = "unknown exception";
-      }
-      const std::lock_guard<std::mutex> lock(shared->m);
-      // Under the lock the watchdog abandons under, so an attempt either
-      // counts and publishes its recording, or does neither.
-      if (ok && !shared->abandoned) runner->publish_recording();
-      shared->sample = sample;
-      shared->error = std::move(attempt_error);
-      shared->ok = ok;
-      shared->done = true;
-      shared->cv.notify_all();
-    });
-    std::unique_lock<std::mutex> lock(shared->m);
-    const bool finished = shared->cv.wait_for(
-        lock, std::chrono::duration<double>(options.point_timeout_s),
-        [&] { return shared->done; });
-    if (finished) {
-      lock.unlock();
-      helper.join();
-      if (shared->ok) {
-        out = shared->sample;
-        return true;
-      }
-      error = shared->error;
-      return false;
-    }
-    shared->abandoned = true;
-    lock.unlock();
-    // It owns its runner (shared_ptr, holding the campaign memo) and spec
-    // (a copy), and the registries it reads are never destroyed, so it may
-    // outlive main().
-    helper.detach();
-    runner_slot = std::make_shared<ScenarioRunner>(memo);  // abandoned World replaced
-    error = "timed out after " + util::format_value(options.point_timeout_s) + " s";
-    return false;
-  };
-
-  const auto run_task = [&](std::shared_ptr<ScenarioRunner>& runner_slot,
-                            std::size_t i) {
+  const auto run_task = [&](ScenarioRunner& runner, std::size_t i) {
     const std::size_t p = tasks[i].point;
     ScenarioSpec spec = specs[p];
     spec.seed = tasks[i].seed;
@@ -649,9 +598,7 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
           case SweepFaultPlan::Action::kHang: hang_ms = fault->hang_ms; break;
         }
       }
-      ok = options.point_timeout_s > 0.0
-               ? attempt_with_timeout(runner_slot, spec, hang_ms, sample, error)
-               : attempt_inline(*runner_slot, spec, hang_ms, sample, error);
+      ok = attempt(runner, spec, hang_ms, sample, error);
     }
     const double wall_ms = watch.elapsed_ms();
 
@@ -681,15 +628,15 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
     }
   };
 
+  std::vector<ScenarioRunner> runners;  // one warm World per worker
+  runners.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w) runners.emplace_back(memo);
   if (workers <= 1) {
-    auto runner = std::make_shared<ScenarioRunner>(memo);  // one warm World, whole grid
-    for (std::size_t i = 0; i < tasks.size(); ++i) run_task(runner, i);
+    // Not through the shared pool: starting its threads would switch the
+    // process to glibc's locked malloc and libstdc++'s atomic shared_ptr
+    // counts for good, which made single-threaded runs 3-7% slower.
+    for (std::size_t i = 0; i < tasks.size(); ++i) run_task(runners[0], i);
   } else {
-    std::vector<std::shared_ptr<ScenarioRunner>> runners;  // one warm World per worker
-    runners.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      runners.push_back(std::make_shared<ScenarioRunner>(memo));
-    }
     util::ThreadPool::shared().parallel_for(
         tasks.size(), workers,
         [&](std::size_t worker, std::size_t i) { run_task(runners[worker], i); });

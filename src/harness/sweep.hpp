@@ -24,11 +24,12 @@
 // one CampaignMemo per call, which every worker's runner shares. The first
 // run of such a key records its link events, and the key's later runs
 // replay them in place of moving nodes and detecting contacts, bit for
-// bit. Only an accepted attempt publishes its recording: one that threw,
-// or that the point watchdog abandoned, never does. The memo drops a
-// schedule once its key's last task has started, so it holds at most one
-// schedule per key with tasks to come (16 bytes per link event). It lives
-// in this process: a shard worker replays only within its own points.
+// bit. A run offers its recording once its simulation has run to the
+// end, so an attempt that threw or stopped at its deadline never does. The
+// memo drops a schedule once its key's last task has started, so it holds
+// at most one schedule per key with tasks to come (16 bytes per link
+// event). It lives in this process: a shard worker replays only within its
+// own points.
 // Detected-communities warm-ups go through the same memo, once per call.
 // Multi-process fabric (PR 8): shard_index/shard_count restrict one
 // engine invocation to a deterministic slice of the point cross-product
@@ -50,7 +51,9 @@
 // uninterrupted campaign (pinned by harness_journal_property_test and the
 // dtnsim_crash_resume ctest). Per-point failure isolation
 // (isolate_failures / retries / point_timeout_s) records a throwing or
-// timed-out point as failed-with-reason instead of killing the campaign;
+// timed-out point as failed-with-reason instead of killing the campaign.
+// Every attempt runs on its worker's own thread, and a timed-out one stops
+// at its next step, so nothing of it outlives run_spec_sweep.
 // SweepFaultPlan is the deterministic fault-injection hook the recovery
 // tests drive (throw / hang / SIGKILL at a grid point or journal byte
 // offset).
@@ -102,7 +105,7 @@ struct SweepAxis {
 struct SweepFaultPlan {
   enum class Action {
     kThrow,  ///< the attempt throws std::runtime_error("injected fault ...")
-    kHang,   ///< the attempt sleeps hang_ms before running (drives timeouts)
+    kHang,   ///< the attempt sleeps hang_ms, or to its deadline, before running
     kKill    ///< raise(SIGKILL) — the process dies exactly as a crash would
   };
   Action action = Action::kThrow;
@@ -112,7 +115,9 @@ struct SweepFaultPlan {
   /// (checked after each record append, while the record is already
   /// flushed — "crash immediately after byte offset M").
   std::uint64_t journal_bytes = UINT64_MAX;
-  int hang_ms = 0;  ///< kHang: injected stall before the simulation runs
+  /// kHang: injected stall before the simulation runs; it ends at the
+  /// attempt's deadline (point_timeout_s) if that comes first.
+  int hang_ms = 0;
   int fires = 1;    ///< max at-point activations (INT_MAX = every attempt)
   std::atomic<int> fired{0};
 };
@@ -149,9 +154,12 @@ struct SpecSweepOptions {
   /// Extra attempts per failed point-run (one seed's simulation) before
   /// the point is declared failed.
   int retries = 0;
-  /// Wall-clock cap per point-run attempt, seconds; 0 = none. A timed-out
-  /// attempt is abandoned (its worker continues on a fresh World) and
-  /// counts as a failure, subject to `retries`.
+  /// Wall-clock cap per point-run attempt, seconds; 0 = none. Once it has
+  /// passed, the attempt stops at its next step (the event kernel: at its
+  /// next TTL sweep) with the error "timed out after <S> s", its worker
+  /// reuses the World, and it counts as a failure, subject to `retries`.
+  /// A hang inside one step (a router that never returns) does not stop;
+  /// the process fleet's worker timeout kills such a worker.
   double point_timeout_s = 0.0;
   /// Diagnostics channel (corrupt-tail warnings, resume notes). Serialized
   /// like `progress`; stderr in the CLI.

@@ -26,9 +26,7 @@ struct Entry {
 };
 
 std::vector<Entry>& registry() {
-  // Built once and never destroyed: a sweep's timed-out attempt thread is
-  // detached and may still create routers while the process exits.
-  static std::vector<Entry>& entries = *new std::vector<Entry>([] {
+  static std::vector<Entry> entries = [] {
     std::vector<Entry> e;
     e.push_back({"EER", [](const ProtocolConfig& config) -> std::unique_ptr<sim::Router> {
                    EerParams p;
@@ -88,7 +86,7 @@ std::vector<Entry>& registry() {
                    return std::make_unique<DelegationRouter>();
                  }});
     return e;
-  }());
+  }();
   return entries;
 }
 

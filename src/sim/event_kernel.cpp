@@ -324,6 +324,9 @@ void EventKernel::on_transfer_tick(const Ev& ev) {
 }
 
 void EventKernel::on_ttl_sweep(const Ev& ev) {
+  // The deadline is checked here rather than per event: sweeps are a few
+  // per simulated minute, events can be millions.
+  w_.check_deadline();
   const std::int64_t k = step_at_or_after(ev.time);
   w_.now_ = ev.time;
   w_.step_count_ = k;

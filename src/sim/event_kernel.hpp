@@ -12,7 +12,8 @@
 //                          quantized to the step grid
 //   traffic injections   — first grid step at/after the generator's clock
 //   transfer ticks       — per-step bandwidth budget while work is queued
-//   TTL sweeps           — first grid step reaching the sweep boundary
+//   TTL sweeps           — first grid step reaching the sweep boundary;
+//                          the World's deadline is checked here
 //
 // and advances now_ event-to-event.
 //

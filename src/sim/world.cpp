@@ -355,12 +355,20 @@ void World::run(double duration) {
     EventKernel(*this).run(step_count_, step_count_ + steps);
     return;
   }
-  for (std::int64_t i = 0; i < steps; ++i) step();
+  for (std::int64_t i = 0; i < steps; ++i) {
+    check_deadline();
+    step();
+  }
   if (replay_ != nullptr &&
       (replay_down_ < replay_->downs.size() || replay_up_ < replay_->ups.size())) {
     throw std::logic_error("contact schedule replay: the schedule has events past "
                            "the run's last step " + std::to_string(step_count_));
   }
+}
+
+void World::throw_deadline_exceeded() const {
+  throw DeadlineExceeded("run stopped at its deadline after step " +
+                         std::to_string(step_count_));
 }
 
 void World::record_contacts() { recording_ = true; }

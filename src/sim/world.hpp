@@ -58,6 +58,13 @@
 // (position_of() throws). A campaign records each schedule once and replays
 // it for every protocol (harness::CampaignMemo).
 //
+// Deadlines: set_deadline() gives run() a wall-clock time at which it stops.
+// The fixed-dt loop compares the clock with it before each step and the
+// event kernel at each TTL sweep; once it has passed, run() throws
+// DeadlineExceeded and leaves the World mid-run, which reset() and
+// reseed() make reusable like any finished run. With no deadline no clock
+// is read.
+//
 // Cross-run reuse (PR 3): one World can execute many simulation runs while
 // RETAINING its allocated capacity — buffer slabs, cell-list scratch,
 // adjacency/connection/transfer pools, movement lanes, metrics buckets:
@@ -76,8 +83,10 @@
 // refactor of this engine is bit-neutral exactly when that golden holds.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "geo/spatial_grid.hpp"
@@ -129,6 +138,15 @@ struct ContactSchedule {
   std::vector<LinkEvent> downs;  ///< links that went down
   std::vector<LinkEvent> ups;    ///< links that came up
   friend bool operator==(const ContactSchedule&, const ContactSchedule&) = default;
+};
+
+/// A wall-clock time at which a run stops; Deadline::max() means none.
+using Deadline = std::chrono::steady_clock::time_point;
+
+/// What run() throws once its deadline has passed.
+class DeadlineExceeded : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 class World {
@@ -183,6 +201,9 @@ class World {
   void run(double duration);
   /// Advances a single step (exposed for tests and incremental drivers).
   void step();
+  /// run() throws DeadlineExceeded at its next check once `deadline` has
+  /// passed (see header comment). reset() and reseed() keep it.
+  void set_deadline(Deadline deadline) noexcept { deadline_ = deadline; }
 
   /// Number of whole step_dt steps covering `duration`. Tolerance-aware:
   /// ratios within a few ulps of an integer count as that integer, so
@@ -350,6 +371,14 @@ class World {
   /// Trims surplus recycled node slots after a reset()+add_node rebuild.
   void finalize_rebuild();
 
+  /// Throws DeadlineExceeded once deadline_ has passed.
+  void check_deadline() const {
+    if (deadline_ != Deadline::max() && std::chrono::steady_clock::now() >= deadline_) {
+      throw_deadline_exceeded();
+    }
+  }
+  [[noreturn]] void throw_deadline_exceeded() const;
+
   void move_nodes();
   /// Fires the replayed schedule's events of the current step.
   void replay_links();
@@ -448,6 +477,7 @@ class World {
   Metrics metrics_;
   std::int64_t contact_events_ = 0;
   bool started_ = false;
+  Deadline deadline_ = Deadline::max();
 };
 
 }  // namespace dtn::sim

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -149,7 +150,6 @@ sim::ContactSchedule recorded_schedule(const ScenarioSpec& spec) {
   memo->expect(key, 2);
   ScenarioRunner runner(memo);
   runner.run(spec);
-  runner.publish_recording();
   const auto schedule = memo->schedule(key);
   EXPECT_NE(schedule, nullptr) << "the run recorded nothing";
   return schedule != nullptr ? *schedule : sim::ContactSchedule{};
@@ -364,7 +364,6 @@ TEST(CampaignMemo, ReplayEqualsLiveForEveryProtocolAndThreadCount) {
         for (int s = 0; s < kSeeds; ++s) {
           SCOPED_TRACE(protocols[p] + " seed " + std::to_string(s));
           expect_same_run(runner.run(task_spec(opt, protocols[p], s)), live[p * kSeeds + s]);
-          runner.publish_recording();
         }
       }
       const CampaignMemo::Stats stats = memo->stats();
@@ -394,7 +393,7 @@ TEST(CampaignMemo, ReplayEqualsLiveForEveryProtocolAndThreadCount) {
       EXPECT_GE(stats.recorded, static_cast<std::size_t>(kSeeds));
       EXPECT_GT(stats.replayed, 0u) << "the sweep replayed nothing";
       // A run that starts after its key's recordings but before any is
-      // published does neither, so this is a bound.
+      // offered does neither, so this is a bound.
       EXPECT_LE(stats.recorded + stats.replayed, protocols.size() * kSeeds);
       EXPECT_EQ(sweep.memo->stats().held, 0u);
     }
@@ -432,6 +431,23 @@ TEST(CampaignMemo, DetectedWarmUpRunsOncePerCampaign) {
     }
     expect_same_stat(got[p].result.delivery_ratio, want, opt.axes[0].values[p].c_str());
   }
+}
+
+TEST(CampaignMemo, StoppedWarmUpIsComputedAnew) {
+  // A run whose deadline has passed stops inside its detected-communities
+  // warm-up and leaves no table behind, so the next run of the same input
+  // computes the table anew and matches a fresh run.
+  ScenarioSpec spec = task_spec(protocol_sweep(shipped_scenarios()[0]), "CR", 0);
+  spec.communities.source = "detected";
+  spec.communities.warmup_s = 300.0;
+  auto memo = std::make_shared<CampaignMemo>();
+  ScenarioRunner runner(memo);
+  runner.set_deadline(std::chrono::steady_clock::now());
+  EXPECT_THROW(runner.run(spec), sim::DeadlineExceeded);
+  EXPECT_EQ(memo->stats().warmups, 1u);
+  runner.set_deadline(sim::Deadline::max());
+  expect_same_run(runner.run(spec), run_scenario(spec));
+  EXPECT_EQ(memo->stats().warmups, 2u) << "the stopped warm-up left its table behind";
 }
 
 }  // namespace

@@ -150,10 +150,9 @@ TEST(RemoteAssignment, RejectsUnknownFieldsAndBadSpecs) {
 
 TEST(RemoteAssignment, RejectsPolicyValuesTheCliRefuses) {
   // The daemon parses ASSIGN off the network: each value below parsed at
-  // the parent, and was then narrowed (4294967297 retries ran as 1),
-  // overflowed the point watchdog's duration_cast (a 2^1000 s timeout), or
-  // lay outside what `dtnsim sweep` accepts (0 seeds, a seed base past
-  // INT64_MAX).
+  // the parent, and was then narrowed (4294967297 retries ran as 1), or
+  // lay outside what `dtnsim sweep` accepts (a 2^1000 s point timeout, 0
+  // seeds, a seed base past INT64_MAX).
   const std::string good = harness::serialize_sweep_assignment(fixture_options());
   const std::size_t line_start = good.find('\n') + 1;
   const std::string params = good.substr(line_start, good.find('\n', line_start) - line_start);

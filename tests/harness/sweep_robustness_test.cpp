@@ -1,7 +1,9 @@
 // Per-point failure isolation, retry, timeout, and the exception-context
 // fix: a failing sweep point must either name itself in the rethrown
 // error (fail-fast mode) or be recorded failed-with-reason while the rest
-// of the campaign completes (isolate_failures).
+// of the campaign completes (isolate_failures). A timed-out attempt stops
+// at its deadline on its worker's own thread, so nothing it holds outlives
+// the sweep.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -145,10 +147,10 @@ TEST(SweepRobustness, RetriesExhaustedReportsAttemptCount) {
   EXPECT_EQ(results[0].exec.tries, opt.seeds * (1 + opt.retries));
 }
 
-TEST(SweepRobustness, TimeoutAbandonsAHungPoint) {
-  // Point 0's attempts stall 1500 ms against a 100 ms budget: the watchdog
-  // abandons them, the point records a timeout, and point 1 still
-  // completes on the worker's replacement runner.
+TEST(SweepRobustness, TimeoutStopsAHungPoint) {
+  // Point 0's attempts stall 1500 ms against a 100 ms budget: each stops at
+  // its deadline, the point records a timeout, and point 1 still completes
+  // on the same runner.
   SweepFaultPlan fault;
   fault.action = SweepFaultPlan::Action::kHang;
   fault.point = 0;
@@ -158,29 +160,26 @@ TEST(SweepRobustness, TimeoutAbandonsAHungPoint) {
   opt.point_timeout_s = 0.1;
   opt.isolate_failures = true;
   opt.fault_plan = &fault;
+  opt.memo = std::make_shared<CampaignMemo>();
   const auto results = run_spec_sweep(opt);
+  EXPECT_EQ(opt.memo.use_count(), 1) << "an attempt outlived the sweep";
   EXPECT_FALSE(results[0].exec.ok());
-  EXPECT_NE(results[0].exec.error.find("timed out"), std::string::npos)
-      << results[0].exec.error;
+  EXPECT_EQ(results[0].exec.error, "timed out after 0.1 s");
   EXPECT_TRUE(results[1].exec.ok());
   EXPECT_EQ(results[1].result.delivery_ratio.count(), 2u);
-
-  // The timed-out attempts' helper threads are detached and still hold
-  // their runners; outlive them before the test exits so the sanitizer
-  // sweep sees no in-flight allocations.
-  std::this_thread::sleep_for(std::chrono::milliseconds(2000));
 }
 
 TEST(SweepRobustness, TimeoutGenerousEnoughChangesNothing) {
-  // A timeout that never fires must not perturb the aggregates — the
-  // watchdog path runs the same spec on the same runner.
+  // A timeout that never fires must not perturb the aggregates. 1e9 s is
+  // the CLI's largest --point-timeout, so its deadline must not overflow.
   SpecSweepOptions plain = two_point_options();
   const auto want = run_spec_sweep(plain);
   SpecSweepOptions guarded = two_point_options();
-  guarded.point_timeout_s = 300.0;
+  guarded.point_timeout_s = 1e9;
   const auto got = run_spec_sweep(guarded);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i].exec.ok()) << got[i].exec.error;
     EXPECT_EQ(got[i].result.delivery_ratio.mean(),
               want[i].result.delivery_ratio.mean());
     EXPECT_EQ(got[i].result.latency.mean(), want[i].result.latency.mean());
@@ -209,8 +208,9 @@ TEST(SweepRobustness, IsolatedFailuresAppearInTheJsonSchema) {
 
 // ---- timeouts and the campaign memo ----------------------------------------
 // A protocol axis shares one contact key per seed, so its runs record and
-// replay contact schedules. An attempt the watchdog abandons may still run
-// to the end on its detached thread; it must not publish its recording.
+// replay contact schedules. An attempt that stops at its deadline must not
+// offer its recording, and no attempt may outlive run_spec_sweep: the
+// caller's memo is its only holder the moment the sweep returns.
 
 SpecSweepOptions protocol_axis_options() {
   SpecSweepOptions opt;
@@ -238,37 +238,41 @@ void expect_same_points(const std::vector<SpecPointResult>& got,
   }
 }
 
-/// Waits until no abandoned attempt holds `memo` any more.
-void wait_for_abandoned_attempts(const std::shared_ptr<CampaignMemo>& memo) {
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
-  while (memo.use_count() > 1 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_EQ(memo.use_count(), 1) << "an abandoned attempt never finished";
-}
-
-TEST(SweepRobustness, HungAttemptOnAProtocolAxisChangesNoResult) {
-  // Point 0's first attempt stalls 1500 ms against a 200 ms budget; its
-  // retry and every other run record or replay as usual.
-  const auto want = run_spec_sweep(protocol_axis_options());
+/// Point 0's first `fires` attempts stall 1500 ms against a 200 ms budget
+/// and are retried; the retries and every other run record or replay as
+/// usual, on `threads` workers.
+void expect_hung_attempts_change_no_result(std::size_t threads, int fires) {
+  SpecSweepOptions clean = protocol_axis_options();
+  clean.threads = threads;
+  const auto want = run_spec_sweep(clean);
   SweepFaultPlan fault;
   fault.action = SweepFaultPlan::Action::kHang;
   fault.point = 0;
   fault.hang_ms = 1500;
-  fault.fires = 1;
-  SpecSweepOptions opt = protocol_axis_options();
+  fault.fires = fires;
+  SpecSweepOptions opt = clean;
   opt.point_timeout_s = 0.2;
-  opt.retries = 1;
+  opt.retries = fires;
   opt.fault_plan = &fault;
   opt.memo = std::make_shared<CampaignMemo>();
   const auto got = run_spec_sweep(opt);
+  EXPECT_EQ(opt.memo.use_count(), 1) << "an attempt outlived the sweep";
   expect_same_points(got, want);
-  EXPECT_EQ(got[0].exec.tries, opt.seeds + 1);
-  wait_for_abandoned_attempts(opt.memo);
+  EXPECT_EQ(got[0].exec.tries, opt.seeds + fires);
   const CampaignMemo::Stats stats = opt.memo->stats();
   EXPECT_GT(stats.replayed, 0u);
   EXPECT_LE(stats.offered, stats.recorded);
-  EXPECT_EQ(opt.memo->stats().held, 0u);
+  EXPECT_EQ(stats.held, 0u);
+}
+
+TEST(SweepRobustness, HungAttemptOnAProtocolAxisChangesNoResult) {
+  expect_hung_attempts_change_no_result(1, 1);
+}
+
+TEST(SweepRobustness, ConcurrentHungAttemptsOnAProtocolAxisChangeNoResult) {
+  // Both seeds of point 0 hang on their first attempts, on two of three
+  // workers at once, so both stop concurrently.
+  expect_hung_attempts_change_no_result(3, 2);
 }
 
 /// Sleeps in the first contact callback of the process while armed: a hang
@@ -283,26 +287,20 @@ class StallingRouter final : public sim::Router {
   }
 };
 
-// Registered before main: the registry takes no new entry while detached
-// attempts of earlier tests may still read it.
-const bool kStallingRegistered = [] {
+TEST(SweepRobustness, TimedOutAttemptPublishesNothing) {
   routing::register_protocol("Stalling", [](const routing::ProtocolConfig&) {
     return std::make_unique<StallingRouter>();
   });
-  return true;
-}();
-
-TEST(SweepRobustness, AbandonedAttemptPublishesNothing) {
-  ASSERT_TRUE(kStallingRegistered);
   SpecSweepOptions clean = protocol_axis_options();
   clean.seeds = 1;
   clean.axes = {{"protocol.name", {"Epidemic", "SprayAndWait"}}};
   const auto want = run_spec_sweep(clean);
 
   // One seed, three runs of one contact key. The Stalling run takes the key
-  // first and records, stalls, and is abandoned at 300 ms; the Epidemic run
-  // then records and publishes, and the SprayAndWait run replays. The
-  // abandoned run finishes its recording later, and must not offer it.
+  // first and records, stalls 1 s inside a step, and stops at the step
+  // boundary after it, past its 300 ms deadline, without offering its
+  // recording; the Epidemic run then records and offers, and the
+  // SprayAndWait run replays.
   g_stalls = 1;
   SpecSweepOptions opt = clean;
   opt.axes = {{"protocol.name", {"Stalling", "Epidemic", "SprayAndWait"}}};
@@ -310,17 +308,17 @@ TEST(SweepRobustness, AbandonedAttemptPublishesNothing) {
   opt.isolate_failures = true;
   opt.memo = std::make_shared<CampaignMemo>();
   const auto got = run_spec_sweep(opt);
+  EXPECT_EQ(opt.memo.use_count(), 1) << "an attempt outlived the sweep";
   ASSERT_EQ(got.size(), 3u);
   EXPECT_FALSE(got[0].exec.ok());
-  EXPECT_NE(got[0].exec.error.find("timed out"), std::string::npos) << got[0].exec.error;
+  EXPECT_EQ(got[0].exec.error, "timed out after 0.3 s");
   expect_same_points({got[1], got[2]}, want);
 
-  wait_for_abandoned_attempts(opt.memo);
   const CampaignMemo::Stats stats = opt.memo->stats();
   EXPECT_EQ(stats.recorded, 2u) << "the stalled run and the Epidemic run";
-  EXPECT_EQ(stats.offered, 1u) << "only the accepted recording is offered";
+  EXPECT_EQ(stats.offered, 1u) << "only the finished recording is offered";
   EXPECT_EQ(stats.replayed, 1u);
-  EXPECT_EQ(opt.memo->stats().held, 0u);
+  EXPECT_EQ(stats.held, 0u);
 }
 
 }  // namespace

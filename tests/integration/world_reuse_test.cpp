@@ -10,8 +10,11 @@
 //    likelihoods/acks, EER/CR histories + MI matrices + MEMD caches, EBR
 //    windows, focus timers, delegation levels) plus in-place re-init of
 //    movement lanes, buffers, traffic, and metrics.
+//  - a World stopped mid-run by its deadline, with messages buffered and
+//    transfers queued, continues through either path like a fresh World.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -132,6 +135,52 @@ TEST(WorldReuse, ReseedMatchesFreshBuildAcrossAllProtocols) {
     EXPECT_EQ(world.metrics().goodput(), fresh_b.metrics.goodput());
   }
 }
+
+/// Runs half of `spec` on `world`, then stops it with a deadline that has
+/// already passed, and clears the deadline again.
+void stop_halfway(sim::World& world, const ScenarioSpec& spec) {
+  world.run(spec.duration_s / 2);
+  world.set_deadline(std::chrono::steady_clock::now());
+  EXPECT_THROW(world.run(spec.duration_s / 2), sim::DeadlineExceeded);
+  world.set_deadline(sim::Deadline::max());
+}
+
+ScenarioResult result_of(const sim::World& world) {
+  return {world.metrics(), world.contact_events()};
+}
+
+class StoppedWorldReuse : public testing::TestWithParam<std::string> {};
+
+TEST_P(StoppedWorldReuse, ResetAndReseedMatchAFreshWorld) {
+  const ScenarioSpec first = community_base(GetParam(), 61);
+  const ScenarioSpec second = community_base(GetParam(), 62);
+  const ScenarioResult fresh = run_scenario(second);
+  sim::WorldConfig config = first.world;
+  config.seed = first.seed;
+
+  sim::World rebuilt(config);
+  build_community_world(rebuilt, first);
+  stop_halfway(rebuilt, first);
+  config.seed = second.seed;
+  rebuilt.reset(config);
+  build_community_world(rebuilt, second);
+  rebuilt.run(second.duration_s);
+  expect_same_run(result_of(rebuilt), fresh, "reset");
+
+  config.seed = first.seed;
+  sim::World reseeded(config);
+  build_community_world(reseeded, first);
+  stop_halfway(reseeded, first);
+  reseeded.reseed(second.seed);
+  reseeded.run(second.duration_s);
+  expect_same_run(result_of(reseeded), fresh, "reseed");
+}
+
+INSTANTIATE_TEST_SUITE_P(Protocols, StoppedWorldReuse,
+                         testing::ValuesIn(routing::known_protocols()),
+                         [](const testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 TEST(WorldReuse, ReseedToSameSeedReproducesTheRun) {
   const ScenarioSpec spec = community_base("EER", 31);

@@ -8,6 +8,7 @@
 // kernel and still match.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -205,6 +206,46 @@ TEST(EventKernel, ReseedKeepsTheKernelBitIdentical) {
   kinetic.run(c.duration_s);
   EXPECT_TRUE(kinetic.event_kernel_used());
   expect_bit_identical(want, snapshot(kinetic));
+}
+
+TEST(EventKernel, StoppedKernelRunLeavesTheWorldReusable) {
+  // The kernel checks its deadline at TTL sweeps, so a deadline that has
+  // already passed stops the second half at its first sweep, mid-calendar,
+  // with messages buffered. reseed() and reset() plus a rebuild must each
+  // make the World reusable, bit for bit.
+  CommunityCase c;
+  c.seed = 29;
+  WorldConfig config;
+  config.seed = c.seed;
+  World fixed(config);
+  build_community(fixed, c);
+  fixed.run(c.duration_s);
+  const RunSnapshot want = snapshot(fixed);
+
+  config.event_kernel = true;
+  const auto stopped_world = [&](World& world) {
+    build_community(world, c);
+    world.run(c.duration_s / 2);
+    world.set_deadline(std::chrono::steady_clock::now());
+    EXPECT_THROW(world.run(c.duration_s / 2), DeadlineExceeded);
+    EXPECT_TRUE(world.event_kernel_used());
+    world.set_deadline(Deadline::max());
+  };
+  config.seed = 28;
+  World reseeded(config);
+  stopped_world(reseeded);
+  reseeded.reseed(c.seed);
+  reseeded.run(c.duration_s);
+  expect_bit_identical(want, snapshot(reseeded));
+
+  World rebuilt(config);
+  stopped_world(rebuilt);
+  config.seed = c.seed;
+  rebuilt.reset(config);
+  build_community(rebuilt, c);
+  rebuilt.run(c.duration_s);
+  EXPECT_TRUE(rebuilt.event_kernel_used());
+  expect_bit_identical(want, snapshot(rebuilt));
 }
 
 TEST(EventKernel, BusWorkloadFallsBackToFixedDt) {

@@ -30,6 +30,9 @@
 // a throwing or timed-out point is retried up to `--retries` times, then
 // recorded failed-with-reason and summarized loudly at the end (exit 1;
 // the journal is kept so `--resume` retries exactly the failed points).
+// A timed-out attempt stops at its next simulation step and its worker
+// reuses its World; a hang inside one step (a custom router that never
+// returns) needs `--workers` with `--worker-timeout`, which kills it.
 // `--fault action@trigger` is the deterministic crash-injection hook the
 // recovery tests drive (e.g. kill@point=2, kill@bytes=800,
 // hang@point=0:ms=2000, throw@point=1:fires=3) — test-only, not for ops.
