@@ -23,6 +23,14 @@
 #   6. point timeout: an attempt that stalls past `--point-timeout` stops
 #      at its deadline and fails its point (exit 1); with `--retries 1` the
 #      retry succeeds and the bytes match, on threads and on workers
+#   7. uneven seed groups: `--seeds 4 --workers 3` deals seeds {2, 1, 1}
+#      over the whole grid; the bytes match a clean `--seeds 4` run, also
+#      when `--fault kill@point=1` kills each shard's first attempt, and so
+#      do those of `--workers 1`, whose one shard is the whole campaign
+#
+# Steps 1-4 run the point-residue deal (2 seeds on 3 workers: each shard
+# owns the points index % 3 == i); steps 5 and 6 on 2 workers run the
+# seed-group deal (one seed per worker).
 #
 # Invoked by CTest with -DDTNSIM=... -DSOURCE_DIR=... -DWORK_DIR=...
 # (see CMakeLists.txt).
@@ -196,5 +204,49 @@ foreach(mode "--threads;2" "--workers;2")
                         "--- retried ---\n${retried}")
   endif()
 endforeach()
-message(STATUS "worker-crash recovery, degrade-then-resume, stall-restart and "
-               "point-timeout equivalence hold")
+# 7. Uneven seed groups. With 4 seeds on 3 workers each worker runs the
+#    whole grid over its seeds {2, 1, 1}, and the merge folds each point's
+#    ranges in seed order: the bytes equal a clean 4-seed campaign. The
+#    fault rides every shard's first attempt, and every shard holds point
+#    1, so each is killed once and resumed. One worker runs the whole
+#    campaign as shard 0/1 and must keep its journal for the merge.
+set(SWEEP4_ARGS sweep ${FIXTURE} --axis protocol.copies=2,4,8 --seeds 4 --quiet)
+execute_process(COMMAND ${DTNSIM} ${SWEEP4_ARGS} --out clean4.json
+                WORKING_DIRECTORY ${SCRATCH}
+                RESULT_VARIABLE rv OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rv STREQUAL "0")
+  message(FATAL_ERROR "clean 4-seed campaign failed (exit ${rv}):\n${err}")
+endif()
+read_filtered(${SCRATCH}/clean4.json clean4)
+foreach(tag uneven killed single)
+  set(extra --workers 3)
+  if(tag STREQUAL "killed")
+    list(APPEND extra --fault kill@point=1)
+  elseif(tag STREQUAL "single")
+    set(extra --workers 1)
+  endif()
+  execute_process(COMMAND ${DTNSIM} ${SWEEP4_ARGS} --out ${tag}.json ${extra}
+                  WORKING_DIRECTORY ${SCRATCH}
+                  RESULT_VARIABLE rv OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rv STREQUAL "0")
+    message(FATAL_ERROR "seed-group fleet (${tag}) exited ${rv}, expected 0:\n${err}")
+  endif()
+  if(EXISTS ${SCRATCH}/${tag}.json.journal.shards)
+    message(FATAL_ERROR "clean seed-group fleet (${tag}) left its shard work dir behind")
+  endif()
+  if(tag STREQUAL "killed")
+    foreach(shard 0 1 2)
+      if(NOT err MATCHES "restarting shard ${shard}/3")
+        message(FATAL_ERROR "shard ${shard}/3 was not killed and restarted:\n${err}")
+      endif()
+    endforeach()
+  endif()
+  read_filtered(${SCRATCH}/${tag}.json grouped)
+  if(NOT clean4 STREQUAL grouped)
+    message(FATAL_ERROR "seed-group fleet (${tag}) aggregates diverge from the "
+                        "single-process campaign\n--- clean ---\n${clean4}\n"
+                        "--- fleet ---\n${grouped}")
+  endif()
+endforeach()
+message(STATUS "worker-crash recovery, degrade-then-resume, stall-restart, "
+               "point-timeout and seed-group equivalence hold")

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <deque>
 #include <future>
@@ -43,13 +44,15 @@ class ProcessRunner final : public ShardRunner {
   [[nodiscard]] std::string name() const override { return "local"; }
 
   void start(const ShardAttempt& attempt) override {
+    const SpecSweepOptions& tile = attempt.tile;
     std::vector<std::string> argv = argv_;
-    argv.insert(argv.end(), {"--journal", attempt.journal, "--shard",
-                             std::to_string(attempt.shard) + "/" +
-                                 std::to_string(attempt.shard_count)});
-    if (attempt.resume) argv.push_back("--resume");
+    argv.insert(argv.end(),
+                {"--journal", tile.journal_path, "--seeds", std::to_string(tile.seeds),
+                 "--seed-base", util::format_value(tile.seed_base), "--shard",
+                 std::to_string(tile.shard_index) + "/" + std::to_string(tile.shard_count)});
+    if (tile.resume) argv.push_back("--resume");
     if (attempt.fault && !fault_.empty()) argv.insert(argv.end(), {"--fault", fault_});
-    journal_ = attempt.journal;
+    journal_ = tile.journal_path;
     spawn_error_.clear();
     // Worker tables on stdout would corrupt the driver's own output;
     // stderr stays inherited so worker diagnostics reach the operator.
@@ -147,8 +150,7 @@ bool store_journal(const std::string& path, const std::string& bytes, std::strin
 
 class DaemonRunner final : public ShardRunner {
  public:
-  DaemonRunner(std::string host, int port, const SpecSweepOptions& campaign)
-      : host_(std::move(host)), port_(port), campaign_(campaign) {}
+  DaemonRunner(std::string host, int port) : host_(std::move(host)), port_(port) {}
 
   /// The futures below wait out their handshakes; cancel the live one first.
   ~DaemonRunner() override {
@@ -160,11 +162,7 @@ class DaemonRunner final : public ShardRunner {
   }
 
   void start(const ShardAttempt& attempt) override {
-    SpecSweepOptions assigned = campaign_;
-    assigned.shard_index = attempt.shard;
-    assigned.shard_count = attempt.shard_count;
-    assigned.resume = attempt.resume;
-    journal_ = attempt.journal;
+    journal_ = attempt.tile.journal_path;
     progress_ = 0;
     shipped_.reset();
     std::erase_if(abandoned_, [](const std::future<Handshake>& f) {
@@ -174,8 +172,8 @@ class DaemonRunner final : public ShardRunner {
     handshake_ = std::async(
         std::launch::async,
         [host = host_, port = port_, cancel = cancel_,
-         hello = serialize_sweep_hello(sweep_campaign_fingerprint(assigned)),
-         assign = serialize_sweep_assignment(assigned)] {
+         hello = serialize_sweep_hello(sweep_campaign_fingerprint(attempt.tile)),
+         assign = serialize_sweep_assignment(attempt.tile)] {
           return handshake(host, port, hello, assign, *cancel);
         });
   }
@@ -246,7 +244,6 @@ class DaemonRunner final : public ShardRunner {
 
   std::string host_;
   int port_ = 0;
-  SpecSweepOptions campaign_;
   std::string journal_;
   std::shared_ptr<std::atomic<bool>> cancel_;  ///< the latest handshake's
   std::future<Handshake> handshake_;           ///< the current attempt's, until taken
@@ -264,9 +261,34 @@ std::unique_ptr<ShardRunner> make_process_runner(std::vector<std::string> argv,
   return std::make_unique<ProcessRunner>(std::move(argv), std::move(fault));
 }
 
-std::unique_ptr<ShardRunner> make_daemon_runner(std::string host, int port,
-                                                const SpecSweepOptions& campaign) {
-  return std::make_unique<DaemonRunner>(std::move(host), port, campaign);
+std::unique_ptr<ShardRunner> make_daemon_runner(std::string host, int port) {
+  return std::make_unique<DaemonRunner>(std::move(host), port);
+}
+
+std::vector<SpecSweepOptions> fleet_tiles(const SpecSweepOptions& campaign,
+                                          std::size_t slots) {
+  std::vector<SpecSweepOptions> tiles(slots, campaign);
+  const auto seeds = static_cast<std::size_t>(std::max(campaign.seeds, 0));
+  // A worker's --seed-base and a daemon's ASSIGN both end at INT64_MAX, so
+  // every group's first seed must too.
+  const bool seed_groups =
+      seeds >= slots && campaign.seed_base <= static_cast<std::uint64_t>(INT64_MAX) - seeds &&
+      grid_shares_contact_key(campaign);
+  std::uint64_t next_seed = campaign.seed_base;
+  for (std::size_t i = 0; i < slots; ++i) {
+    SpecSweepOptions& tile = tiles[i];
+    if (seed_groups) {
+      tile.seeds = static_cast<int>(seeds / slots + (i < seeds % slots ? 1 : 0));
+      tile.seed_base = next_seed;
+      next_seed += static_cast<std::uint64_t>(tile.seeds);
+      tile.shard_index = 0;
+      tile.shard_count = 1;
+    } else {
+      tile.shard_index = i;
+      tile.shard_count = slots;
+    }
+  }
+  return tiles;
 }
 
 // ---- the scheduler -------------------------------------------------------------
@@ -283,6 +305,7 @@ FleetResult run_fleet(const SpecSweepOptions& campaign, const FleetOptions& opti
                                std::chrono::steady_clock::now().time_since_epoch())
                                .count();
   };
+  const std::vector<SpecSweepOptions> tiles = fleet_tiles(campaign, shards);
   FleetResult result;
   result.origins.assign(shards, "");
 
@@ -297,7 +320,7 @@ FleetResult run_fleet(const SpecSweepOptions& campaign, const FleetOptions& opti
       std::remove(journal.c_str());
       continue;
     }
-    switch (audit_shard_journal(campaign, s, shards, journal)) {
+    switch (audit_shard_journal(tiles[s], journal)) {
       case ShardJournalState::kComplete:
         note(shard_label(s, shards) + " is already complete in '" + journal +
              "'; not dealing it");
@@ -338,7 +361,10 @@ FleetResult run_fleet(const SpecSweepOptions& campaign, const FleetOptions& opti
     state[k].shard = s;
     state[k].progress = 0;
     state[k].progress_at = t;
-    slots[k]->start({s, shards, result.journals[s], campaign.resume || !first, first});
+    ShardAttempt attempt{s, tiles[s], first};
+    attempt.tile.journal_path = result.journals[s];
+    attempt.tile.resume = campaign.resume || !first;
+    slots[k]->start(attempt);
   };
   const auto fail = [&](std::size_t k, const std::string& reason, double t) {
     Slot& slot = state[k];

@@ -4,14 +4,21 @@
 // *slots* and owns every retry, backoff, stall and give-up decision.
 //
 // A slot is one place a shard can run, behind the ShardRunner interface:
-// a forked local `dtnsim sweep --shard i/N` process (make_process_runner)
-// or a `dtnsim serve` daemon spoken to over the %DTNW1 HELLO/ASSIGN/
-// PROGRESS/JOURNAL/DONE conversation (make_daemon_runner). Runners only
-// report what happened; the policy below is written once, here:
+// a forked local `dtnsim sweep --seeds k --seed-base b --shard i/N`
+// process (make_process_runner) or a `dtnsim serve` daemon spoken to over
+// the %DTNW1 HELLO/ASSIGN/PROGRESS/JOURNAL/DONE conversation
+// (make_daemon_runner). Runners only report what happened; the policy
+// below is written once, here:
 //
-//   - Deal: N slots, N shards, shard i first goes to slot i. A failed
-//     shard goes back to the queue and the next free slot outside its
-//     backoff window takes it, whatever its kind.
+//   - Tiles: N slots, N shards, and each shard is a *tile* of the
+//     campaign (fleet_tiles). When two points share a contact key and the
+//     campaign has at least N seeds, tile i is the whole grid over the
+//     i-th of N contiguous seed groups, so the runs of a key share one
+//     process and its contacts are computed once per key; otherwise tile
+//     i is the points with index % N == i over every seed.
+//   - Deal: shard i first goes to slot i. A failed shard goes back to the
+//     queue and the next free slot outside its backoff window takes it,
+//     whatever its kind.
 //   - Outcome: done (exit 0 or 1, DONE with a journal), refused (exit 2,
 //     an ERROR frame; never retried) or failed (everything else; retried).
 //   - Progress is the shard journal's length in bytes; an attempt whose
@@ -21,7 +28,8 @@
 //   - Backoff: a slot whose attempt failed sits out 0.25 s, doubling per
 //     consecutive failure, capped at 5 s.
 //   - Audit before dealing: on resume a complete shard journal is not
-//     dealt and a foreign one refuses the campaign before anything
+//     dealt, and one written for another tile (another campaign, or this
+//     campaign under the other deal) refuses the campaign before anything
 //     starts; a fresh campaign removes stale shard journals.
 //
 // Because every point is deterministic, WHERE a shard ran never changes a
@@ -38,13 +46,22 @@
 
 namespace dtn::harness {
 
+/// The N shards of `campaign` on N slots (see the policy above): copies of
+/// it narrowed to a seed group (seeds, seed_base; shard 0/1) or to a point
+/// residue (shard i/N). Groups are in seed order, larger ones first, sizes
+/// differing by at most one: 4 seeds on 3 slots give {2, 1, 1}. A group
+/// may not start past INT64_MAX, where `--seed-base` ends. One slot gets
+/// the whole campaign. Throws like run_spec_sweep on a bad axis.
+std::vector<SpecSweepOptions> fleet_tiles(const SpecSweepOptions& campaign,
+                                          std::size_t slots);
+
 /// One attempt at one shard, as the scheduler hands it to a slot.
 struct ShardAttempt {
   std::size_t shard = 0;
-  std::size_t shard_count = 1;
-  std::string journal;  ///< where the shard journal lands on this host
-  bool resume = false;  ///< replay the shard journal before computing
-  bool fault = false;   ///< carry the test-only fault plan
+  /// The shard's tile, with journal_path set to where the shard journal
+  /// lands on this host and resume set when the attempt replays it first.
+  SpecSweepOptions tile;
+  bool fault = false;  ///< carry the test-only fault plan
 };
 
 /// What a slot reports about its current attempt.
@@ -77,19 +94,19 @@ class ShardRunner {
   virtual void stop() = 0;
 };
 
-/// A slot that fork/execs `argv` plus `--journal J --shard i/N`
-/// [`--resume`] [`--fault F`] per attempt, stdout discarded. `fault` is the
-/// raw `--fault` text ("" = none). Progress is the journal's size on disk.
+/// A slot that fork/execs `argv` plus the tile's `--journal J --seeds k
+/// --seed-base b --shard i/N` [`--resume`] [`--fault F`] per attempt,
+/// stdout discarded. `fault` is the raw `--fault` text ("" = none).
+/// Progress is the journal's size on disk.
 std::unique_ptr<ShardRunner> make_process_runner(std::vector<std::string> argv,
                                                  std::string fault);
 
-/// A slot that runs shards of `campaign` on the `dtnsim serve` daemon at
-/// host:port, and stores each shipped journal at the attempt's journal
-/// path. Connect and handshake run on a thread the runner owns and joins;
+/// A slot that assigns each attempt's tile to the `dtnsim serve` daemon at
+/// host:port, and stores each shipped journal at the tile's journal path.
+/// Connect and handshake run on a thread the runner owns and joins;
 /// progress is the PROGRESS heartbeat's journal length. The fault plan
 /// never travels: ASSIGN has no field for it.
-std::unique_ptr<ShardRunner> make_daemon_runner(std::string host, int port,
-                                                const SpecSweepOptions& campaign);
+std::unique_ptr<ShardRunner> make_daemon_runner(std::string host, int port);
 
 struct FleetOptions {
   /// Shard i journals into `<shard_dir>/shard-<i>.journal`.
@@ -110,11 +127,11 @@ struct FleetResult {
   std::vector<std::string> origins;
 };
 
-/// Runs `campaign` as one shard per slot until every shard is done,
-/// refused or out of attempts (see the policy above); `campaign.resume`
-/// selects the resume audit, and restarts, failures and give-ups go to
-/// `campaign.note`. Points no shard journal recorded are the merge's
-/// missing points.
+/// Runs `campaign` as one shard (fleet_tiles) per slot until every shard
+/// is done, refused or out of attempts (see the policy above);
+/// `campaign.resume` selects the resume audit, and restarts, failures and
+/// give-ups go to `campaign.note`. Points no shard journal recorded are
+/// the merge's missing points.
 FleetResult run_fleet(const SpecSweepOptions& campaign, const FleetOptions& options,
                       const std::vector<std::unique_ptr<ShardRunner>>& slots);
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <vector>
 
+#include "harness/journal.hpp"
 #include "harness/spec_io.hpp"
 #include "util/checksum.hpp"
 #include "util/value_parse.hpp"
@@ -272,24 +273,28 @@ bool parse_sweep_progress(const std::string& payload, std::uint64_t* records,
          util::parse_value(fields[2], *bytes);
 }
 
-ShardJournalState audit_shard_journal(const SpecSweepOptions& options,
-                                      std::size_t shard_index,
-                                      std::size_t shard_count,
-                                      const std::string& path) {
-  // Reuse the merge path's strict parsing and fingerprint validation: a
-  // point the merge would accept is exactly a point a reassignment may
-  // skip. merge_sweep_journals marks recorded points resumed = true and
-  // degrades unrecorded ones to failed-with-reason (resumed = false).
+ShardJournalState audit_shard_journal(const SpecSweepOptions& tile, const std::string& path) {
+  // The resume of the tile replays only a journal under the tile's own
+  // fingerprint; the merge below would also accept any seed range inside it.
+  const JournalReadResult replay = read_journal(path);
+  if (replay.io_error || replay.missing || replay.records.empty()) {
+    return ShardJournalState::kPartial;
+  }
+  if (replay.records.front() != sweep_campaign_fingerprint(tile)) {
+    return ShardJournalState::kForeign;
+  }
+  // Reuse the merge path's strict parsing: a point the merge would accept
+  // is exactly a point a reassignment may skip. merge_sweep_journals marks
+  // recorded points resumed = true and degrades unrecorded ones to
+  // failed-with-reason.
   std::vector<SpecPointResult> merged;
   try {
-    merged = merge_sweep_journals(options, {path});
-  } catch (const SweepJournalError& e) {
-    return std::string(e.what()).find("different campaign") != std::string::npos
-               ? ShardJournalState::kForeign
-               : ShardJournalState::kPartial;
+    merged = merge_sweep_journals(tile, {path});
+  } catch (const SweepJournalError&) {
+    return ShardJournalState::kPartial;
   }
   for (std::size_t p = 0; p < merged.size(); ++p) {
-    if (p % shard_count != shard_index) continue;
+    if (p % tile.shard_count != tile.shard_index) continue;
     // "Complete" must mean what a resume would make of it: resume retries
     // failed points, so a shard with failed records still needs a worker.
     if (!merged[p].exec.resumed || !merged[p].exec.ok()) {

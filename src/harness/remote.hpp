@@ -51,15 +51,14 @@ std::string serialize_sweep_progress(std::uint64_t records, std::uint64_t bytes)
 bool parse_sweep_progress(const std::string& payload, std::uint64_t* records,
                           std::uint64_t* bytes);
 
-/// Driver-side audit of one shard journal before (re)assigning the shard.
+/// Driver-side audit of one shard journal before (re)assigning the shard,
+/// whose tile (harness/fleet.hpp) is `tile`.
 enum class ShardJournalState {
   kComplete,  ///< every in-shard point recorded ok: nothing left to assign
   kPartial,   ///< missing, empty, gaps, or failed points: (re)assign + resume
-  kForeign,   ///< carries a different campaign's fingerprint
+  kForeign,   ///< carries another fingerprint than the tile's, so a resume
+              ///< of the tile would refuse it
 };
-ShardJournalState audit_shard_journal(const SpecSweepOptions& options,
-                                      std::size_t shard_index,
-                                      std::size_t shard_count,
-                                      const std::string& path);
+ShardJournalState audit_shard_journal(const SpecSweepOptions& tile, const std::string& path);
 
 }  // namespace dtn::harness

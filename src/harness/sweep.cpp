@@ -14,6 +14,7 @@
 #include <numeric>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 
 #include "harness/journal.hpp"
@@ -132,12 +133,13 @@ constexpr const char kJournalHeaderTag[] = "campaign dtnsim-sweep-journal/1";
 
 /// What makes two campaigns "the same" for resume purposes: the canonical
 /// base spec, every axis (key + values, in order), the per-point seed
-/// schedule, and the grid size. Threads / progress / fsync cadence are
-/// deliberately excluded — they cannot change any result bit.
-std::string campaign_fingerprint(const SpecSweepOptions& options, std::size_t total) {
+/// schedule (`seeds` from `seed_base`), and the grid size. Threads /
+/// progress / fsync cadence are deliberately excluded — they cannot change
+/// any result bit.
+std::string campaign_fingerprint(const SpecSweepOptions& options, int seeds,
+                                 std::uint64_t seed_base, std::size_t total) {
   std::string fp = kJournalHeaderTag;
-  fp += "\nseeds=" + std::to_string(options.seeds) +
-        " seed_base=" + util::format_value(options.seed_base) +
+  fp += "\nseeds=" + std::to_string(seeds) + " seed_base=" + util::format_value(seed_base) +
         " points=" + std::to_string(total) + "\n";
   for (const auto& axis : options.axes) {
     fp += "axis " + axis.key + " =";
@@ -149,6 +151,40 @@ std::string campaign_fingerprint(const SpecSweepOptions& options, std::size_t to
   }
   fp += to_config(options.base);
   return fp;
+}
+
+/// What a journal header (campaign_fingerprint) claims about its campaign.
+/// Untrusted: it comes off the disk or, for a daemon's shard, the network.
+struct HeaderClaims {
+  std::int64_t seeds = -1;
+  std::uint64_t seed_base = 0;
+  std::int64_t points = -1;
+  std::size_t axes = 0;
+};
+
+/// False when `header` is not a sweep campaign header: tag line, then
+/// "seeds=N seed_base=B points=P", then one "axis ..." line per axis.
+bool parse_campaign_header(const std::string& header, HeaderClaims& out) {
+  const std::vector<std::string> head = split_lines(header);
+  if (head.size() < 2 || head[0] != kJournalHeaderTag) return false;
+  for (const std::string& field : split_fields(head[1])) {
+    const std::size_t eq = field.find('=');
+    if (eq == std::string::npos) continue;
+    const std::string key = field.substr(0, eq);
+    const std::string value = field.substr(eq + 1);
+    if (key == "seeds") {
+      util::parse_value(value, out.seeds);
+    } else if (key == "seed_base") {
+      util::parse_value(value, out.seed_base);
+    } else if (key == "points") {
+      util::parse_value(value, out.points);
+    }
+  }
+  if (out.seeds < 0 || out.points < 0) return false;
+  for (std::size_t l = 2; l < head.size(); ++l) {
+    if (head[l].rfind("axis ", 0) == 0) ++out.axes;
+  }
+  return true;
 }
 
 std::string sanitize_one_line(const std::string& text) {
@@ -351,7 +387,8 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
   };
 
   // ---- resume: replay the journal's valid prefix ---------------------------
-  const std::string header = campaign_fingerprint(options, total);
+  const std::string header =
+      campaign_fingerprint(options, options.seeds, options.seed_base, total);
   std::vector<char> completed(total, 0);
   JournalWriter journal;
   if (journaling) {
@@ -655,7 +692,18 @@ std::string foreign_journal_refusal(const std::string& journal_path) {
 std::string sweep_campaign_fingerprint(const SpecSweepOptions& options) {
   std::size_t total = 1;
   for (const auto& axis : options.axes) total *= axis.values.size();
-  return campaign_fingerprint(options, total);
+  return campaign_fingerprint(options, options.seeds, options.seed_base, total);
+}
+
+bool grid_shares_contact_key(const SpecSweepOptions& options) {
+  const ExpandedGrid grid = expand_sweep_grid(options);
+  std::unordered_set<std::string> keys;
+  for (ScenarioSpec spec : grid.specs) {
+    spec.seed = options.seed_base;
+    std::string key = contact_schedule_key(spec);
+    if (!key.empty() && !keys.insert(std::move(key)).second) return true;
+  }
+  return false;
 }
 
 std::vector<SpecPointResult> merge_sweep_journals(
@@ -663,12 +711,18 @@ std::vector<SpecPointResult> merge_sweep_journals(
     SweepMergeStats* stats, const std::vector<std::string>& origins) {
   ExpandedGrid grid = expand_sweep_grid(options);
   const std::size_t total = grid.total;
-  const int seeds = std::max(options.seeds, 0);
-  const std::string header = campaign_fingerprint(options, total);
+  const auto seeds = static_cast<std::uint64_t>(std::max(options.seeds, 0));
 
+  /// One journal's latest record of one point: the seeds
+  /// [first, first + count) of the campaign's, as offsets from its seed base.
+  struct Piece {
+    std::uint64_t first = 0;
+    std::uint64_t count = 0;
+    std::size_t journal = 0;
+    ParsedPointRecord record;
+  };
+  std::vector<std::vector<Piece>> pieces(total);
   SweepMergeStats merged;
-  constexpr std::size_t kNoOwner = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> owner(total, kNoOwner);  ///< journal index per point
   for (std::size_t j = 0; j < journal_paths.size(); ++j) {
     const std::string& path = journal_paths[j];
     const JournalReadResult replay = read_journal(path);
@@ -680,55 +734,98 @@ std::vector<SpecPointResult> merge_sweep_journals(
     // campaign must degrade to failed-with-reason points, not refuse to
     // publish the shards that survived.
     if (replay.missing || replay.records.empty()) continue;
-    if (replay.records.front() != header) {
+    // The header names the journal's seed range, and a daemon ships it over
+    // the network: nothing is sized by it until the range lies inside the
+    // campaign's and the header is the campaign's fingerprint over it.
+    HeaderClaims claims;
+    const std::string& header = replay.records.front();
+    const bool ours =
+        parse_campaign_header(header, claims) && claims.seed_base >= options.seed_base &&
+        claims.seed_base - options.seed_base <= seeds &&
+        static_cast<std::uint64_t>(claims.seeds) <=
+            seeds - (claims.seed_base - options.seed_base) &&
+        header == campaign_fingerprint(options, static_cast<int>(claims.seeds),
+                                       claims.seed_base, total);
+    if (!ours) {
       throw SweepJournalError(
           "cannot merge: shard journal '" + path +
           "' was written by a different campaign (base spec, axes, seeds, or "
           "seed base differ)");
     }
     ++merged.journals_read;
+    const auto first = claims.seed_base - options.seed_base;
+    const auto count = static_cast<std::uint64_t>(claims.seeds);
     // Within ONE journal the last record per point wins — a restarted
     // shard appended retry records behind the failures they supersede,
-    // exactly like resume. ACROSS journals the same point is refused:
-    // overlapping shards would silently double-count samples, the one
-    // unforgivable merge outcome.
+    // exactly like resume. ACROSS journals a seed of a point is refused
+    // twice: overlapping shards would silently double-count samples, the
+    // one unforgivable merge outcome.
     std::vector<const std::string*> latest(total, nullptr);
     ParsedPointRecord record;
     for (std::size_t r = 1; r < replay.records.size(); ++r) {
-      if (parse_point_record(replay.records[r], total, seeds, record)) {
+      if (parse_point_record(replay.records[r], total, static_cast<int>(count), record)) {
         latest[record.idx] = &replay.records[r];
       }
     }
     for (std::size_t p = 0; p < total; ++p) {
       if (latest[p] == nullptr) continue;
-      if (owner[p] != kNoOwner) {
-        throw SweepJournalError("cannot merge: point " + std::to_string(p) +
-                                " is recorded by both '" + journal_paths[owner[p]] +
-                                "' and '" + path + "' — overlapping shards");
-      }
-      owner[p] = j;
-      if (!parse_point_record(*latest[p], total, seeds, record)) continue;
-      grid.points[p].exec = record.exec;  // parser sets resumed = true
-      if (j < origins.size()) grid.points[p].exec.origin = origins[j];
-      if (record.exec.ok()) {
-        // Seed-order fold of the journaled hexfloat samples — the same
-        // fold a live run performs, so the aggregates are bit-identical
-        // to a single-process campaign.
-        for (const SeedSample& s : record.samples) {
-          fold_sample(grid.points[p].result, s);
+      for (const Piece& other : pieces[p]) {
+        if (first < other.first + other.count && other.first < first + count) {
+          throw SweepJournalError("cannot merge: point " + std::to_string(p) +
+                                  " is recorded by both '" + journal_paths[other.journal] +
+                                  "' and '" + path + "' — overlapping shards");
         }
-        ++merged.points_ok;
-      } else {
-        ++merged.points_failed;
       }
+      Piece piece{first, count, j, {}};
+      if (!parse_point_record(*latest[p], total, static_cast<int>(count), piece.record)) {
+        continue;
+      }
+      pieces[p].push_back(std::move(piece));
     }
   }
+  const auto origin_of = [&origins](std::size_t j) {
+    return j < origins.size() ? origins[j] : std::string();
+  };
   for (std::size_t p = 0; p < total; ++p) {
-    if (owner[p] != kNoOwner) continue;
+    std::vector<Piece>& mine = pieces[p];
+    std::sort(mine.begin(), mine.end(),
+              [](const Piece& a, const Piece& b) { return a.first < b.first; });
     PointExec& exec = grid.points[p].exec;
-    exec.status = PointExec::Status::kFailed;
-    exec.error = "no shard journal recorded this point";
-    ++merged.points_missing;
+    std::uint64_t covered = 0;
+    bool failed = false;
+    for (const Piece& piece : mine) {
+      const PointExec& part = piece.record.exec;
+      covered += piece.count;
+      exec.tries += part.tries;
+      exec.wall_ms += part.wall_ms;
+      if (!part.ok() && !failed) {
+        failed = true;
+        exec.error = part.error;
+      }
+      // One origin per contributing journal, in seed order.
+      std::string origin = origin_of(piece.journal);
+      if (mine.size() > 1 && origin.empty()) origin = "local";
+      if (!exec.origin.empty()) exec.origin += ",";
+      exec.origin += origin;
+    }
+    exec.resumed = !mine.empty();
+    if (mine.empty() || covered != seeds) {
+      exec.status = PointExec::Status::kFailed;
+      exec.error = "no shard journal recorded this point";
+      ++merged.points_missing;
+    } else if (failed) {
+      exec.status = PointExec::Status::kFailed;
+      ++merged.points_failed;
+    } else {
+      // Seed-order fold of the journaled hexfloat samples — the same fold
+      // a live run performs, so the aggregates are bit-identical to a
+      // single-process campaign.
+      exec.status = PointExec::Status::kOk;
+      for (const Piece& piece : mine) {
+        for (const SeedSample& s : piece.record.samples) fold_sample(grid.points[p].result, s);
+      }
+      ++merged.points_ok;
+    }
   }
   if (stats != nullptr) *stats = merged;
   return std::move(grid.points);
@@ -744,34 +841,13 @@ JournalInspection inspect_sweep_journal(const std::string& path) {
   out.records = replay.records.size();
   if (replay.records.empty()) return out;
 
-  // Campaign fingerprint header: tag line, then
-  // "seeds=N seed_base=B points=P", then one "axis ..." line per axis.
-  const std::vector<std::string> head = split_lines(replay.records.front());
-  if (head.size() < 2 || head[0] != kJournalHeaderTag) return out;
-  std::int64_t seeds = -1;
-  std::int64_t grid_points = -1;
-  std::uint64_t seed_base = 0;
-  for (const std::string& field : split_fields(head[1])) {
-    const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = field.substr(0, eq);
-    const std::string value = field.substr(eq + 1);
-    if (key == "seeds") {
-      util::parse_value(value, seeds);
-    } else if (key == "seed_base") {
-      util::parse_value(value, seed_base);
-    } else if (key == "points") {
-      util::parse_value(value, grid_points);
-    }
-  }
-  if (seeds < 0 || grid_points < 0) return out;
+  HeaderClaims claims;
+  if (!parse_campaign_header(replay.records.front(), claims)) return out;
   out.campaign = true;
-  out.seeds = static_cast<int>(seeds);
-  out.seed_base = seed_base;
-  out.grid_points = static_cast<std::size_t>(grid_points);
-  for (std::size_t l = 2; l < head.size(); ++l) {
-    if (head[l].rfind("axis ", 0) == 0) ++out.axes;
-  }
+  out.seeds = static_cast<int>(claims.seeds);
+  out.seed_base = claims.seed_base;
+  out.grid_points = static_cast<std::size_t>(claims.points);
+  out.axes = claims.axes;
 
   // Point census: latest record per index wins, like resume and merge.
   // Keyed by the recorded indices, which the file size bounds: the

@@ -28,17 +28,21 @@
 // end, so an attempt that threw or stopped at its deadline never does. The
 // memo drops a schedule once its key's last task has started, so it holds
 // at most one schedule per key with tasks to come (16 bytes per link
-// event). It lives in this process: a shard worker replays only within its
-// own points.
+// event). It lives in this process, which is why a fleet whose points
+// share keys gives each shard whole seeds (harness/fleet.hpp): the runs
+// of a key then share one process and one recording.
 // Detected-communities warm-ups go through the same memo, once per call.
-// Multi-process fabric (PR 8): shard_index/shard_count restrict one
-// engine invocation to a deterministic slice of the point cross-product
-// (point index modulo shard_count), each shard journaling into its own
-// file; merge_sweep_journals folds any non-overlapping set of shard
-// journals — validated against the shared campaign fingerprint — into
-// final aggregates bit-identical to a single-process run. The campaign
-// scheduler (harness/fleet.hpp) deals shards to local worker processes and
-// remote daemons on top of these two primitives.
+// Multi-process fabric: one engine invocation can be narrowed to the
+// points whose index satisfies index % shard_count == shard_index, and to
+// the seeds [seed_base, seed_base + seeds) of a wider campaign; it
+// journals into its own file under the fingerprint of its seed range.
+// merge_sweep_journals folds any set of such journals that record no
+// (point, seed) twice — each validated against the campaign fingerprint
+// over its range — into final aggregates bit-identical to a
+// single-process run, each point's seed ranges in seed order. The campaign
+// scheduler (harness/fleet.hpp) cuts a campaign into such shards
+// (fleet_tiles) and deals them to local worker processes and remote
+// daemons.
 // Crash safety (PR 6): with SpecSweepOptions::journal_path set,
 // run_spec_sweep streams every COMPLETED grid point (all its seeds
 // finished) as one checksummed record into an append-only journal
@@ -101,7 +105,10 @@ struct SweepAxis {
 /// and kHang fire at the start of the attempt; kKill at `point` first
 /// waits until every in-shard point below `point` is recorded, so the
 /// killed journal holds those points at any thread count. Owned by the
-/// caller; the engine only mutates `fired`.
+/// caller; the engine only mutates `fired`. A fleet hands the plan to the
+/// first attempt of every shard (harness/fleet.hpp), so a point-targeted
+/// fault fires once in each shard that holds the point: with seed-group
+/// shards, that is every shard.
 struct SweepFaultPlan {
   enum class Action {
     kThrow,  ///< the attempt throws std::runtime_error("injected fault ...")
@@ -199,9 +206,11 @@ struct PointExec {
   bool resumed = false; ///< replayed from a journal, not recomputed
   /// Where this point's record was computed: "" = this process (serialized
   /// as "local"), "host:port" for a shard shipped back by a remote worker
-  /// daemon. Set by merge_sweep_journals from its `origins` argument;
-  /// volatile metadata (lives on the filtered `"exec` lines, not in the
-  /// journal — any origin recomputes bit-identically).
+  /// daemon. Set by merge_sweep_journals from its `origins` argument: a
+  /// point that several shards computed a seed range each names every one,
+  /// comma-separated in seed order ("local,host:port"). Volatile metadata
+  /// (lives on the filtered `"exec` lines, not in the journal — any origin
+  /// recomputes bit-identically).
   std::string origin;
   [[nodiscard]] bool ok() const noexcept { return status == Status::kOk; }
   [[nodiscard]] bool failed() const noexcept { return status == Status::kFailed; }
@@ -243,6 +252,12 @@ std::string foreign_journal_refusal(const std::string& journal_path);
 /// carries the identical fingerprint.
 std::string sweep_campaign_fingerprint(const SpecSweepOptions& options);
 
+/// True when two grid points share a contact key (contact_schedule_key)
+/// at the campaign's first seed, so that one process running both records
+/// their contacts once. An event-kernel point's empty key shares nothing.
+/// Throws like run_spec_sweep on a bad axis or an invalid point.
+bool grid_shares_contact_key(const SpecSweepOptions& options);
+
 /// Runs the declarative grid; points ordered by the axis cross product
 /// (first axis outermost). Throws SpecError on an invalid axis key/value,
 /// std::invalid_argument on specs that fail validation, and
@@ -264,24 +279,30 @@ struct SweepMergeStats {
 /// Folds N per-shard journals into the final campaign aggregates —
 /// bit-identical to a single-process run of the same options (the per-seed
 /// samples are journaled as hexfloats and re-folded in seed order, exactly
-/// like `resume`). Every journal must carry THIS campaign's fingerprint
-/// (base spec, axes, seeds, seed base — foreign journals throw
-/// SweepJournalError loudly), and no two journals may record the same
-/// point (overlapping shards throw — silent double-counting is the one
-/// unforgivable merge bug). The partition does NOT have to be the modulo
-/// assignment: any disjoint covering (or partial covering) merges; within
-/// one journal the last record per point wins (a resumed retry supersedes
-/// the failure it retried). Degradation is graceful, not fatal: a missing
-/// or intact-record-free journal (a shard killed before its header was
-/// durable) contributes nothing, and grid points recorded by no journal
-/// come back failed-with-reason so the campaign completes with exit-1
+/// like `resume`). Each journal's header names its seed range: the
+/// campaign's own, or a contiguous part of it (a seed-group shard). The
+/// journal must carry THIS campaign's fingerprint over that range (base
+/// spec, axes, seeds, seed base), and the range must lie inside the
+/// campaign's; anything else is a foreign journal and throws
+/// SweepJournalError loudly, before anything is sized by the header. No two
+/// journals may record the same seed of the same point (overlapping shards
+/// throw — silent double-counting is the one unforgivable merge bug). The
+/// partition does NOT have to be the modulo assignment: any disjoint
+/// covering (or partial covering) merges; within one journal the last
+/// record per point wins (a resumed retry supersedes the failure it
+/// retried). A point's tries and wall_ms are the sums over its journals,
+/// and it fails with its first failure in seed order. Degradation is
+/// graceful, not fatal: a missing or intact-record-free journal (a shard
+/// killed before its header was durable) contributes nothing, and a grid
+/// point that lacks any seed comes back failed-with-reason ("no shard
+/// journal recorded this point") so the campaign completes with exit-1
 /// semantics instead of refusing to publish the survivors. Unreadable
 /// (existing but I/O-failing) paths throw.
 /// `origins` (optional) labels each journal with where its shard ran —
 /// aligned index-for-index with `journal_paths`, "" (or a short vector)
-/// meaning "this host"; the label lands in PointExec::origin of every
-/// point that journal owns and surfaces on the volatile `"exec` lines of
-/// sweep_results_json.
+/// meaning "this host"; the labels land in PointExec::origin of every
+/// point the journals contribute to and surface on the volatile `"exec`
+/// lines of sweep_results_json.
 std::vector<SpecPointResult> merge_sweep_journals(
     const SpecSweepOptions& options, const std::vector<std::string>& journal_paths,
     SweepMergeStats* stats = nullptr,

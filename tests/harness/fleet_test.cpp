@@ -2,10 +2,13 @@
 // or sockets: scripted fake slots on a virtual clock stand in for worker
 // processes and daemons, so retry counts, resume/fault flags, refusals,
 // stalls and backoff windows are checked to the tick. The audit cases use
-// real shard journals written by run_spec_sweep.
+// real shard journals written by run_spec_sweep, and the deal
+// (fleet_tiles) is checked by shape and by the contact passes its shards
+// make.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -15,6 +18,8 @@
 #include <vector>
 
 #include "harness/fleet.hpp"
+#include "harness/remote.hpp"
+#include "harness/scenario.hpp"
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
 
@@ -45,6 +50,7 @@ struct Script {
     bool resume;
     bool fault;
     double at;
+    harness::SpecSweepOptions tile;
   };
   std::vector<Start> starts;
   std::vector<std::pair<std::string, double>> stops;  ///< slot, when
@@ -73,8 +79,8 @@ class FakeRunner final : public harness::ShardRunner {
 
   void start(const harness::ShardAttempt& attempt) override {
     const int n = ++script_.attempts[attempt.shard];
-    script_.starts.push_back(
-        {name_, attempt.shard, n, attempt.resume, attempt.fault, script_.now});
+    script_.starts.push_back({name_, attempt.shard, n, attempt.tile.resume, attempt.fault,
+                              script_.now, attempt.tile});
     const auto it = script_.steps.find({attempt.shard, n});
     step_ = it != script_.steps.end() ? it->second : Step{};
     began_ = script_.now;
@@ -286,10 +292,23 @@ TEST_F(FleetTest, FailedShardIsFinishedByAnotherFreeSlotWithItsOrigin) {
   EXPECT_EQ(result.origins[1], "local");
 }
 
+TEST_F(FleetTest, EachAttemptCarriesItsTileAndJournal) {
+  // The fixture's points share a contact key and it has as many seeds as
+  // slots: each slot gets one seed over the whole grid.
+  run({"local", "h:1"});
+  ASSERT_EQ(script_.starts.size(), 2u);
+  for (std::size_t s = 0; s < 2; ++s) {
+    const harness::SpecSweepOptions& tile = script_.starts[s].tile;
+    EXPECT_EQ(tile.seeds, 1);
+    EXPECT_EQ(tile.seed_base, campaign_.seed_base + s);
+    EXPECT_EQ(tile.shard_index, 0u);
+    EXPECT_EQ(tile.shard_count, 1u);
+    EXPECT_EQ(tile.journal_path, journals(2)[s]);
+  }
+}
+
 TEST_F(FleetTest, CompleteShardIsNotDealtOnResume) {
-  harness::SpecSweepOptions shard = campaign_;
-  shard.shard_index = 0;
-  shard.shard_count = 2;
+  harness::SpecSweepOptions shard = harness::fleet_tiles(campaign_, 2)[0];
   shard.journal_path = journals(2)[0];
   harness::run_spec_sweep(shard);
 
@@ -317,6 +336,24 @@ TEST_F(FleetTest, ForeignJournalRefusesTheResumeBeforeAnyStart) {
   EXPECT_EQ(script_.notes[0], harness::foreign_journal_refusal(journals(2)[1]));
 }
 
+TEST_F(FleetTest, ShardDirOfTheOtherDealRefusesTheResume) {
+  // A complete shard journal of the same campaign, written under the
+  // point-residue deal: the seed-group tile would read it as another
+  // campaign's, so the resume is refused, not dealt around.
+  harness::SpecSweepOptions shard = campaign_;
+  shard.shard_index = 0;
+  shard.shard_count = 2;
+  shard.journal_path = journals(2)[0];
+  harness::run_spec_sweep(shard);
+
+  campaign_.resume = true;
+  const auto result = run({"local", "h:1"});
+  EXPECT_TRUE(result.refused);
+  EXPECT_TRUE(script_.starts.empty());
+  ASSERT_EQ(script_.notes.size(), 1u);
+  EXPECT_EQ(script_.notes[0], harness::foreign_journal_refusal(journals(2)[0]));
+}
+
 TEST_F(FleetTest, FreshCampaignRemovesStaleShardJournals) {
   const std::string stale = journals(1)[0];
   std::FILE* f = std::fopen(stale.c_str(), "w");
@@ -325,6 +362,108 @@ TEST_F(FleetTest, FreshCampaignRemovesStaleShardJournals) {
   std::fclose(f);
   run({"local"});
   EXPECT_FALSE(std::filesystem::exists(stale));
+}
+
+// ---- the deal ----------------------------------------------------------------
+
+/// The fixture with `seeds` seeds from 7 over fleet_campaign's six
+/// protocols.
+harness::SpecSweepOptions protocol_campaign(int seeds) {
+  harness::SpecSweepOptions options = campaign();
+  options.axes = {{"protocol.name",
+                   {"EER", "CR", "EBR", "MaxProp", "SprayAndWait", "SprayAndFocus"}}};
+  options.seeds = seeds;
+  return options;
+}
+
+void expect_point_residues(const harness::SpecSweepOptions& campaign,
+                           const std::vector<harness::SpecSweepOptions>& tiles,
+                           std::size_t slots) {
+  ASSERT_EQ(tiles.size(), slots);
+  for (std::size_t i = 0; i < slots; ++i) {
+    EXPECT_EQ(tiles[i].seeds, campaign.seeds) << i;
+    EXPECT_EQ(tiles[i].seed_base, campaign.seed_base) << i;
+    EXPECT_EQ(tiles[i].shard_index, i);
+    EXPECT_EQ(tiles[i].shard_count, slots);
+  }
+}
+
+TEST(FleetTilesTest, FewerSeedsThanSlotsGivesPointResidues) {
+  const auto campaign = protocol_campaign(2);
+  expect_point_residues(campaign, harness::fleet_tiles(campaign, 3), 3);
+}
+
+TEST(FleetTilesTest, SharedKeysGiveSeedGroupsLargerFirst) {
+  const auto campaign = protocol_campaign(4);
+  const auto tiles = harness::fleet_tiles(campaign, 3);
+  ASSERT_EQ(tiles.size(), 3u);
+  const int sizes[] = {2, 1, 1};
+  const std::uint64_t bases[] = {7, 9, 10};
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(tiles[i].seeds, sizes[i]) << i;
+    EXPECT_EQ(tiles[i].seed_base, bases[i]) << i;
+    EXPECT_EQ(tiles[i].shard_index, 0u) << i;
+    EXPECT_EQ(tiles[i].shard_count, 1u) << i;
+    EXPECT_EQ(tiles[i].axes.size(), 1u) << i;
+  }
+}
+
+TEST(FleetTilesTest, NoSharedKeyGivesPointResidues) {
+  // Each walker count moves different nodes: no two points share contacts.
+  harness::SpecSweepOptions campaign = protocol_campaign(4);
+  campaign.axes = {{"group.walkers.count", {"4", "5", "6"}}};
+  expect_point_residues(campaign, harness::fleet_tiles(campaign, 3), 3);
+  // The event kernel's empty key is never shared.
+  campaign = protocol_campaign(4);
+  campaign.base.world.event_kernel = true;
+  expect_point_residues(campaign, harness::fleet_tiles(campaign, 3), 3);
+}
+
+TEST(FleetTilesTest, SeedBasesPastTheCliRangeGivePointResidues) {
+  // Seed groups would start past INT64_MAX, which no worker's --seed-base
+  // and no daemon's ASSIGN accepts.
+  harness::SpecSweepOptions campaign = protocol_campaign(4);
+  campaign.seed_base = static_cast<std::uint64_t>(INT64_MAX) - 2;
+  expect_point_residues(campaign, harness::fleet_tiles(campaign, 3), 3);
+}
+
+TEST(FleetTilesTest, OneSlotGetsTheWholeCampaign) {
+  for (const int seeds : {1, 4}) {
+    const auto campaign = protocol_campaign(seeds);
+    const auto tiles = harness::fleet_tiles(campaign, 1);
+    ASSERT_EQ(tiles.size(), 1u);
+    EXPECT_EQ(harness::serialize_sweep_assignment(tiles[0]),
+              harness::serialize_sweep_assignment(campaign));
+    EXPECT_EQ(harness::sweep_campaign_fingerprint(tiles[0]),
+              harness::sweep_campaign_fingerprint(campaign));
+  }
+}
+
+/// Contact passes the shards make when each runs in its own process: the
+/// schedules their memos recorded.
+std::size_t contact_passes(const std::vector<harness::SpecSweepOptions>& shards) {
+  std::size_t recorded = 0;
+  for (harness::SpecSweepOptions shard : shards) {
+    shard.threads = 1;
+    shard.memo = std::make_shared<harness::CampaignMemo>();
+    harness::run_spec_sweep(shard);
+    recorded += shard.memo->stats().recorded;
+  }
+  return recorded;
+}
+
+TEST(FleetTilesTest, SeedGroupsRecordEachContactKeyOnce) {
+  // Six protocols x four seeds on three slots is fleet_campaign's shape:
+  // four contact keys, one per seed.
+  const auto campaign = protocol_campaign(4);
+  EXPECT_EQ(contact_passes(harness::fleet_tiles(campaign, 3)), 4u);
+  // The point-residue deal spreads every key over every shard.
+  std::vector<harness::SpecSweepOptions> residues(3, campaign);
+  for (std::size_t i = 0; i < 3; ++i) {
+    residues[i].shard_index = i;
+    residues[i].shard_count = 3;
+  }
+  EXPECT_EQ(contact_passes(residues), 12u);
 }
 
 }  // namespace

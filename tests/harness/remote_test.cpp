@@ -234,37 +234,62 @@ class ShardAuditTest : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
+  /// The campaign's point shard i/n.
+  harness::SpecSweepOptions shard(std::size_t i, std::size_t n) const {
+    harness::SpecSweepOptions out = options_;
+    out.shard_index = i;
+    out.shard_count = n;
+    return out;
+  }
+  /// The campaign narrowed to `seeds` seeds from `seed_base`.
+  harness::SpecSweepOptions seed_group(int seeds, std::uint64_t seed_base) const {
+    harness::SpecSweepOptions out = options_;
+    out.seeds = seeds;
+    out.seed_base = seed_base;
+    return out;
+  }
+
   harness::SpecSweepOptions options_;
   std::string path_;
 };
 
 TEST_F(ShardAuditTest, MissingJournalIsPartial) {
-  EXPECT_EQ(harness::audit_shard_journal(options_, 0, 2, path_),
+  EXPECT_EQ(harness::audit_shard_journal(shard(0, 2), path_),
             harness::ShardJournalState::kPartial);
 }
 
 TEST_F(ShardAuditTest, CompleteShardIsComplete) {
-  harness::SpecSweepOptions shard = options_;
-  shard.shard_index = 0;
-  shard.shard_count = 2;
-  shard.journal_path = path_;
-  harness::run_spec_sweep(shard);
-  EXPECT_EQ(harness::audit_shard_journal(options_, 0, 2, path_),
+  harness::SpecSweepOptions written = shard(0, 2);
+  written.journal_path = path_;
+  harness::run_spec_sweep(written);
+  EXPECT_EQ(harness::audit_shard_journal(shard(0, 2), path_),
             harness::ShardJournalState::kComplete);
   // The same journal audited as the OTHER shard has recorded nothing of
   // that shard's points.
-  EXPECT_EQ(harness::audit_shard_journal(options_, 1, 2, path_),
+  EXPECT_EQ(harness::audit_shard_journal(shard(1, 2), path_),
             harness::ShardJournalState::kPartial);
 }
 
 TEST_F(ShardAuditTest, ForeignCampaignIsForeign) {
-  harness::SpecSweepOptions other = options_;
+  harness::SpecSweepOptions other = shard(0, 2);
   other.seed_base = 4242;  // a different campaign entirely
-  other.shard_index = 0;
-  other.shard_count = 2;
   other.journal_path = path_;
   harness::run_spec_sweep(other);
-  EXPECT_EQ(harness::audit_shard_journal(options_, 0, 2, path_),
+  EXPECT_EQ(harness::audit_shard_journal(shard(0, 2), path_),
+            harness::ShardJournalState::kForeign);
+}
+
+TEST_F(ShardAuditTest, SeedGroupIsAuditedAgainstItsOwnSeeds) {
+  harness::SpecSweepOptions written = seed_group(1, options_.seed_base);
+  written.journal_path = path_;
+  harness::run_spec_sweep(written);
+  EXPECT_EQ(harness::audit_shard_journal(seed_group(1, options_.seed_base), path_),
+            harness::ShardJournalState::kComplete);
+  // A resume of another seed group, or of the whole campaign, would refuse
+  // this journal: it is another campaign's to them.
+  EXPECT_EQ(harness::audit_shard_journal(seed_group(1, options_.seed_base + 1), path_),
+            harness::ShardJournalState::kForeign);
+  EXPECT_EQ(harness::audit_shard_journal(shard(0, 1), path_),
             harness::ShardJournalState::kForeign);
 }
 

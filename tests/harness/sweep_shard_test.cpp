@@ -1,21 +1,57 @@
 // Shard-merge equivalence properties for the multi-process campaign
-// fabric: for ANY shard count in {1, 2, 3, 5} — and for arbitrary
-// (non-modulo) point partitions — running the shards separately and
-// folding their journals through merge_sweep_journals yields aggregates
-// BIT-IDENTICAL to a single-process campaign, at thread counts 1 and 3.
-// Overlapping shards, foreign journals, and invalid shard selectors are
-// refused loudly. This is the in-process half of the fabric's acceptance
-// gate; the real fork/exec + SIGKILL half is the dtnsim_worker_crash
-// ctest (cmake/dtnsim_worker_crash.cmake).
+// fabric: for ANY shard count in {1, 2, 3, 5} — for point shards, for the
+// fleet's tiles (seed groups or point residues) at 1, 2, 4 and 5 seeds,
+// and for arbitrary (non-modulo) point partitions — running the shards
+// separately and folding their journals through merge_sweep_journals
+// yields aggregates BIT-IDENTICAL to a single-process campaign, at thread
+// counts 1 and 3. Overlapping shards or seed ranges, foreign journals
+// (including a header whose seed range leaves the campaign's, refused
+// before anything is sized by it), and invalid shard selectors are refused
+// loudly. This is the in-process half of the fabric's acceptance gate; the
+// real fork/exec + SIGKILL half is the dtnsim_worker_crash ctest
+// (cmake/dtnsim_worker_crash.cmake).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
+#include "harness/fleet.hpp"
 #include "harness/journal.hpp"
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
+
+namespace {
+
+/// While set, the largest single allocation is recorded (a replaced global
+/// operator new): a merge must size nothing by an untrusted header.
+std::atomic<bool> g_watch_allocs{false};
+std::atomic<std::size_t> g_largest_alloc{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_watch_allocs.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest_alloc.load(std::memory_order_relaxed);
+    while (size > seen && !g_largest_alloc.compare_exchange_weak(seen, size)) {
+    }
+  }
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new[](std::size_t size) { return operator new(size); }
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+// Kept out of line: inlined beside the operator new above, GCC 12 reports
+// its free() as a mismatched deallocation (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dtn::harness {
 namespace {
@@ -164,6 +200,146 @@ TEST_F(SweepShardTest, ModuloShardsMergeBitIdentical) {
       cleanup();
     }
   }
+}
+
+TEST_F(SweepShardTest, FleetTilesMergeBitIdentical) {
+  // The fleet's deal (fleet_tiles) at every shape: seed groups when the
+  // campaign has at least as many seeds as slots (the copies axis shares
+  // one contact key per seed), point residues otherwise. Each point's seed
+  // ranges fold across the tiles in seed order.
+  for (const int seeds : {1, 2, 4, 5}) {
+    SpecSweepOptions campaign = base_options(1);
+    campaign.seeds = seeds;
+    const auto want = run_spec_sweep(campaign);
+    for (const std::size_t slots : {1u, 2u, 3u, 5u}) {
+      for (const std::size_t threads : {1u, 3u}) {
+        const std::string context = "seeds=" + std::to_string(seeds) +
+                                    " slots=" + std::to_string(slots) +
+                                    " threads=" + std::to_string(threads);
+        campaign.threads = threads;
+        std::vector<std::string> paths;
+        for (SpecSweepOptions tile : fleet_tiles(campaign, slots)) {
+          tile.journal_path = journal_path(paths.size());
+          paths.push_back(tile.journal_path);
+          run_spec_sweep(tile);
+        }
+        SweepMergeStats stats;
+        const auto got = merge_sweep_journals(campaign, paths, &stats);
+        expect_bitwise_equal(got, want, context);
+        EXPECT_EQ(stats.journals_read, slots) << context;
+        EXPECT_EQ(stats.points_ok, want.size()) << context;
+        EXPECT_EQ(stats.points_missing, 0u) << context;
+        for (const auto& point : got) {
+          EXPECT_TRUE(point.exec.ok()) << context;
+          EXPECT_EQ(point.exec.tries, seeds) << context;  // summed over the tiles
+        }
+        cleanup();
+      }
+    }
+  }
+}
+
+TEST_F(SweepShardTest, OverlappingSeedRangesAreRefused) {
+  SpecSweepOptions campaign = base_options(1);
+  campaign.seeds = 3;
+  const auto seeds_from = [&](int seeds, std::uint64_t offset, std::size_t slot) {
+    SpecSweepOptions range = campaign;
+    range.seeds = seeds;
+    range.seed_base = campaign.seed_base + offset;
+    range.journal_path = journal_path(slot);
+    run_spec_sweep(range);
+    return range.journal_path;
+  };
+  const std::string first_two = seeds_from(2, 0, 0);
+  const std::string last_two = seeds_from(2, 1, 1);
+  const std::string last_one = seeds_from(1, 2, 2);
+  try {
+    merge_sweep_journals(campaign, {first_two, last_two});
+    ADD_FAILURE() << "seed 1 of every point was merged twice";
+  } catch (const SweepJournalError& e) {
+    EXPECT_NE(std::string(e.what()).find("overlapping shards"), std::string::npos) << e.what();
+  }
+  // Ranges that only meet merge, whatever the journal order.
+  SweepMergeStats stats;
+  const auto got = merge_sweep_journals(campaign, {last_one, first_two}, &stats);
+  expect_bitwise_equal(got, run_spec_sweep(campaign), "first two + last one");
+  EXPECT_EQ(stats.points_ok, 3u);
+}
+
+TEST_F(SweepShardTest, HeaderSeedRangeOutsideTheCampaignIsForeign) {
+  // Each header is the campaign's fingerprint over a seed range that does
+  // not fit inside the campaign's: starting before it, running past it
+  // (claiming 2^30 seeds), or wrapping the 64-bit seed space. Every one is
+  // another campaign's journal, refused before anything is sized by it.
+  const SpecSweepOptions campaign = base_options(1);
+  const std::uint64_t base = campaign.seed_base;
+  const struct {
+    int seeds;
+    std::uint64_t seed_base;
+  } claims[] = {{1, base - 1}, {1 << 30, base}, {2, UINT64_MAX}, {3, base}};
+  for (const auto& claim : claims) {
+    SpecSweepOptions range = campaign;
+    range.seeds = claim.seeds;
+    range.seed_base = claim.seed_base;
+    const std::string path = journal_path(0);
+    write_file(path, frame_record(sweep_campaign_fingerprint(range)));
+    const std::string context = "seeds=" + std::to_string(claim.seeds) +
+                                " seed_base=" + std::to_string(claim.seed_base);
+    std::string refusal;
+    g_largest_alloc.store(0);
+    g_watch_allocs.store(true);
+    try {
+      merge_sweep_journals(campaign, {path});
+    } catch (const SweepJournalError& e) {
+      refusal = e.what();
+    }
+    g_watch_allocs.store(false);
+    EXPECT_NE(refusal.find("different campaign"), std::string::npos) << context;
+    EXPECT_LT(g_largest_alloc.load(), std::size_t{1} << 20) << context;
+    cleanup();
+  }
+}
+
+TEST_F(SweepShardTest, MissingSeedGroupFailsItsPoints) {
+  // The middle tile of {2, 1, 1} never wrote its journal: every point
+  // lacks seed 2 and fails, though the other tiles recorded it.
+  SpecSweepOptions campaign = base_options(1);
+  campaign.seeds = 4;
+  const auto tiles = fleet_tiles(campaign, 3);
+  std::vector<std::string> paths;
+  for (std::size_t s = 0; s < tiles.size(); ++s) {
+    SpecSweepOptions tile = tiles[s];
+    tile.journal_path = journal_path(s);
+    paths.push_back(tile.journal_path);
+    if (s != 1) run_spec_sweep(tile);
+  }
+  SweepMergeStats stats;
+  const auto got = merge_sweep_journals(campaign, paths, &stats);
+  ASSERT_EQ(got.size(), 3u);
+  for (const auto& point : got) {
+    EXPECT_TRUE(point.exec.failed());
+    EXPECT_EQ(point.exec.error, "no shard journal recorded this point");
+    EXPECT_EQ(point.result.delivery_ratio.count(), 0u);
+  }
+  EXPECT_EQ(stats.journals_read, 2u);
+  EXPECT_EQ(stats.points_ok, 0u);
+  EXPECT_EQ(stats.points_missing, 3u);
+}
+
+TEST_F(SweepShardTest, SeedGroupOriginsNameEverySlotInSeedOrder) {
+  SpecSweepOptions campaign = base_options(1);
+  const auto tiles = fleet_tiles(campaign, 2);  // one seed each
+  std::vector<std::string> paths;
+  for (std::size_t s = 0; s < tiles.size(); ++s) {
+    SpecSweepOptions tile = tiles[s];
+    tile.journal_path = journal_path(s);
+    paths.push_back(tile.journal_path);
+    run_spec_sweep(tile);
+  }
+  // Listed last-seed first: the origins still follow the seeds.
+  const auto merged =
+      merge_sweep_journals(campaign, {paths[1], paths[0]}, nullptr, {"10.0.0.2:7700", ""});
+  for (const auto& point : merged) EXPECT_EQ(point.exec.origin, "local,10.0.0.2:7700");
 }
 
 TEST_F(SweepShardTest, ArbitraryPartitionsMergeBitIdentical) {

@@ -12,8 +12,9 @@
 //      exactly the gap — same bytes again;
 //   4. a daemon refuses an ASSIGN whose campaign does not match the HELLO
 //      fingerprint digest (foreign campaign), loudly, with an ERROR frame;
-//   5. a local worker and a daemon share one campaign, each shard's points
-//      labelled with the slot that computed it, with identical bytes.
+//   5. a local worker and a daemon share one campaign, each point
+//      labelled with every slot that computed a seed of it, with identical
+//      bytes.
 //
 // Compiled only when CMake bakes in DTNSIM_BINARY (the dtnsim tool path).
 
@@ -169,7 +170,9 @@ TEST_F(ServeLoopbackTest, LocalWorkerAndDaemonShareOneCampaign) {
   const std::string out = dir_ + "mixed.json";
   EXPECT_EQ(run_driver({"--out", out, "--workers", "1", "--hosts", hosts_arg({&a})}), 0);
   EXPECT_EQ(filter_exec_lines(read_file(out)), clean_);
-  // Shard 0 goes to the local worker slot, shard 1 to the daemon.
+  // The points share contacts and there are as many seeds as slots, so
+  // shard 0 (the first seed) goes to the local worker slot and shard 1 (the
+  // second) to the daemon: both points name both slots, in seed order.
   const std::string raw = read_file(out);
   const auto count = [&raw](const std::string& needle) {
     std::size_t n = 0;
@@ -179,8 +182,7 @@ TEST_F(ServeLoopbackTest, LocalWorkerAndDaemonShareOneCampaign) {
     }
     return n;
   };
-  EXPECT_EQ(count("\"origin\": \"local\""), 1u) << raw;
-  EXPECT_EQ(count("\"origin\": \"" + hosts_arg({&a}) + "\""), 1u) << raw;
+  EXPECT_EQ(count("\"origin\": \"local," + hosts_arg({&a}) + "\""), 2u) << raw;
   a.stop();
 }
 

@@ -40,9 +40,11 @@
 // fires once every in-shard point below N is journaled, at any --threads.
 //
 // Fleets: `--workers N` and `--hosts host:port[,...]` run the campaign as
-// one shard per slot — a fork/exec'd `dtnsim sweep --shard i/N` child per
-// worker, a `dtnsim serve` daemon per host (src/net/, harness/remote.hpp)
-// — with one journal per shard under `<journal>.shards/`. One scheduler
+// one shard per slot — a group of seeds over the whole grid when points
+// share contacts, else the points `index % N == i` — on a fork/exec'd
+// `dtnsim sweep --seeds k --seed-base b --shard i/N` child per worker or a
+// `dtnsim serve` daemon per host (src/net/, harness/remote.hpp), with one
+// journal per shard under `<journal>.shards/`. One scheduler
 // (harness/fleet.hpp) deals the shards and owns every retry, backoff,
 // stall (`--worker-timeout`) and give-up (`--worker-retries`) decision for
 // both kinds of slot; this file only builds the slots and merges the shard
@@ -264,8 +266,8 @@ bool make_dir(const std::string& path) {
 }
 
 /// The `dtnsim sweep` command line of every local worker slot, minus the
-/// per-attempt `--journal`, `--shard`, `--resume` and `--fault` that the
-/// scheduler's process runner appends.
+/// per-attempt `--journal`, `--seeds`, `--seed-base`, `--shard`,
+/// `--resume` and `--fault` that the scheduler's process runner appends.
 std::vector<std::string> worker_argv(const std::string& cfg_path, const util::Flags& flags,
                                      const harness::SpecSweepOptions& options,
                                      const std::string& argv0) {
@@ -275,8 +277,6 @@ std::vector<std::string> worker_argv(const std::string& cfg_path, const util::Fl
   std::vector<std::string> argv = {exe.empty() ? argv0 : exe, "sweep", cfg_path};
   for (const auto& kv : flags.get_list("set")) argv.insert(argv.end(), {"--set", kv});
   for (const auto& axis : flags.get_list("axis")) argv.insert(argv.end(), {"--axis", axis});
-  argv.insert(argv.end(), {"--seeds", std::to_string(options.seeds), "--seed-base",
-                           util::format_value(options.seed_base)});
   // Campaign parallelism comes from the worker count; each worker is
   // single-threaded unless the user sized --threads explicitly.
   argv.insert(argv.end(),
@@ -651,11 +651,11 @@ int cmd_sweep(const std::string& path, const util::Flags& flags,
       !get_double_flag(flags, "worker-timeout", 0.0, 0.0, 1e9, worker_timeout)) {
     return 2;
   }
-  // A present-but-zero timeout is a config error, not "no watchdog": the
+  // A present-but-zero timeout is a config error, not "no timeout": the
   // user asked for a cap and got none.
   if (flags.has("point-timeout") && point_timeout <= 0.0) {
-    std::fprintf(stderr, "dtnsim: --point-timeout must be > 0 (omit the flag to "
-                         "disable the per-point watchdog)\n");
+    std::fprintf(stderr, "dtnsim: --point-timeout must be > 0 (omit the flag for "
+                         "no per-point timeout)\n");
     return 2;
   }
   if (flags.has("worker-timeout") && worker_timeout <= 0.0) {
@@ -803,7 +803,7 @@ int cmd_sweep(const std::string& path, const util::Flags& flags,
         slots.push_back(harness::make_process_runner(argv, flags.get_string("fault", "")));
       }
       for (const HostSpec& host : hosts) {
-        slots.push_back(harness::make_daemon_runner(host.host, host.port, options));
+        slots.push_back(harness::make_daemon_runner(host.host, host.port));
       }
       harness::FleetOptions fleet_options;
       fleet_options.shard_dir = shard_dir;
@@ -892,9 +892,10 @@ int cmd_sweep(const std::string& path, const util::Flags& flags,
   if (fleet) {
     for (const auto& journal : fleet_result.journals) std::remove(journal.c_str());
     std::remove(shard_dir.c_str());
-  } else if (shard_count > 1) {
+  } else if (flags.has("shard")) {
     // A standalone shard's journal is an INPUT to the campaign merge —
-    // deleting it here would throw away this process's contribution.
+    // deleting it here would throw away this process's contribution. That
+    // holds for 0/1 too: a fleet's seed-group shards run as 0/1.
     std::printf("shard journal kept at '%s' (input to the campaign merge)\n",
                 options.journal_path.c_str());
   } else if (!options.journal_path.empty()) {
