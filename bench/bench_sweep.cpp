@@ -8,9 +8,11 @@
 // that must not change a result bit.
 //
 // A protocol axis gives runs that share their contact inputs (node count
-// and seed), so the campaign memo records each contact schedule once and
-// replays it for the other protocols: 24 of the full campaign's 36 runs
-// replay (`replayed_runs`).
+// and seed), so the campaign memo makes one routing-free contact pass per
+// key and every run of the key replays it: the full campaign's 36 runs
+// replay 12 passes (`replayed_runs`, `contact_passes`). It FATALs unless
+// the 1-thread trials and the 3-thread run each make exactly one pass per
+// key.
 //
 // A second section measures the cross-seed reuse contract directly:
 // heap allocations per seed for a World::reseed()-driven campaign vs
@@ -300,24 +302,36 @@ int main(int argc, char** argv) {
   const std::size_t node_counts = opt.axes[1].values.size();
   const std::size_t points = protocols * node_counts;
   const std::size_t runs = points * static_cast<std::size_t>(opt.seeds);
+  const std::size_t keys = node_counts * static_cast<std::size_t>(opt.seeds);
   std::printf("campaign: %zu points x %d seeds = %zu runs, %.0f s sim each\n",
               points, opt.seeds, runs, opt.base.duration_s);
   std::fflush(stdout);
 
-  // `trials` single-thread executions, each on a fresh campaign memo.
+  // `trials` single-thread executions, each on a fresh campaign memo, then
+  // one on three threads. Each must make exactly one contact pass per key.
   std::vector<double> trial_rps;
   std::vector<harness::SpecPointResult> results;
   std::size_t replayed = 0;
+  std::size_t passes = 0;
+  const auto one_pass_per_key = [&opt, &passes, keys](const char* what) {
+    passes = opt.memo->stats().recorded;
+    if (passes == keys) return true;
+    std::fprintf(stderr, "FATAL: the %s campaign made %zu contact passes for %zu keys\n",
+                 what, passes, keys);
+    return false;
+  };
   for (int t = 0; t < trials; ++t) {
     opt.memo = std::make_shared<harness::CampaignMemo>();
     trial_rps.push_back(static_cast<double>(runs) / bench::run_campaign(opt, results));
     replayed = opt.memo->stats().replayed;
+    if (!one_pass_per_key("1-thread")) return 1;
   }
-  opt.memo = nullptr;
   // The thread count must not change a result bit.
   std::vector<harness::SpecPointResult> threaded;
   opt.threads = 3;
+  opt.memo = std::make_shared<harness::CampaignMemo>();
   bench::run_campaign(opt, threaded);
+  if (!one_pass_per_key("3-thread")) return 1;
   if (!bench::identical_aggregates(results, threaded)) {
     std::fprintf(stderr,
                  "FATAL: 1- and 3-thread sweep aggregates diverged — the "
@@ -327,8 +341,9 @@ int main(int argc, char** argv) {
   const bench::Spread rps = bench::spread_of(trial_rps);
   const double pps = rps.median / static_cast<double>(runs / points);
   std::printf("%7.2f runs/s [%.2f, %.2f] (%6.2f points/s) at 1 thread, median of %d | "
-              "%zu of %zu runs replayed | 3-thread aggregates bit-identical\n",
-              rps.median, rps.q1, rps.q3, pps, trials, replayed, runs);
+              "%zu of %zu runs replayed %zu contact passes | 3-thread aggregates "
+              "bit-identical\n",
+              rps.median, rps.q1, rps.q3, pps, trials, replayed, runs, passes);
   std::fflush(stdout);
 
   // Cross-seed allocation contract.
@@ -377,7 +392,7 @@ int main(int argc, char** argv) {
       "  \"bench\": \"sweep\",\n"
       "  \"campaign\": \"bus-map screening sweep: %zu protocols x %zu node "
       "counts x %d seeds, %.0f s sim/run, threads=1\",\n"
-      "  \"runs\": %zu, \"replayed_runs\": %zu, \"trials\": %d,\n"
+      "  \"runs\": %zu, \"replayed_runs\": %zu, \"contact_passes\": %zu, \"trials\": %d,\n"
       "  \"runs_per_sec\": %.3f, \"runs_per_sec_q1\": %.3f, \"runs_per_sec_q3\": %.3f,\n"
       "  \"runs_per_sec_trials\": %s,\n"
       "  \"points_per_sec\": %.3f,\n"
@@ -391,7 +406,7 @@ int main(int argc, char** argv) {
       "    \"hub_runs_per_sec_trials\": %s,\n"
       "    \"hub_points_per_sec\": %.3f, \"replay_identical\": true}\n"
       "}\n",
-      protocols, node_counts, opt.seeds, opt.base.duration_s, runs, replayed, trials,
+      protocols, node_counts, opt.seeds, opt.base.duration_s, runs, replayed, passes, trials,
       rps.median, rps.q1, rps.q3, bench::json_list(trial_rps).c_str(), pps, alloc_nodes,
       alloc_steps, alloc.reused_allocs_per_seed, reused_allocs_per_step,
       alloc.fresh_allocs_per_seed, hub_runs, hub_rps.median, hub_rps.q1, hub_rps.q3,

@@ -2,7 +2,8 @@
 #
 # 1. Smoke-runs every tracked bench binary at tiny sizes into WORK_DIR so
 #    the benches cannot bit-rot (their FATAL cross-checks run: fixed-dt vs
-#    event-kernel metrics, 1- vs 3-thread sweep aggregates, hub replay).
+#    event-kernel metrics, 1- vs 3-thread sweep aggregates, one contact
+#    pass per key at 1 and 3 threads, hub replay).
 # 2. Validates the COMMITTED perf history at the repo root: each
 #    BENCH_*.json must exist and carry its required fields, so a bench
 #    refactor cannot silently stop emitting a tracked number.
@@ -44,6 +45,6 @@ require_fields(BENCH_world_step.json
                event_kernel fixed_steps_per_sec event_steps_per_sec speedup
                allocs_per_step engine)
 require_fields(BENCH_sweep.json
-               bench campaign runs runs_per_sec points_per_sec
+               bench campaign runs contact_passes runs_per_sec points_per_sec
                aggregates_identical allocs_per_reused_seed
                hub_load hub_runs_per_sec hub_points_per_sec)

@@ -261,6 +261,12 @@ bool parse_sweep_assignment(const std::string& payload, SpecSweepOptions* out,
   return true;
 }
 
+std::string tile_label(const SpecSweepOptions& options) {
+  const std::uint64_t last = options.seed_base + static_cast<std::uint64_t>(options.seeds) - 1;
+  return "seeds " + std::to_string(options.seed_base) + "-" + std::to_string(last) + ", shard " +
+         std::to_string(options.shard_index) + "/" + std::to_string(options.shard_count);
+}
+
 std::string serialize_sweep_progress(std::uint64_t records, std::uint64_t bytes) {
   return "progress " + std::to_string(records) + " " + std::to_string(bytes);
 }

@@ -46,6 +46,10 @@ std::string serialize_sweep_assignment(const SpecSweepOptions& options);
 bool parse_sweep_assignment(const std::string& payload, SpecSweepOptions* out,
                             std::string* error);
 
+/// How a daemon's log names the tile `options` (harness/fleet.hpp): its
+/// seed range and shard selector, such as "seeds 1-2, shard 0/1".
+std::string tile_label(const SpecSweepOptions& options);
+
 /// PROGRESS payload: the daemon's journal-growth heartbeat.
 std::string serialize_sweep_progress(std::uint64_t records, std::uint64_t bytes);
 bool parse_sweep_progress(const std::string& payload, std::uint64_t* records,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -16,18 +17,11 @@ namespace dtn::harness {
 
 namespace {
 
-/// Routing-free router that only feeds the shared contact-count graph —
-/// used by the community-detection warm-up pass.
-class ContactLoggerRouter final : public sim::Router {
+/// The router of a contact pass: it routes nothing, so the pass only moves
+/// the nodes and detects their contacts.
+class RoutingFreeRouter final : public sim::Router {
  public:
-  explicit ContactLoggerRouter(core::ContactCountGraph* graph) : graph_(graph) {}
-  [[nodiscard]] std::string name() const override { return "ContactLogger"; }
-  void on_contact_up(sim::NodeIdx peer) override {
-    if (self() < peer) graph_->record(self(), peer);
-  }
-
- private:
-  core::ContactCountGraph* graph_;
+  [[nodiscard]] std::string name() const override { return "RoutingFree"; }
 };
 
 /// `spec` with every field reset that neither movement nor contact
@@ -52,9 +46,9 @@ ScenarioSpec contact_inputs(const ScenarioSpec& spec) {
   return key;
 }
 
-/// Memo key for the detected-communities warm-up: the routing-free warm-up
-/// (contact loggers, no traffic) runs communities.warmup seconds of the
-/// spec's contact inputs, so its length replaces scenario.duration.
+/// Memo key for the detected-communities warm-up: the warm-up is a contact
+/// pass of communities.warmup seconds, so its length replaces
+/// scenario.duration.
 std::string detection_key(const ScenarioSpec& spec) {
   ScenarioSpec key = contact_inputs(spec);
   key.duration_s = 0.0;
@@ -170,6 +164,23 @@ sim::TrafficParams resolve_traffic(const ScenarioSpec& spec) {
   return traffic;
 }
 
+/// The contact pass of `spec` on `world`: the spec's groups, each node with a
+/// routing-free router and no traffic, run for `duration_s` under `deadline`.
+/// Returns every link event.
+sim::ContactSchedule contact_pass(sim::World& world, const ScenarioSpec& spec,
+                                  const geo::BuiltMap& map, double duration_s,
+                                  sim::Deadline deadline) {
+  world.set_deadline(deadline);
+  for (const auto& group : spec.groups) {
+    GroupBuildContext ctx{spec, map, {}};
+    ctx.make_router = [] { return std::make_unique<RoutingFreeRouter>(); };
+    find_group_builder(group.model)->add_nodes(world, ctx, group);
+  }
+  world.record_contacts();
+  world.run(duration_s);
+  return world.take_recorded_contacts();
+}
+
 }  // namespace
 
 std::string contact_schedule_key(const ScenarioSpec& spec) {
@@ -183,13 +194,13 @@ std::string contact_schedule_key(const ScenarioSpec& spec) {
 
 void CampaignMemo::expect(const std::string& key, int runs) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  schedules_[key].runs_left += runs;
+  schedules_.try_emplace(key, std::make_shared<Entry>()).first->second->runs_left += runs;
 }
 
 CampaignMemo::Stats CampaignMemo::stats() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   Stats stats = stats_;
-  for (const auto& [key, entry] : schedules_) stats.held += entry.schedule != nullptr ? 1 : 0;
+  for (const auto& [key, entry] : schedules_) stats.held += entry->value != nullptr ? 1 : 0;
   return stats;
 }
 
@@ -197,79 +208,69 @@ std::shared_ptr<const sim::ContactSchedule> CampaignMemo::schedule(
     const std::string& key) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = schedules_.find(key);
-  return it == schedules_.end() ? nullptr : it->second.schedule;
+  return it == schedules_.end() ? nullptr : it->second->value;
 }
 
-bool CampaignMemo::expecting() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return !schedules_.empty();
-}
-
-CampaignMemo::Take CampaignMemo::take(const std::string& key) {
-  Take take;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = schedules_.find(key);
-  if (it == schedules_.end()) return take;
-  Entry& entry = it->second;
-  --entry.runs_left;
-  if (entry.schedule != nullptr) {
-    take.schedule = entry.schedule;
-    ++stats_.replayed;
-  } else if (entry.runs_left > 0) {
-    take.record = true;
-    ++stats_.recorded;
+template <class T, class Compute>
+std::shared_ptr<const T> CampaignMemo::compute_once(std::unique_lock<std::mutex>& lock,
+                                                    Once<T>& once, sim::Deadline deadline,
+                                                    std::size_t& started,
+                                                    const Compute& compute) {
+  // A computation waits on nothing, so it finishes or stops at its own
+  // deadline; this caller waits until its own deadline at most.
+  if (!done_.wait_until(lock, deadline, [&] { return once.value || !once.computing; })) {
+    throw sim::DeadlineExceeded(
+        "run stopped at its deadline waiting for another run's warm-up or contact pass");
   }
-  if (entry.runs_left <= 0) schedules_.erase(it);
-  return take;
+  if (once.value != nullptr) return once.value;
+  once.computing = true;
+  ++started;
+  lock.unlock();
+  std::shared_ptr<const T> value;
+  std::exception_ptr failure;  // a failed computation leaves the value unset
+  try {
+    value = std::make_shared<const T>(compute());
+  } catch (...) {
+    failure = std::current_exception();
+  }
+  lock.lock();
+  once.value = value;
+  once.computing = false;
+  done_.notify_all();
+  if (failure) std::rethrow_exception(failure);
+  return value;
 }
 
-void CampaignMemo::offer(const std::string& key, sim::ContactSchedule schedule) {
-  schedule.downs.shrink_to_fit();  // held for the rest of the key's runs
-  schedule.ups.shrink_to_fit();
-  auto held = std::make_shared<const sim::ContactSchedule>(std::move(schedule));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.offered;
-  const auto it = schedules_.find(key);
-  // No run of the key is left to start, or a concurrent recording won.
-  if (it == schedules_.end() || it->second.schedule != nullptr) return;
-  it->second.schedule = std::move(held);
+std::shared_ptr<const sim::ContactSchedule> CampaignMemo::contact_schedule(
+    const ScenarioSpec& spec, sim::Deadline deadline,
+    const std::function<sim::ContactSchedule()>& compute) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (schedules_.empty()) return nullptr;  // no key has runs to come
+  const auto it = schedules_.find(contact_schedule_key(spec));
+  if (it == schedules_.end()) return nullptr;
+  const std::shared_ptr<Entry> entry = it->second;
+  if (--entry->runs_left <= 0) schedules_.erase(it);  // the key's last run
+  auto schedule = compute_once<sim::ContactSchedule>(lock, *entry, deadline, stats_.recorded, [&] {
+    sim::ContactSchedule pass = compute();
+    pass.downs.shrink_to_fit();  // held for the rest of the key's runs
+    pass.ups.shrink_to_fit();
+    return pass;
+  });
+  ++stats_.replayed;
+  return schedule;
 }
 
 std::shared_ptr<const core::CommunityTable> CampaignMemo::detected_communities(
     const ScenarioSpec& spec, sim::Deadline deadline) {
   const std::string key = detection_key(spec);
   std::unique_lock<std::mutex> lock(mutex_);
-  // A null table is being computed by another run. That warm-up waits on
-  // nothing, so it finishes or stops at its own deadline; this run waits
-  // until its own deadline at most.
-  const bool settled = table_done_.wait_until(lock, deadline, [&] {
-    const auto it = tables_.find(key);
-    return it == tables_.end() || it->second != nullptr;
+  // The warm-up builds a throwaway World of its own, so the table depends
+  // only on (spec, seed): reused runners and any thread count see the same
+  // one.
+  return compute_once(lock, tables_[key], deadline, stats_.warmups, [&] {
+    return detect_spec_communities(spec, core::DetectionParams{}, spec.communities.warmup_s,
+                                   deadline);
   });
-  if (!settled) {
-    throw sim::DeadlineExceeded("run stopped at its deadline waiting for a warm-up");
-  }
-  if (const auto it = tables_.find(key); it != tables_.end()) return it->second;
-  tables_.emplace(key, nullptr);
-  ++stats_.warmups;
-  lock.unlock();
-  std::shared_ptr<const core::CommunityTable> table;
-  try {
-    // The warm-up builds a throwaway World of its own, so the table depends
-    // only on (spec, seed): reused runners and any thread count see the
-    // same one.
-    table = std::make_shared<const core::CommunityTable>(detect_spec_communities(
-        spec, core::DetectionParams{}, spec.communities.warmup_s, deadline));
-  } catch (...) {
-    lock.lock();
-    tables_.erase(key);
-    table_done_.notify_all();
-    throw;
-  }
-  lock.lock();
-  tables_[key] = table;
-  table_done_.notify_all();
-  return table;
 }
 
 ScenarioRunner::ScenarioRunner() : memo_(std::make_shared<CampaignMemo>()) {}
@@ -315,13 +316,19 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
 
   sim::WorldConfig world_config = spec.world;
   world_config.seed = spec.seed;
+  // A shared contact key's first run makes the key's pass on this World,
+  // and every run of the key replays it.
+  std::shared_ptr<const sim::ContactSchedule> schedule =
+      memo_->contact_schedule(spec, deadline_, [&] {
+        return contact_pass(prepare(world_config), spec, map, spec.duration_s, deadline_);
+      });
   sim::World& world = prepare(world_config);
   world.set_deadline(deadline_);
 
   for (const auto& group : spec.groups) {
     // Heterogeneous routing: each group resolves its own protocol (per-group
     // name override over the spec-wide knobs) and hands builders a router
-    // factory — the one seam the detection warm-up also plugs into.
+    // factory — the one seam the contact pass also plugs into.
     routing::ProtocolConfig protocol = resolved_protocol(spec, group);
     protocol.communities = communities;
     GroupBuildContext ctx{spec, map, {}};
@@ -330,20 +337,8 @@ ScenarioResult ScenarioRunner::run(const ScenarioSpec& spec) {
   }
 
   world.set_traffic(resolve_traffic(spec));
-
-  std::string key;
-  CampaignMemo::Take take;
-  if (memo_->expecting()) key = contact_schedule_key(spec);
-  if (!key.empty()) take = memo_->take(key);
-  if (take.schedule != nullptr) {
-    world.replay_contacts(take.schedule);
-  } else if (take.record) {
-    world.record_contacts();
-  }
+  if (schedule != nullptr) world.replay_contacts(std::move(schedule));
   world.run(spec.duration_s);
-  // Reached only by a run that ran to the end: one that threw or stopped
-  // offers nothing.
-  if (take.record) memo_->offer(key, world.take_recorded_contacts());
 
   ScenarioResult result;
   result.metrics = world.metrics();
@@ -363,19 +358,12 @@ core::CommunityTable detect_spec_communities(const ScenarioSpec& spec,
   const geo::MapKindInfo* kind = geo::find_map_kind(spec.map.kind);
   const geo::BuiltMap map = kind->build(spec.map.params, spec.seed);
 
-  core::ContactCountGraph graph(static_cast<core::NodeIdx>(spec.node_count()));
   sim::WorldConfig world_config = spec.world;
   world_config.seed = spec.seed;
   sim::World world(world_config);
-  world.set_deadline(deadline);
-  for (const auto& group : spec.groups) {
-    // Same map, same movement, same per-node seed streams as the real run —
-    // only the routers differ (routing-free contact loggers).
-    GroupBuildContext ctx{spec, map, {}};
-    ctx.make_router = [&graph] { return std::make_unique<ContactLoggerRouter>(&graph); };
-    find_group_builder(group.model)->add_nodes(world, ctx, group);
-  }
-  world.run(warmup_s);
+  const sim::ContactSchedule pass = contact_pass(world, spec, map, warmup_s, deadline);
+  core::ContactCountGraph graph(static_cast<core::NodeIdx>(spec.node_count()));
+  for (const sim::LinkEvent& up : pass.ups) graph.record(up.a, up.b);  // once per pair
   return core::detect_communities(graph, detection);
 }
 

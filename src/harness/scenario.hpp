@@ -8,6 +8,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -42,32 +43,31 @@ std::string contact_schedule_key(const ScenarioSpec& spec);
 
 /// Campaign-scoped memo that runs sharing their contact inputs draw on
 /// (run_spec_sweep holds one per call and hands it to every worker's
-/// runner):
+/// runner). It computes two kinds of value once per key, and a run that
+/// needs a value another run is computing waits for it until its own
+/// deadline at most; if that computation throws or stops, the value is left
+/// uncomputed and one waiter computes it anew:
 ///  - contact schedules. The sweep announces how many of its runs will take
 ///    each contact key (expect) before it deals them; only a key with two or
-///    more runs is ever recorded. A run of an announced key replays the
-///    schedule the memo holds, or, when there is none yet and more runs of
-///    the key are to come, records its own. A run offers its recording back
-///    once its simulation has run to the end, so a run that throws or stops
-///    at its deadline offers nothing. The first offer of a key is kept and
-///    later ones are dropped, as is any offer after the key's last run has
-///    started. Each run that takes a key counts against its announced runs,
-///    and the memo lets go of the schedule when the count reaches zero, so
-///    it holds at most one schedule per key with runs still to come (16
-///    bytes per link event; about 0.14 MB for an 80-bus, 4 000 s run);
-///  - detected-communities tables, one per distinct warm-up input, each
-///    computed once: a run that needs a table another run is computing
-///    waits for it until its own deadline at most, and if that computation
-///    throws or stops, one waiter computes it anew. Tables are kept for the
-///    memo's lifetime.
+///    more runs gets a schedule. The first run of such a key makes the
+///    key's contact pass: the spec's nodes with routing-free routers and no
+///    traffic, recorded for scenario.duration seconds. Every run of the key,
+///    that one included, then replays the pass, so the schedule depends on
+///    the key alone, never on which run or attempt computed it. Each run
+///    counts against the key's announced runs, and the key's last run
+///    releases the schedule, so the memo holds at most one schedule per key
+///    with runs still to come (16 bytes per link event; about 0.14 MB for an
+///    80-bus, 4 000 s run). A run of a key whose announced runs have all
+///    started, such as a retry, runs live;
+///  - detected-communities tables, one per distinct warm-up input, kept for
+///    the memo's lifetime.
 /// Thread-safe. A replayed run gives the same bits as a live one, so the
 /// memo changes how long a campaign takes, never what it returns.
 class CampaignMemo {
  public:
   /// What the memo has done so far (tests and diagnostics read it).
   struct Stats {
-    std::size_t recorded = 0;   ///< runs that recorded their link events
-    std::size_t offered = 0;    ///< recordings offered back (kept or dropped)
+    std::size_t recorded = 0;   ///< contact passes started
     std::size_t replayed = 0;   ///< runs that replayed a held schedule
     std::size_t warmups = 0;    ///< detected-communities warm-ups started
     std::size_t held = 0;       ///< schedules held right now
@@ -83,31 +83,43 @@ class CampaignMemo {
  private:
   friend class ScenarioRunner;
 
-  /// What one run of a key does: replay `schedule`, record, or neither.
-  struct Take {
-    std::shared_ptr<const sim::ContactSchedule> schedule;
-    bool record = false;
+  /// A value computed at most once at a time: null until computed.
+  template <class T>
+  struct Once {
+    std::shared_ptr<const T> value;
+    bool computing = false;
   };
-  struct Entry {
+  struct Entry : Once<sim::ContactSchedule> {
     int runs_left = 0;
-    std::shared_ptr<const sim::ContactSchedule> schedule;
   };
 
-  /// True while some key has runs to come (else no run computes a key).
-  bool expecting() const;
-  /// Counts one run of `key` against its announced runs.
-  Take take(const std::string& key);
-  void offer(const std::string& key, sim::ContactSchedule schedule);
+  /// Counts one run of `spec`'s contact key and returns the key's schedule,
+  /// running `compute` (the contact pass) when no run has computed it yet;
+  /// null when the key has no announced run left (an event-kernel spec's
+  /// empty key never has one), and computes no key while no key has.
+  /// Throws sim::DeadlineExceeded once `deadline` has passed while it
+  /// waits for another run's pass.
+  std::shared_ptr<const sim::ContactSchedule> contact_schedule(
+      const ScenarioSpec& spec, sim::Deadline deadline,
+      const std::function<sim::ContactSchedule()>& compute);
   /// The detected-communities table of `spec` (communities.source =
   /// detected). Throws sim::DeadlineExceeded once `deadline` has passed.
   std::shared_ptr<const core::CommunityTable> detected_communities(const ScenarioSpec& spec,
                                                                    sim::Deadline deadline);
+  /// `once`'s value, computed by `compute` outside the lock (counted in
+  /// `started`) unless another caller holds it or is computing it, in which
+  /// case this one waits until `deadline` at most. `lock` holds mutex_.
+  template <class T, class Compute>
+  std::shared_ptr<const T> compute_once(std::unique_lock<std::mutex>& lock, Once<T>& once,
+                                        sim::Deadline deadline, std::size_t& started,
+                                        const Compute& compute);
 
   mutable std::mutex mutex_;
-  std::condition_variable table_done_;  ///< a warm-up finished or failed
-  std::unordered_map<std::string, Entry> schedules_;
-  /// Null while a run computes the table.
-  std::unordered_map<std::string, std::shared_ptr<const core::CommunityTable>> tables_;
+  std::condition_variable done_;  ///< a computation finished or failed
+  /// Shared with the runs that wait on an entry, which the key's last run
+  /// erases from the map.
+  std::unordered_map<std::string, std::shared_ptr<Entry>> schedules_;
+  std::unordered_map<std::string, Once<core::CommunityTable>> tables_;
   Stats stats_;
 };
 
@@ -122,7 +134,7 @@ class CampaignMemo {
 class ScenarioRunner {
  public:
   /// A runner with a memo of its own: its runs share detected-communities
-  /// warm-ups, and record or replay nothing.
+  /// warm-ups, and make no contact pass.
   ScenarioRunner();
   /// A runner drawing on a campaign's memo.
   explicit ScenarioRunner(std::shared_ptr<CampaignMemo> memo);
@@ -133,14 +145,16 @@ class ScenarioRunner {
   /// THE execution entry: builds the spec's map, communities, and node
   /// groups through the registries and runs the simulation to completion.
   /// Throws std::invalid_argument (validate_spec / create_router) on
-  /// inconsistent specs. With a campaign memo, the run replays its contact
-  /// key's schedule or records one and offers it back (see CampaignMemo); a
-  /// schedule that does not fit the world throws std::logic_error.
+  /// inconsistent specs. With a campaign memo, a run of a shared contact key
+  /// replays the key's contact pass, which the key's first run makes on
+  /// this runner's World before building its own nodes (see CampaignMemo);
+  /// a schedule that does not fit the world throws std::logic_error.
   ScenarioResult run(const ScenarioSpec& spec);
 
   /// The wall-clock time at which the next run() stops (sim::World's
-  /// deadline, which also bounds the detected-communities warm-up); it
-  /// then throws sim::DeadlineExceeded and the runner stays reusable.
+  /// deadline, which also bounds the detected-communities warm-up, the
+  /// contact pass and the waits for either); it then throws
+  /// sim::DeadlineExceeded and the runner stays reusable.
   void set_deadline(sim::Deadline deadline) noexcept { deadline_ = deadline; }
 
  private:
@@ -157,11 +171,11 @@ class ScenarioRunner {
 ScenarioResult run_scenario(const ScenarioSpec& spec);
 
 /// Warm-up detection over ANY valid spec (what `communities.source =
-/// detected` executes, with default DetectionParams): builds the spec's
-/// world with routing-free contact-logger routers — same map, movement,
-/// and per-node seed streams as the real run — runs it for `warmup_s`
-/// simulated seconds, and detects communities from the pairwise contact
-/// counts. Deterministic in (spec, seed); independent of runner reuse and
+/// detected` executes, with default DetectionParams): makes the spec's
+/// contact pass — same map, movement, and per-node seed streams as the real
+/// run, routing-free — for `warmup_s` simulated seconds, counts each
+/// link-up of the pass once per pair, and detects communities from those
+/// pairwise contact counts. Deterministic in (spec, seed); independent of runner reuse and
 /// thread count. Throws sim::DeadlineExceeded once `deadline` has passed.
 core::CommunityTable detect_spec_communities(const ScenarioSpec& spec,
                                              const core::DetectionParams& detection,

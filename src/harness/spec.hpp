@@ -167,8 +167,9 @@ struct GroupBuildContext {
   const geo::BuiltMap& map;
   /// Builds one router for this group's nodes. Installed by the scenario
   /// layer: normally routing::create_router over the group's resolved
-  /// protocol (per-group override applied), but the detected-communities
-  /// warm-up substitutes a routing-free contact logger — group builders
+  /// protocol (per-group override applied), but a contact pass (a
+  /// campaign's shared schedule, or the detected-communities warm-up)
+  /// substitutes a routing-free router — group builders
   /// MUST obtain routers through this hook, never from the factory
   /// directly. Null only in assign_communities contexts.
   std::function<std::unique_ptr<sim::Router>()> make_router;

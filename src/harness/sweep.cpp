@@ -474,8 +474,8 @@ std::vector<SpecPointResult> run_spec_sweep(const SpecSweepOptions& options) {
   }
 
   // ---- contact schedules: count each contact key's runs before dealing ------
-  // A key that more than one task takes is recorded by its first run and
-  // replayed by the others (CampaignMemo).
+  // A key that more than one task takes gets one contact pass, which every
+  // run of the key replays (CampaignMemo).
   const std::shared_ptr<CampaignMemo> memo =
       options.memo != nullptr ? options.memo : std::make_shared<CampaignMemo>();
   std::unordered_map<std::string, int> runs_per_key;

@@ -22,15 +22,16 @@
 // (contact_schedule_key: the spec and seed without the fields movement and
 // detection never read) and announces each key with two or more tasks to
 // one CampaignMemo per call, which every worker's runner shares. The first
-// run of such a key records its link events, and the key's later runs
-// replay them in place of moving nodes and detecting contacts, bit for
-// bit. A run offers its recording once its simulation has run to the
-// end, so an attempt that threw or stopped at its deadline never does. The
-// memo drops a schedule once its key's last task has started, so it holds
-// at most one schedule per key with tasks to come (16 bytes per link
-// event). It lives in this process, which is why a fleet whose points
-// share keys gives each shard whole seeds (harness/fleet.hpp): the runs
-// of a key then share one process and one recording.
+// run of such a key makes the key's contact pass (routing-free, no
+// traffic), and every run of the key replays it in place of moving nodes
+// and detecting contacts, bit for bit; a run whose key's pass is in flight
+// waits for it. A pass that throws or stops at its deadline leaves no
+// schedule, and the key's next run makes it anew. The memo drops a
+// schedule once its key's last task has started, so it holds at most one
+// schedule per key with tasks to come (16 bytes per link event). It lives
+// in this process, which is why a fleet whose points share keys gives each
+// shard whole seeds (harness/fleet.hpp): the runs of a key then share one
+// process and one pass.
 // Detected-communities warm-ups go through the same memo, once per call.
 // Multi-process fabric: one engine invocation can be narrowed to the
 // points whose index satisfies index % shard_count == shard_index, and to

@@ -55,8 +55,9 @@
 // steps, in their order, in place of moving the nodes and detecting
 // contacts. Every router callback, transfer, expiry and metric then follows
 // exactly as in the live run, while the movement engine is never stepped
-// (position_of() throws). A campaign records each schedule once and replays
-// it for every protocol (harness::CampaignMemo).
+// (position_of() throws). A campaign records each shared schedule once, in
+// a routing-free contact pass, and every run of it replays the pass
+// (harness::CampaignMemo).
 //
 // Deadlines: set_deadline() gives run() a wall-clock time at which it stops.
 // The fixed-dt loop compares the clock with it before each step and the

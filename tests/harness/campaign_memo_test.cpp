@@ -1,5 +1,5 @@
-// The campaign memo: contact schedules recorded once per contact key and
-// replayed by every other run of the key, and detected-communities warm-ups
+// The campaign memo: one routing-free contact pass per shared contact key,
+// replayed by every run of the key, and detected-communities warm-ups
 // computed once per campaign.
 //
 // The key is the one correctness risk: two specs with one key must fire the
@@ -8,7 +8,9 @@
 // every mobility model while the recorded schedule must stay the same.
 // Then replay must equal live: every registered protocol on three shipped
 // scenarios, through the sweep at 1 and 3 threads and through one runner,
-// against a fresh run_scenario per run.
+// against a fresh run_scenario per run, with exactly one pass per key.
+// Detection reads a pass too, and must find the tables the contact-logger
+// warm-up it replaced found.
 #include "harness/scenario.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "../test_support.hpp"
+#include "core/community_detection.hpp"
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
 #include "routing/factory.hpp"
@@ -142,8 +145,8 @@ TEST(ContactScheduleKey, EventKernelSpecsHaveNoKey) {
   EXPECT_TRUE(contact_schedule_key(spec).empty());
 }
 
-/// The link events `spec` fires, recorded through a campaign memo the way a
-/// sweep records them.
+/// The link events `spec` fires: its contact pass, made through a campaign
+/// memo the way a sweep makes it.
 sim::ContactSchedule recorded_schedule(const ScenarioSpec& spec) {
   auto memo = std::make_shared<CampaignMemo>();
   const std::string key = contact_schedule_key(spec);
@@ -151,7 +154,7 @@ sim::ContactSchedule recorded_schedule(const ScenarioSpec& spec) {
   ScenarioRunner runner(memo);
   runner.run(spec);
   const auto schedule = memo->schedule(key);
-  EXPECT_NE(schedule, nullptr) << "the run recorded nothing";
+  EXPECT_NE(schedule, nullptr) << "the run made no contact pass";
   return schedule != nullptr ? *schedule : sim::ContactSchedule{};
 }
 
@@ -351,8 +354,8 @@ TEST(CampaignMemo, ReplayEqualsLiveForEveryProtocolAndThreadCount) {
       }
     }
 
-    // One runner on a campaign memo, run by run: every run of a seed after
-    // the first replays that seed's schedule.
+    // One runner on a campaign memo, run by run: the first run of a seed
+    // makes the seed's pass, and every run of the seed replays it.
     {
       auto memo = std::make_shared<CampaignMemo>();
       for (int s = 0; s < kSeeds; ++s) {
@@ -367,8 +370,8 @@ TEST(CampaignMemo, ReplayEqualsLiveForEveryProtocolAndThreadCount) {
         }
       }
       const CampaignMemo::Stats stats = memo->stats();
-      EXPECT_EQ(stats.recorded, static_cast<std::size_t>(kSeeds));
-      EXPECT_EQ(stats.replayed, (protocols.size() - 1) * kSeeds);
+      EXPECT_EQ(stats.recorded, static_cast<std::size_t>(kSeeds)) << "one pass per key";
+      EXPECT_EQ(stats.replayed, protocols.size() * kSeeds) << "every run replays";
       EXPECT_EQ(memo->stats().held, 0u) << "the last run of a key releases it";
     }
 
@@ -389,12 +392,11 @@ TEST(CampaignMemo, ReplayEqualsLiveForEveryProtocolAndThreadCount) {
         expect_same_stat(r.relayed, want[p].relayed, "relayed");
         expect_same_stat(r.contacts, want[p].contacts, "contacts");
       }
+      // Exact at any thread count: a run that finds its key's pass in
+      // flight waits for it instead of making one of its own.
       const CampaignMemo::Stats stats = sweep.memo->stats();
-      EXPECT_GE(stats.recorded, static_cast<std::size_t>(kSeeds));
-      EXPECT_GT(stats.replayed, 0u) << "the sweep replayed nothing";
-      // A run that starts after its key's recordings but before any is
-      // offered does neither, so this is a bound.
-      EXPECT_LE(stats.recorded + stats.replayed, protocols.size() * kSeeds);
+      EXPECT_EQ(stats.recorded, static_cast<std::size_t>(kSeeds)) << "one pass per key";
+      EXPECT_EQ(stats.replayed, protocols.size() * kSeeds) << "every run replays";
       EXPECT_EQ(sweep.memo->stats().held, 0u);
     }
   }
@@ -409,7 +411,54 @@ TEST(CampaignMemo, KeysWithOneRunRecordNothing) {
   const CampaignMemo::Stats stats = opt.memo->stats();
   EXPECT_EQ(stats.recorded, 0u);
   EXPECT_EQ(stats.replayed, 0u);
-  EXPECT_EQ(stats.offered, 0u);
+}
+
+TEST(CampaignMemo, RunsContendingForOneKeyMakeOnePass) {
+  // One seed, every protocol, three threads: the first three runs start
+  // together on one key, so two of them wait for the third's pass.
+  SpecSweepOptions opt = protocol_sweep(shipped_scenarios()[0]);
+  opt.seeds = 1;
+  opt.threads = 3;
+  opt.memo = std::make_shared<CampaignMemo>();
+  const std::vector<SpecPointResult> got = run_spec_sweep(opt);
+  const std::vector<std::string>& protocols = opt.axes[0].values;
+  ASSERT_EQ(got.size(), protocols.size());
+  for (std::size_t p = 0; p < protocols.size(); ++p) {
+    SCOPED_TRACE(protocols[p]);
+    const ScenarioResult live = run_scenario(task_spec(opt, protocols[p], 0));
+    const PointResult& r = got[p].result;
+    EXPECT_EQ(r.delivery_ratio.mean(), live.metrics.delivery_ratio());
+    EXPECT_EQ(r.latency.mean(), live.metrics.latency_mean());
+    EXPECT_EQ(r.goodput.mean(), live.metrics.goodput());
+    EXPECT_EQ(r.control_mb.mean(), static_cast<double>(live.metrics.control_bytes()) / 1e6);
+    EXPECT_EQ(r.relayed.mean(), static_cast<double>(live.metrics.relayed()));
+    EXPECT_EQ(r.contacts.mean(), static_cast<double>(live.contact_events));
+  }
+  const CampaignMemo::Stats stats = opt.memo->stats();
+  EXPECT_EQ(stats.recorded, 1u) << "one pass for the key";
+  EXPECT_EQ(stats.replayed, protocols.size());
+  EXPECT_EQ(stats.held, 0u);
+}
+
+TEST(CampaignMemo, StoppedPassIsComputedAnew) {
+  // A run whose deadline has passed stops inside its key's contact pass and
+  // leaves no schedule behind, so the key's next run makes the pass anew
+  // and matches a fresh run.
+  const ScenarioSpec spec = task_spec(protocol_sweep(shipped_scenarios()[0]), "EER", 0);
+  const std::string key = contact_schedule_key(spec);
+  auto memo = std::make_shared<CampaignMemo>();
+  memo->expect(key, 3);
+  ScenarioRunner runner(memo);
+  runner.set_deadline(std::chrono::steady_clock::now());
+  EXPECT_THROW(runner.run(spec), sim::DeadlineExceeded);
+  EXPECT_EQ(memo->stats().recorded, 1u);
+  EXPECT_EQ(memo->schedule(key), nullptr) << "the stopped pass left a schedule behind";
+  runner.set_deadline(sim::Deadline::max());
+  expect_same_run(runner.run(spec), run_scenario(spec));
+  const CampaignMemo::Stats stats = memo->stats();
+  EXPECT_EQ(stats.recorded, 2u) << "the stopped pass was not made anew";
+  EXPECT_EQ(stats.replayed, 1u);
+  EXPECT_NE(memo->schedule(key), nullptr) << "the key's third run is still to come";
 }
 
 TEST(CampaignMemo, DetectedWarmUpRunsOncePerCampaign) {
@@ -448,6 +497,77 @@ TEST(CampaignMemo, StoppedWarmUpIsComputedAnew) {
   runner.set_deadline(sim::Deadline::max());
   expect_same_run(runner.run(spec), run_scenario(spec));
   EXPECT_EQ(memo->stats().warmups, 2u) << "the stopped warm-up left its table behind";
+}
+
+// ---- detection reads a pass -------------------------------------------------
+
+/// The reference: the warm-up detection ran before it read a contact pass.
+/// Routing-free routers count each contact once, when it comes up.
+class ContactLoggerRouter final : public sim::Router {
+ public:
+  explicit ContactLoggerRouter(core::ContactCountGraph* graph) : graph_(graph) {}
+  [[nodiscard]] std::string name() const override { return "ContactLogger"; }
+  void on_contact_up(sim::NodeIdx peer) override {
+    if (self() < peer) graph_->record(self(), peer);
+  }
+
+ private:
+  core::ContactCountGraph* graph_;
+};
+
+core::CommunityTable logger_communities(const ScenarioSpec& spec,
+                                        const core::DetectionParams& detection,
+                                        double warmup_s) {
+  const geo::BuiltMap map = geo::find_map_kind(spec.map.kind)->build(spec.map.params, spec.seed);
+  core::ContactCountGraph graph(static_cast<core::NodeIdx>(spec.node_count()));
+  sim::WorldConfig config = spec.world;
+  config.seed = spec.seed;
+  sim::World world(config);
+  for (const auto& group : spec.groups) {
+    GroupBuildContext ctx{spec, map, {}};
+    ctx.make_router = [&graph] { return std::make_unique<ContactLoggerRouter>(&graph); };
+    find_group_builder(group.model)->add_nodes(world, ctx, group);
+  }
+  world.run(warmup_s);
+  EXPECT_EQ(world.event_kernel_used(), spec.world.event_kernel) << "the reference's engine";
+  return core::detect_communities(graph, detection);
+}
+
+TEST(DetectedCommunities, PassFindsTheContactLoggersTables) {
+  // Several familiarity thresholds, so that equal tables mean nearly equal
+  // contact counts, not just equal components at one cut. The pass always
+  // steps fixed-dt, while the logger warm-up of an event-kernel spec took
+  // the kernel, so the community world also runs with the kernel on.
+  bool split = false;  // some table must have more than one community
+  std::vector<ModelWorld> worlds;
+  for (const ModelWorld& world : model_worlds()) {
+    const std::string name = world.name;
+    if (name != "bus" && name != "community" && name != "mixed") continue;
+    worlds.push_back(world);
+    if (name == "community") {
+      worlds.push_back({"community, kernel", world.text + "world.event_kernel = true\n"});
+    }
+  }
+  for (const ModelWorld& world : worlds) {
+    const std::string name = world.name;
+    const ScenarioSpec spec = parse_spec(world.text);
+    for (const double warmup_s : {150.0, 500.0}) {
+      for (const int threshold : {1, 3, 6}) {
+        SCOPED_TRACE(name + ", warm-up " + util::format_value(warmup_s) + " s, threshold " +
+                     std::to_string(threshold));
+        const core::DetectionParams detection{threshold};
+        const core::CommunityTable want = logger_communities(spec, detection, warmup_s);
+        const core::CommunityTable got = detect_spec_communities(spec, detection, warmup_s);
+        ASSERT_EQ(got.node_count(), want.node_count());
+        EXPECT_EQ(got.community_count(), want.community_count());
+        for (core::NodeIdx n = 0; n < want.node_count(); ++n) {
+          EXPECT_EQ(got.community_of(n), want.community_of(n)) << "node " << n;
+        }
+        split = split || (want.community_count() > 1 && want.community_count() < want.node_count());
+      }
+    }
+  }
+  EXPECT_TRUE(split) << "no table tells a few communities from none";
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The campaign-fabric vocabulary (harness/remote.hpp): HELLO/ASSIGN/
 // PROGRESS payload round-trips, the campaign-fingerprint digest the
-// foreign-refusal rests on, and the driver-side shard-journal audit that
-// decides what a fleet --resume may skip.
+// foreign-refusal rests on, the tile label a daemon logs, and the
+// driver-side shard-journal audit that decides what a fleet --resume may
+// skip.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "harness/fleet.hpp"
 #include "harness/remote.hpp"
 #include "harness/spec_io.hpp"
 #include "harness/sweep.hpp"
@@ -208,6 +210,23 @@ TEST(RemoteProgress, RoundTrips) {
   EXPECT_EQ(bytes, 40960u);
   EXPECT_FALSE(harness::parse_sweep_progress("progress 17", &records, &bytes));
   EXPECT_FALSE(harness::parse_sweep_progress("progres 1 2", &records, &bytes));
+}
+
+TEST(RemoteTileLabel, NamesTheTilesSeedsAndShard) {
+  // Four seeds on three slots: seed groups {2, 1, 1}, each over the whole
+  // grid, so only the seeds tell the tiles apart.
+  harness::SpecSweepOptions campaign = fixture_options();
+  campaign.seeds = 4;
+  const auto groups = harness::fleet_tiles(campaign, 3);
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_EQ(harness::tile_label(groups[0]), "seeds 7-8, shard 0/1");
+  EXPECT_EQ(harness::tile_label(groups[1]), "seeds 9-9, shard 0/1");
+  EXPECT_EQ(harness::tile_label(groups[2]), "seeds 10-10, shard 0/1");
+  // Two seeds on three slots: point residues over every seed.
+  campaign.seeds = 2;
+  const auto residues = harness::fleet_tiles(campaign, 3);
+  ASSERT_EQ(residues.size(), 3u);
+  EXPECT_EQ(harness::tile_label(residues[2]), "seeds 7-8, shard 2/3");
 }
 
 TEST(RemoteFingerprint, ExcludesShardSelectorAndThreads) {

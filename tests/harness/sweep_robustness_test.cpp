@@ -207,10 +207,11 @@ TEST(SweepRobustness, IsolatedFailuresAppearInTheJsonSchema) {
 }
 
 // ---- timeouts and the campaign memo ----------------------------------------
-// A protocol axis shares one contact key per seed, so its runs record and
-// replay contact schedules. An attempt that stops at its deadline must not
-// offer its recording, and no attempt may outlive run_spec_sweep: the
-// caller's memo is its only holder the moment the sweep returns.
+// A protocol axis shares one contact key per seed, so its runs replay one
+// contact pass per seed. An attempt that stops at its deadline must leave
+// the key's schedule to the key's other runs, and no attempt may outlive
+// run_spec_sweep: the caller's memo is its only holder the moment the sweep
+// returns.
 
 SpecSweepOptions protocol_axis_options() {
   SpecSweepOptions opt;
@@ -239,8 +240,8 @@ void expect_same_points(const std::vector<SpecPointResult>& got,
 }
 
 /// Point 0's first `fires` attempts stall 1500 ms against a 200 ms budget
-/// and are retried; the retries and every other run record or replay as
-/// usual, on `threads` workers.
+/// and are retried; the retries and every other run replay their key's
+/// pass as usual, on `threads` workers.
 void expect_hung_attempts_change_no_result(std::size_t threads, int fires) {
   SpecSweepOptions clean = protocol_axis_options();
   clean.threads = threads;
@@ -261,7 +262,6 @@ void expect_hung_attempts_change_no_result(std::size_t threads, int fires) {
   EXPECT_EQ(got[0].exec.tries, opt.seeds + fires);
   const CampaignMemo::Stats stats = opt.memo->stats();
   EXPECT_GT(stats.replayed, 0u);
-  EXPECT_LE(stats.offered, stats.recorded);
   EXPECT_EQ(stats.held, 0u);
 }
 
@@ -287,7 +287,7 @@ class StallingRouter final : public sim::Router {
   }
 };
 
-TEST(SweepRobustness, TimedOutAttemptPublishesNothing) {
+TEST(SweepRobustness, TimedOutReplayLeavesTheScheduleToTheKey) {
   routing::register_protocol("Stalling", [](const routing::ProtocolConfig&) {
     return std::make_unique<StallingRouter>();
   });
@@ -297,10 +297,10 @@ TEST(SweepRobustness, TimedOutAttemptPublishesNothing) {
   const auto want = run_spec_sweep(clean);
 
   // One seed, three runs of one contact key. The Stalling run takes the key
-  // first and records, stalls 1 s inside a step, and stops at the step
-  // boundary after it, past its 300 ms deadline, without offering its
-  // recording; the Epidemic run then records and offers, and the
-  // SprayAndWait run replays.
+  // first and makes its contact pass, whose routers route nothing. It then
+  // replays the pass, stalls 1 s in its first contact callback, and stops
+  // at the step boundary after it, past its 300 ms deadline. The schedule
+  // stays held for the Epidemic and SprayAndWait runs, which replay it.
   g_stalls = 1;
   SpecSweepOptions opt = clean;
   opt.axes = {{"protocol.name", {"Stalling", "Epidemic", "SprayAndWait"}}};
@@ -315,9 +315,8 @@ TEST(SweepRobustness, TimedOutAttemptPublishesNothing) {
   expect_same_points({got[1], got[2]}, want);
 
   const CampaignMemo::Stats stats = opt.memo->stats();
-  EXPECT_EQ(stats.recorded, 2u) << "the stalled run and the Epidemic run";
-  EXPECT_EQ(stats.offered, 1u) << "only the finished recording is offered";
-  EXPECT_EQ(stats.replayed, 1u);
+  EXPECT_EQ(stats.recorded, 1u) << "one pass for the key, made by the Stalling run";
+  EXPECT_EQ(stats.replayed, 3u) << "the stopped run and the two that finished";
   EXPECT_EQ(stats.held, 0u);
 }
 

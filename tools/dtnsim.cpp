@@ -412,10 +412,8 @@ void serve_one_campaign(net::Stream conn, const std::string& scratch,
       scratch + "/campaign-" + crc_hex8(util::crc32(fingerprint)) + "-shard-" +
       std::to_string(options.shard_index) + "-of-" +
       std::to_string(options.shard_count) + ".journal";
-  log("assigned shard " + std::to_string(options.shard_index) + "/" +
-      std::to_string(options.shard_count) +
-      (options.resume ? " (resume)" : "") + ", journal '" +
-      options.journal_path + "'");
+  log("assigned " + harness::tile_label(options) + (options.resume ? " (resume)" : "") +
+      ", journal '" + options.journal_path + "'");
   std::atomic<std::uint64_t> points_done{0};
   options.progress = [&points_done](const std::string&) {
     points_done.fetch_add(1);
@@ -477,8 +475,7 @@ void serve_one_campaign(net::Stream conn, const std::string& scratch,
     net::send_message(conn, net::MessageType::kDone,
                       failures_present ? "1" : "0");
   }
-  log("shard " + std::to_string(options.shard_index) + "/" +
-      std::to_string(options.shard_count) + " complete: " +
+  log(harness::tile_label(options) + " complete: " +
       std::to_string(points_done.load()) + " point(s) run, " +
       std::to_string(journal_bytes.size()) + " journal byte(s) shipped" +
       (failures_present ? ", with failed points" : ""));
